@@ -35,6 +35,7 @@ from pathlib import Path
 from .bounds import BoundContext
 from .errors import (
     ConfigMismatchError,
+    DesignError,
     InconsistentDataError,
     InsufficientRankError,
     ParameterError,
@@ -69,7 +70,6 @@ class SimConfig:
     k_fr: int = 5
     design_file: str | None = None
     seed: int = 0
-    workers: int = 1
     pattern_cap: int = 10 ** 6
     out_dir: str = "."
 
@@ -187,11 +187,17 @@ def _load_shards(shard_dir: Path, code: LrcCode, digest: bytes,
     if not shard_dir.is_dir():
         raise FileNotFoundError(f"shard directory {shard_dir} does not exist")
     shards = {}
+    sources = {}
     for path in sorted(shard_dir.glob("shard_*.lmbr")):
         shard = parse_shard(path.read_bytes(), code, digest)
-        if shard.index == skip:
-            continue
-        shards[shard.index] = shard
+        if shard.index in sources:
+            raise ShardFormatError(
+                f"{sources[shard.index]} and {path} both claim node index "
+                f"{shard.index}"
+            )
+        sources[shard.index] = path
+        if shard.index != skip:
+            shards[shard.index] = shard
     return shards
 
 
@@ -297,8 +303,7 @@ def cmd_repair(cfg: SimConfig, shard_dir: str, failed: int) -> int:
 
 def _verify_dmin(cfg: SimConfig, code: LrcCode) -> dict:
     claimed = code.dmin_bound
-    result = code.measure_dmin(pattern_cap=cfg.pattern_cap,
-                               workers=cfg.workers)
+    result = code.measure_dmin(pattern_cap=cfg.pattern_cap)
     return {
         "mode": "dmin",
         "claimed": claimed,
@@ -505,7 +510,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--design-file", default=None,
                        help="block design, one block per line, 1-based points")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--pattern-cap", type=int, default=10 ** 6)
         p.add_argument("--out-dir", default=".")
 
@@ -558,7 +562,6 @@ def _config_from_args(args) -> SimConfig:
         k_fr=args.kfr,
         design_file=args.design_file,
         seed=args.seed,
-        workers=args.workers,
         pattern_cap=args.pattern_cap,
         out_dir=args.out_dir,
     )
@@ -579,15 +582,25 @@ def main(argv=None) -> int:
         if args.command == "verify":
             claim = None
             if args.claim_profile:
-                claim = [int(tok) for tok in args.claim_profile.split(",")]
+                try:
+                    claim = [int(tok) for tok in args.claim_profile.split(",")]
+                except ValueError:
+                    raise ParameterError(
+                        "--claim-profile must be comma-separated integers, "
+                        f"got {args.claim_profile!r}"
+                    ) from None
             return cmd_verify(cfg, args.mode, claim)
         if args.command == "bench":
             return cmd_bench(cfg, args.trials)
         if args.command == "bounds":
             return cmd_bounds(cfg)
         raise AssertionError(f"unhandled command {args.command}")
-    except (PatternCapError, ParameterError, ConfigMismatchError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
+    except (PatternCapError, ParameterError, ConfigMismatchError,
+            DesignError) as exc:
+        detail = str(exc)
+        if isinstance(exc, DesignError) and exc.witness is not None:
+            detail += f"; witness {[int(p) for p in exc.witness]}"
+        print(json.dumps({"error": type(exc).__name__, "detail": detail}),
               file=sys.stderr)
         return 2
     except (InsufficientRankError, InconsistentDataError, RepairError) as exc:

@@ -178,7 +178,12 @@ def load_design(path) -> Design:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            blocks.append(tuple(int(tok) for tok in line.split()))
+            try:
+                blocks.append(tuple(int(tok) for tok in line.split()))
+            except ValueError:
+                raise DesignError(
+                    f"design file {path}: non-integer point in {line!r}"
+                ) from None
     if not blocks:
         raise DesignError(f"design file {path} contains no blocks")
     n_points = max(max(b) for b in blocks)

@@ -478,8 +478,21 @@ def coeff_columns(elements: Sequence[FieldElement]) -> np.ndarray:
     return out
 
 
+def _require_int64_products(q: int) -> None:
+    """Refuse q whose residue products overflow int64.
+
+    Elimination forms products of two residues, up to (q-1)^2; past 2^63
+    they wrap silently and the rank would be wrong.
+    """
+    if (q - 1) ** 2 >= 2 ** 63:
+        raise ParameterError(
+            f"q={q} is too large for int64 elimination: (q-1)^2 >= 2^63"
+        )
+
+
 def rank_mod_q(matrix: np.ndarray, q: int) -> int:
     """Rank of an integer matrix over F_q, by Gaussian elimination."""
+    _require_int64_products(q)
     a = np.array(matrix, dtype=np.int64) % q
     rows, cols = a.shape
     rank = 0
@@ -503,6 +516,7 @@ def rank_mod_q(matrix: np.ndarray, q: int) -> int:
 
 def inv_mod_q(matrix: np.ndarray, q: int) -> np.ndarray:
     """Inverse of a square integer matrix over F_q (Gauss-Jordan)."""
+    _require_int64_products(q)
     a = np.array(matrix, dtype=np.int64) % q
     n = a.shape[0]
     if a.shape != (n, n):

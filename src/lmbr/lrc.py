@@ -18,14 +18,22 @@ exactly when the available columns span rank >= K over the base field.
 :func:`LrcCode.measure_dmin` certifies the minimum distance by exhausting
 erasure patterns against that same rank criterion (with the witness pattern
 re-validated through an actual decode attempt), refusing rather than
-sampling when the pattern count exceeds its cap.
+sampling when the pattern count exceeds its cap.  No pattern needs its own
+elimination.  The outer points are the power basis, so Theta is the first J
+unit columns and has full column rank (checked on every call); the rank of
+any set of Gamma columns is then the rank of the same columns of G.  G is
+block-diagonal, so that rank is the sum of one table lookup per group (the
+rank of the group's surviving local-generator columns, computed once per
+distinct survivor set) plus alpha per surviving global node.
+:func:`LrcCode.ura_report` sums the same per-group table.  Both still visit
+every pattern or subset; the table replaces only the per-pattern
+elimination.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -66,6 +74,90 @@ class DminResult:
     patterns_checked: int
 
 
+#: Subsets per vectorised enumeration step; bounds one step's memory.
+_BLOCK = 1 << 14
+
+
+def _subset_blocks(n: int, size: int):
+    """Every ``size``-subset of range(n), in ``combinations`` order.
+
+    Yields blocks of at most ``_BLOCK`` subsets as pairs: the node indices
+    (subsets x size) and 0/1 membership rows (subsets x n).
+    """
+    subsets = combinations(range(n), size)
+    while True:
+        chosen = np.fromiter(
+            chain.from_iterable(islice(subsets, _BLOCK)), dtype=np.int64
+        ).reshape(-1, size)
+        if not len(chosen):
+            return
+        rows = np.zeros((len(chosen), n), dtype=np.int64)
+        np.put_along_axis(rows, chosen, 1, axis=1)
+        yield chosen, rows
+
+
+def _per_mask(masks: np.ndarray, value) -> np.ndarray:
+    """``value(mask)`` for every entry, computed once per distinct mask."""
+    distinct, where = np.unique(masks, return_inverse=True)
+    values = np.array([value(int(mask)) for mask in distinct], dtype=np.int64)
+    return values[where].reshape(masks.shape)
+
+
+class GroupRankTable:
+    """Rank over F_q of any set of a code's stored columns, by lookups.
+
+    The mixed generator is block-diagonal: one copy of the local generator
+    per group plus identity columns for the global nodes, each block on its
+    own message coordinates.  The rank of a column set is therefore the sum
+    of its per-group ranks plus ``alpha`` per global node.  A group's node
+    set is keyed by a bitmask (bit j for its j-th node); the rank of a mask
+    is computed by elimination on the local generator the first time it is
+    asked for, so a table holds at most 2^n_local entries, and only those
+    its caller meets.
+    """
+
+    def __init__(self, code: "LrcCode"):
+        local = code.local
+        n_local = local.n_nodes
+        if n_local > 63:
+            raise ParameterError(
+                f"group masks fit n_local <= 63 nodes, got {n_local}"
+            )
+        self._generator = local.generator_matrix()
+        self._alpha = local.alpha
+        self._q = local.q
+        self._ranks = {0: 0}
+        self._span = code.groups * n_local
+        # Row i holds bit (i mod n_local) in the column of node i's group.
+        self._weights = np.zeros((self._span, code.groups), dtype=np.int64)
+        for i in range(self._span):
+            self._weights[i, i // n_local] = 1 << (i % n_local)
+
+    def masks(self, rows: np.ndarray) -> np.ndarray:
+        """Per-group node masks (rows x groups) of 0/1 node rows."""
+        return rows[:, : self._span] @ self._weights
+
+    def lookup(self, masks: np.ndarray) -> np.ndarray:
+        """Rank of each group mask's local-generator columns."""
+        return _per_mask(masks, self._group_rank)
+
+    def ranks(self, rows: np.ndarray) -> np.ndarray:
+        """Rank of the stored columns of each 0/1 node row.
+
+        Rows may cover all n nodes or only the local ones.
+        """
+        return (self.lookup(self.masks(rows)).sum(axis=1)
+                + self._alpha * rows[:, self._span:].sum(axis=1))
+
+    def _group_rank(self, mask: int) -> int:
+        if mask not in self._ranks:
+            cols = [node * self._alpha + c
+                    for node in range(mask.bit_length()) if mask >> node & 1
+                    for c in range(self._alpha)]
+            self._ranks[mask] = rank_mod_q(self._generator[:, cols], self._q)
+        return self._ranks[mask]
+
+
 class LrcCode:
     """A composed code: ``groups`` local codes plus optional global nodes."""
 
@@ -101,10 +193,10 @@ class LrcCode:
         self.mixed_generator = self._build_mixed_generator()
         # Expanded evaluation points of every stored scalar: column c of
         # Theta . G is the coefficient vector of gamma_c.
-        theta = np.array(
+        self.theta = np.array(
             [p.coeffs for p in self.outer.points], dtype=np.int64
         ).T                                               # m x J
-        self.expanded = (theta @ self.mixed_generator) % local.q
+        self.expanded = (self.theta @ self.mixed_generator) % local.q
         self.gamma: tuple[FieldElement, ...] = tuple(
             self.field.element(self.expanded[:, c])
             for c in range(self.expanded.shape[1])
@@ -293,16 +385,28 @@ class LrcCode:
 
     # -- exhaustive certification ---------------------------------------------------
 
-    def measure_dmin(self, pattern_cap: int = 10 ** 6,
-                     workers: int = 1) -> DminResult:
+    def measure_dmin(self, pattern_cap: int = 10 ** 6) -> DminResult:
         """Measure the minimum distance by brute-force erasure enumeration.
 
         Walks erasure counts e = 1, 2, ... and checks every C(n, e) pattern
         for decodability; the first count with an undecodable pattern is the
-        distance.  Levels whose pattern count exceeds ``pattern_cap`` are
-        refused (no sampling).  The witness pattern is re-validated against
-        the real decoder before being returned.
+        distance, and the witness is the first such pattern in
+        ``combinations`` order.  The enumeration is exhaustive; only the
+        rank of each pattern's survivors comes from a :class:`GroupRankTable`
+        instead of its own elimination.  That is exact because the outer
+        points are independent over F_q (checked here: rank(Theta) = J), so
+        the survivors' expanded columns have the rank of the same columns
+        of the block-diagonal mixed generator.  Levels whose pattern count
+        exceeds ``pattern_cap`` are refused (no sampling).  The witness
+        pattern is re-validated against the real decoder before being
+        returned.
         """
+        if rank_mod_q(self.theta, self.local.q) != self.outer.length:
+            raise AssertionError(
+                "outer points are dependent over F_q; survivor ranks do not "
+                "split over the local groups"
+            )
+        table = GroupRankTable(self)
         n = self.n_nodes
         checked = 0
         for erased in range(1, n + 1):
@@ -312,37 +416,15 @@ class LrcCode:
                     f"C({n},{erased}) = {count} erasure patterns exceed the "
                     f"cap {pattern_cap}; refusing to sample"
                 )
-            witness = self._find_failing_pattern(erased, workers)
-            checked += count if witness is None else 0
-            if witness is not None:
-                self._assert_undecodable(witness)
-                return DminResult(value=erased, witness=witness,
-                                  patterns_checked=checked)
+            for patterns, rows in _subset_blocks(n, erased):
+                failing = np.flatnonzero(table.ranks(1 - rows) < self.file_dim)
+                if failing.size:
+                    witness = tuple(int(i) for i in patterns[failing[0]])
+                    self._assert_undecodable(witness)
+                    return DminResult(value=erased, witness=witness,
+                                      patterns_checked=checked)
+            checked += count
         raise AssertionError("full erasure is always undecodable; unreachable")
-
-    def _find_failing_pattern(self, erased, workers):
-        n = self.n_nodes
-        all_nodes = set(range(n))
-        if workers <= 1:
-            for pattern in combinations(range(n), erased):
-                if not self.decodable(sorted(all_nodes - set(pattern))):
-                    return pattern
-            return None
-        patterns = list(combinations(range(n), erased))
-        chunk = max(1, len(patterns) // (workers * 4))
-        pieces = [patterns[i:i + chunk] for i in range(0, len(patterns), chunk)]
-        args = [
-            (self.expanded, self.local.q, self.file_dim, self.alpha, n, piece)
-            for piece in pieces
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Results arrive in submission order, so the first hit is the
-            # lexicographically smallest failing pattern regardless of how
-            # the pool schedules the chunks.
-            for result in pool.map(_scan_chunk, args):
-                if result is not None:
-                    return result
-        return None
 
     def _assert_undecodable(self, pattern):
         survivors = sorted(set(range(self.n_nodes)) - set(pattern))
@@ -367,6 +449,13 @@ class LrcCode:
         minimum over subsets must equal the periodic partial sum: together
         these say the profile governs exactly how rank accumulates, which is
         what the distance bound consumes.
+
+        Every subset is still enumerated, size by size in ``combinations``
+        order.  Its measured rank is the sum of its groups' entries in a
+        :class:`GroupRankTable`, which is exact for the same reason the
+        ranks add: the bank's generator is block-diagonal, so a column
+        subset's rank is the sum of its per-group ranks.  The table itself
+        is filled by elimination and assumes nothing about the profile.
         """
         if claimed_profile is None:
             claimed_profile = list(self.local.profile())
@@ -390,40 +479,33 @@ class LrcCode:
         def periodic(s: int) -> int:
             return (s // n_local) * period_total + prefix[s % n_local]
 
-        k_local = self.local.k_message
-        basic = self.mixed_generator[: self.groups * k_local,
-                                     : cols * self.alpha]
-        q = self.local.q
-        min_by_size = [None] * (cols + 1)
-        min_by_size[0] = 0
+        table = GroupRankTable(self)
         witness = None
         for size in range(1, cols + 1):
-            for subset in combinations(range(cols), size):
-                idx = np.concatenate(
-                    [np.arange(i * self.alpha, (i + 1) * self.alpha)
-                     for i in subset]
-                )
-                measured = rank_mod_q(basic[:, idx], q)
-                expected = sum(
-                    prefix[min(sum(1 for i in subset
-                                   if i // n_local == g), n_local)]
-                    for g in range(self.groups)
-                )
-                if measured != expected and witness is None:
+            minimum = None
+            for chosen, rows in _subset_blocks(cols, size):
+                masks = table.masks(rows)
+                measured = table.lookup(masks).sum(axis=1)
+                expected = _per_mask(
+                    masks, lambda mask: prefix[mask.bit_count()]
+                ).sum(axis=1)
+                wrong = np.flatnonzero(measured != expected)
+                if wrong.size and witness is None:
+                    first = wrong[0]
                     witness = {
                         "kind": "block-rank",
-                        "subset": [int(i) for i in subset],
-                        "measured": int(measured),
-                        "expected": int(expected),
+                        "subset": [int(i) for i in chosen[first]],
+                        "measured": int(measured[first]),
+                        "expected": int(expected[first]),
                     }
-                if min_by_size[size] is None or measured < min_by_size[size]:
-                    min_by_size[size] = measured
-            if witness is None and min_by_size[size] != periodic(size):
+                low = int(measured.min())
+                minimum = low if minimum is None else min(minimum, low)
+            if witness is None and minimum != periodic(size):
                 witness = {
                     "kind": "size-minimum",
                     "size": size,
-                    "measured": int(min_by_size[size]),
-                    "expected": int(periodic(size)),
+                    "measured": minimum,
+                    "expected": periodic(size),
                 }
             if witness is not None:
                 break
@@ -442,20 +524,6 @@ class LrcCode:
             f"globals={self.global_nodes}, n={self.n_nodes}, K={self.file_dim}, "
             f"m={self.field.m})"
         )
-
-
-def _scan_chunk(args):
-    """Worker for parallel distance measurement: first failing pattern."""
-    expanded, q, file_dim, alpha, n, patterns = args
-    all_nodes = set(range(n))
-    for pattern in patterns:
-        surviving = sorted(all_nodes - set(pattern))
-        cols = np.concatenate(
-            [np.arange(i * alpha, (i + 1) * alpha) for i in surviving]
-        ) if surviving else np.zeros(0, dtype=int)
-        if rank_mod_q(expanded[:, cols], q) < file_dim:
-            return pattern
-    return None
 
 
 def all_symbol_code(groups: int, local, file_dim: int,

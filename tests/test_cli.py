@@ -321,13 +321,6 @@ def test_verify_bounds_crosscheck_refused_off_shape(tmp_path, capsys):
     assert rc == 2  # profile (10, 4, 1, 0, 0, 0) has no uniform step
 
 
-def test_verify_parallel_workers(capsys):
-    rc, report = run(capsys, "verify", *DESK_ARGS, "--mode", "dmin",
-                     "--workers", "2")
-    assert rc == 0
-    assert report["measured"] == 3
-
-
 def test_bounds_record(capsys):
     rc, out = run(capsys, "bounds", *DESK_ARGS)
     assert rc == 0
@@ -427,3 +420,68 @@ def test_digest_depends_on_extension_degree(tmp_path, capsys):
                     "--out-dir", str(tmp_path))
     assert rc1 == rc2 == 0
     assert out1["digest"] != out2["digest"]
+
+
+def error_record(capsys):
+    """The one-line JSON error record on stderr; stdout stays empty."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_bad_design_file_exit2_with_witness(tmp_path, capsys):
+    from lmbr.frlocal import FANO_BLOCKS
+    path = tmp_path / "design.txt"
+    # One block repeats a point: every pair still lies in one block, so the
+    # design is inferred and then rejected with that block as the witness.
+    blocks = [" ".join(str(p) for p in b) for b in FANO_BLOCKS]
+    blocks[0] += f" {FANO_BLOCKS[0][-1]}"
+    path.write_text("\n".join(blocks) + "\n")
+    rc = main(["make", *FR_ARGS, "--design-file", str(path),
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    record = error_record(capsys)
+    assert record["error"] == "DesignError"
+    assert "witness [1, 2, 3, 3]" in record["detail"]
+    path.write_text("1 2 x\n")
+    assert main(["make", *FR_ARGS, "--design-file", str(path),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert error_record(capsys)["error"] == "DesignError"
+
+
+def test_non_integer_claim_profile_exit2(capsys):
+    rc = main(["verify", *DESK_ARGS, "--mode", "ura",
+               "--claim-profile", "2,x"])
+    assert rc == 2
+    record = error_record(capsys)
+    assert record["error"] == "ParameterError"
+    assert "'2,x'" in record["detail"]
+
+
+def test_duplicate_shard_index_exit3(tmp_path, capsys):
+    cfg = SimConfig()
+    msg_path = tmp_path / "msg.bin"
+    write_message(msg_path, cfg, seed=13)
+    shard_dir = tmp_path / "shards"
+    run(capsys, "encode", *DESK_ARGS, "--in", str(msg_path),
+        "--out-dir", str(shard_dir))
+    copy = shard_dir / "shard_0009.lmbr"
+    copy.write_bytes((shard_dir / "shard_0001.lmbr").read_bytes())
+    rc = main(["decode", *DESK_ARGS, "--shard-dir", str(shard_dir),
+               "--out", str(tmp_path / "o.bin")])
+    assert rc == 3
+    record = error_record(capsys)
+    assert record["error"] == "ShardFormatError"
+    assert "shard_0001.lmbr" in record["detail"]
+    assert "shard_0009.lmbr" in record["detail"]
+    assert "node index 1" in record["detail"]
+
+
+def test_oversized_q_refused_exit2(tmp_path, capsys):
+    rc = main(["make", "--construction", "all-symbol", "--q", "1099511627689",
+               "--t", "1", "--nl", "2", "--r", "1", "--d", "1", "--K", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert error_record(capsys)["error"] == "ParameterError"

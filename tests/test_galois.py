@@ -280,3 +280,28 @@ def test_inv_mod_q_round_trip():
         inv = inv_mod_q(mat, q)
         assert ((mat @ inv) % q == np.eye(4, dtype=np.int64)).all()
         found += 1
+
+
+def test_elimination_refuses_q_whose_products_overflow_int64():
+    """Past (q-1)^2 >= 2^63 the residue products wrap in int64: a rank-1
+    matrix read as rank 2.  Such q is refused, never answered wrongly."""
+    from lmbr import MbrCode, all_symbol_code
+
+    q = 1099511627689                 # prime, accepted by field(q, 1)
+    a, b = 123456789012, 987654321098
+    with pytest.raises(ParameterError):
+        rank_mod_q(np.array([[1, a], [b, a * b % q]]), q)
+    with pytest.raises(ParameterError):
+        inv_mod_q(np.array([[1, a], [b, 1]]), q)
+    with pytest.raises(ParameterError):
+        all_symbol_code(1, MbrCode(2, 1, 1, q), 1)
+    # The largest prime below the limit still eliminates exactly.
+    q = 3037000493
+    a, b = q - 2, q - 3
+    assert rank_mod_q(np.array([[1, a], [b, a * b % q]]), q) == 1
+    assert rank_mod_q(np.array([[1, a], [b, (a * b + 1) % q]]), q) == 2
+    inv = inv_mod_q(np.array([[1, a], [b, 1]]), q)
+    assert [[int(v) for v in row] for row in inv] == [
+        [pow(1 - a * b, -1, q), -a * pow(1 - a * b, -1, q) % q],
+        [-b * pow(1 - a * b, -1, q) % q, pow(1 - a * b, -1, q)],
+    ]

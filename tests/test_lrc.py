@@ -3,8 +3,11 @@ distance measurement, and the evaluate/mix commutation that makes the
 two-stage decoder sound."""
 
 import random
+import time
 from itertools import combinations
+from math import comb
 
+import numpy as np
 import pytest
 
 from lmbr import (
@@ -19,7 +22,10 @@ from lmbr import (
     field,
     info_locality_code,
 )
+from lmbr.cli import SimConfig
+from lmbr.galois import rank_mod_q
 from lmbr.linpoly import LinearizedPoly
+from lmbr.lrc import DminResult, GroupRankTable
 
 
 def desk_local():
@@ -179,12 +185,120 @@ def test_pattern_cap_refusal():
         desk_c1().measure_dmin(pattern_cap=10)
 
 
-def test_parallel_dmin_matches_serial():
-    code = desk_c1()
-    serial = code.measure_dmin(workers=1)
-    parallel = code.measure_dmin(workers=2)
-    assert serial.value == parallel.value
-    assert serial.witness == parallel.witness
+def mbr_stripes_code():
+    """The benchmark's mbr-stripes configuration, built as the CLI does."""
+    return SimConfig(construction="info-local", q=3, t=2, delta=1,
+                     file_dim=5, m=8).build()
+
+
+def fano_code():
+    return all_symbol_code(2, FrCode(fano_plane(), 5, 7), 10)
+
+
+def bank_423():
+    return all_symbol_code(3, MbrCode(4, 2, 3, 5), 12)
+
+
+def expanded_rank(code, survivors):
+    """Reference: one elimination on the survivors' expanded columns."""
+    cols = [i * code.alpha + c for i in survivors for c in range(code.alpha)]
+    return rank_mod_q(code.expanded[:, cols], code.local.q)
+
+
+def reference_dmin(code):
+    """Per-pattern reference loop: the first undecodable erasure pattern in
+    combinations order, with the patterns of the fully decodable levels."""
+    n = code.n_nodes
+    checked = 0
+    for erased in range(1, n + 1):
+        for pattern in combinations(range(n), erased):
+            survivors = sorted(set(range(n)) - set(pattern))
+            if expanded_rank(code, survivors) < code.file_dim:
+                return DminResult(erased, pattern, checked)
+        checked += comb(n, erased)
+    raise AssertionError("full erasure is always undecodable")
+
+
+def reference_ura(code, claimed):
+    """Per-subset reference loop: eliminate every local column subset of
+    the bank's generator and compare with the claimed prefix sums."""
+    n_local = code.local.n_nodes
+    cols = code.groups * n_local
+    prefix = [0]
+    for a in claimed:
+        prefix.append(prefix[-1] + a)
+    basic = code.mixed_generator[: code.groups * code.local.k_message,
+                                 : cols * code.alpha]
+    witness = None
+    for size in range(1, cols + 1):
+        minimum = None
+        for subset in combinations(range(cols), size):
+            idx = [i * code.alpha + c for i in subset for c in range(code.alpha)]
+            measured = rank_mod_q(basic[:, idx], code.local.q)
+            expected = sum(prefix[sum(1 for i in subset if i // n_local == g)]
+                           for g in range(code.groups))
+            if measured != expected and witness is None:
+                witness = {"kind": "block-rank", "subset": list(subset),
+                           "measured": measured, "expected": expected}
+            minimum = measured if minimum is None else min(minimum, measured)
+        periodic = (size // n_local) * prefix[-1] + prefix[size % n_local]
+        if witness is None and minimum != periodic:
+            witness = {"kind": "size-minimum", "size": size,
+                       "measured": minimum, "expected": periodic}
+        if witness is not None:
+            break
+    return {"mode": "ura", "columns": cols, "claimed_profile": list(claimed),
+            "subsets_checked": 2 ** cols if witness is None else None,
+            "pass": witness is None, "witness": witness}
+
+
+@pytest.mark.parametrize("build", [desk_c1, desk_c2, mbr_stripes_code,
+                                   fano_code])
+def test_rank_table_matches_elimination_on_every_survivor_set(build):
+    """The per-group table gives the rank of every survivor set that one
+    elimination on the expanded columns gives, and decodable agrees."""
+    code = build()
+    n = code.n_nodes
+    table = GroupRankTable(code)
+    for size in range(n + 1):
+        subsets = list(combinations(range(n), size))
+        rows = np.zeros((len(subsets), n), dtype=np.int64)
+        for row, survivors in zip(rows, subsets):
+            row[list(survivors)] = 1
+        for survivors, got in zip(subsets, table.ranks(rows)):
+            want = expanded_rank(code, survivors)
+            assert got == want, survivors
+            assert code.decodable(survivors) == (want >= code.file_dim)
+
+
+@pytest.mark.parametrize("build,claims", [
+    (desk_c1, [None, [2, 2, 0], [2, 1, 1]]),
+    (desk_c2, [None]),
+    (bank_423, [None, [3, 2, 1, 0]]),
+    (fano_code, [None]),
+])
+def test_certifiers_match_per_pattern_reference(build, claims):
+    code = build()
+    assert code.measure_dmin() == reference_dmin(code)
+    for claim in claims:
+        expected = reference_ura(code, claim or list(code.local.profile()))
+        # The true profile passes; every override is a negative control.
+        assert expected["pass"] is (claim is None)
+        assert code.ura_report(claimed_profile=claim) == expected
+
+
+def test_certify_configuration_within_budget():
+    """The benchmark's certify configuration (all-symbol (3,2,2), q=3, t=5,
+    K=6, m=15, n=15): d_min 11 equals the bound and URA passes over all
+    2^15 column subsets, both certified within 5 s."""
+    started = time.perf_counter()
+    code = all_symbol_code(5, MbrCode(3, 2, 2, 3), 6, ext_degree=15)
+    result = code.measure_dmin()
+    assert result.value == 11 == code.dmin_bound
+    report = code.ura_report()
+    assert report["pass"] is True
+    assert report["subsets_checked"] == 2 ** 15
+    assert time.perf_counter() - started < 5.0
 
 
 def test_gamma_commutation_with_generator():
@@ -327,8 +441,6 @@ def test_rank_accumulation_boundary_cross_group():
     same-group pair's partial sum.  Uniformity proper holds per group; the
     distance bound only needs the per-size minimum, which the concentrated
     (same-group) subsets attain."""
-    from lmbr.galois import rank_mod_q
-
     code = desk_c1()
     basic = code.mixed_generator
     same = [0, 1, 2, 3]        # nodes 0 and 1, both in group 0

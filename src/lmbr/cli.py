@@ -79,6 +79,12 @@ class SimConfig:
                 f"construction must be one of {CONSTRUCTIONS}, "
                 f"got {self.construction!r}"
             )
+        if self.q > 1 << 16:
+            # Coefficients 0..q-1 must fit the files' uint16 slots.
+            raise ParameterError(
+                f"q={self.q} exceeds 65536: shard and message files store "
+                "each coefficient as a uint16"
+            )
 
     def local_code(self):
         if self.construction == "fr-local":
@@ -166,10 +172,17 @@ def parse_shard(data: bytes, code: LrcCode, digest: bytes) -> Shard:
         raise ShardFormatError(
             f"payload is {len(body)} bytes, expected {alpha * m * 2}"
         )
-    payload = tuple(
-        code.field.from_bytes(body[i * 2 * m:(i + 1) * 2 * m])
-        for i in range(alpha)
-    )
+    if index >= code.n_nodes:
+        raise ShardFormatError(
+            f"node index {index} out of range for n={code.n_nodes}"
+        )
+    try:
+        payload = tuple(
+            code.field.from_bytes(body[i * 2 * m:(i + 1) * 2 * m])
+            for i in range(alpha)
+        )
+    except ParameterError as exc:
+        raise ShardFormatError(f"bad payload symbol: {exc}")
     role = code.role_of(index)
     if (role[0] == "global") != bool(role_tag):
         raise ShardFormatError(

@@ -8,7 +8,10 @@ F_q-linearly so extension-field symbols pass straight through), then places
 symbol j verbatim on every node whose point belongs to block j.  Every node
 thus stores alpha = lambda_1 symbols, and a failed node is repaired by
 copying each of its symbols from some surviving holder: no arithmetic, a
-fixed lookup table, exactly alpha symbols moved.
+fixed lookup table, exactly alpha symbols moved.  Coding and placement
+together are one F_q-linear map, so encoding applies its generator (the
+Reed-Solomon row of every stored symbol, node by node) through
+:func:`galois.apply_int_matrix`.
 
 The number of blocks through any s <= t fixed points depends only on s
 (lambda_s), so unions of few nodes have predictable size and the code
@@ -27,13 +30,11 @@ import numpy as np
 
 from .errors import (
     DesignError,
-    InconsistentDataError,
-    InsufficientRankError,
     ParameterError,
     PatternCapError,
     RepairError,
 )
-from .galois import FieldElement, inv_mod_q, is_prime
+from .galois import FieldElement, apply_int_matrix, is_prime
 from .mbr import RankProfile
 
 #: The seven lines of the Fano plane over points 1..7 (a 2-(7,3,1) design).
@@ -238,6 +239,10 @@ class FrCode:
             }
             for i in range(design.n_points)
         )
+        self._generator = np.concatenate(
+            [self.rs_matrix[list(syms)].T for syms in self.node_symbols], axis=1
+        )
+        self._generator.setflags(write=False)
         self._profile: RankProfile | None = None
 
     # -- combinatorics -----------------------------------------------------------
@@ -267,77 +272,22 @@ class FrCode:
             f"{self.k_message} (max union {prev}); pick a smaller message"
         )
 
-    # -- encode / reconstruct ------------------------------------------------------
+    # -- encode ------------------------------------------------------------------------
 
     def encode(self, message: Sequence[FieldElement]) -> list[tuple[FieldElement, ...]]:
-        """MDS-code the message, then replicate symbols per the design."""
+        """MDS-code the message, then replicate symbols per the design.
+
+        Both steps are one F_q map: the stored scalars are the generator
+        applied to the message.
+        """
         message = list(message)
         if len(message) != self.k_message:
             raise ParameterError(
                 f"message length {len(message)} != k_message {self.k_message}"
             )
-        fld = message[0].field
-        symbols = []
-        for j in range(self.design.b):
-            acc = fld.zero()
-            for l in range(self.k_message):
-                s = int(self.rs_matrix[j, l])
-                if s and not message[l].is_zero():
-                    acc = acc + s * message[l]
-            symbols.append(acc)
-        return [
-            tuple(symbols[j] for j in syms) for syms in self.node_symbols
-        ]
-
-    def reconstruct(
-        self, nodes: Sequence[tuple[int, Sequence[FieldElement]]]
-    ) -> tuple[FieldElement, ...]:
-        """Recover the message from nodes jointly exposing >= k_message
-        distinct symbols (any k_rec nodes suffice)."""
-        gathered: dict[int, FieldElement] = {}
-        for idx, vec in nodes:
-            if not 0 <= idx < self.design.n_points:
-                raise ParameterError(f"node index {idx} out of range")
-            vec = tuple(vec)
-            if len(vec) != self.alpha:
-                raise ParameterError("node vector has wrong length")
-            for sym, value in zip(self.node_symbols[idx], vec):
-                if sym in gathered:
-                    if gathered[sym] != value:
-                        raise InconsistentDataError(
-                            f"replicas of symbol {sym} disagree"
-                        )
-                else:
-                    gathered[sym] = value
-        if len(gathered) < self.k_message:
-            raise InsufficientRankError(
-                f"nodes expose {len(gathered)} distinct symbols, need "
-                f"{self.k_message}"
-            )
-        fld = next(iter(gathered.values())).field
-        use = sorted(gathered)[: self.k_message]
-        sub = inv_mod_q(self.rs_matrix[use][:, : self.k_message], self.q)
-        message = []
-        for i in range(self.k_message):
-            acc = fld.zero()
-            for k in range(self.k_message):
-                s = int(sub[i, k])
-                if s:
-                    acc = acc + s * gathered[use[k]]
-            message.append(acc)
-        message = tuple(message)
-        # Surplus symbols double-check the solve.
-        reencoded = self.encode(message)
-        flat = {}
-        for idx in range(self.design.n_points):
-            for sym, value in zip(self.node_symbols[idx], reencoded[idx]):
-                flat[sym] = value
-        for sym, value in gathered.items():
-            if flat[sym] != value:
-                raise InconsistentDataError(
-                    f"symbol {sym} contradicts the reconstruction"
-                )
-        return message
+        stored = apply_int_matrix(self._generator.T, message, message[0].field)
+        return [tuple(stored[i * self.alpha:(i + 1) * self.alpha])
+                for i in range(self.design.n_points)]
 
     # -- repair ---------------------------------------------------------------------
 
@@ -419,14 +369,12 @@ class FrCode:
         return self._profile
 
     def generator_matrix(self) -> np.ndarray:
-        """k_message x (n_points * alpha) generator over F_q."""
-        g = np.zeros(
-            (self.k_message, self.design.n_points * self.alpha), dtype=np.int64
-        )
-        for i, syms in enumerate(self.node_symbols):
-            for c, sym in enumerate(syms):
-                g[:, i * self.alpha + c] = self.rs_matrix[sym]
-        return g
+        """k_message x (n_points * alpha) generator over F_q (read-only).
+
+        Column node*alpha + c is the Reed-Solomon row of the node's c-th
+        symbol.
+        """
+        return self._generator
 
     @property
     def n_nodes(self) -> int:

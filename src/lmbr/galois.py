@@ -553,19 +553,23 @@ def apply_int_matrix(
 ) -> list[FieldElement]:
     """Apply an F_q integer matrix to a vector of extension-field elements.
 
-    The matrix acts F_q-linearly, entry-by-entry, which is exactly the sense
-    in which the local codes of this toolkit act on pre-coded symbols.
+    The matrix acts F_q-linearly, on each power-basis coordinate separately,
+    which is exactly the sense in which the local codes of this toolkit act
+    on pre-coded symbols: the coefficient vectors are stacked as a
+    cols x m array and multiplied once, mod q.  The product runs in int64
+    when no dot product can reach 2^63 and over Python ints otherwise, so
+    it is exact for every q.
     """
     rows, cols = matrix.shape
     if cols != len(elements):
         raise ParameterError(f"matrix width {cols} != vector length {len(elements)}")
-    out = []
-    for r in range(rows):
-        acc = out_field.zero()
-        row = matrix[r]
-        for c, elem in enumerate(elements):
-            scalar = int(row[c])
-            if scalar:
-                acc = acc + scalar * elem
-        out.append(acc)
-    return out
+    for elem in elements:
+        out_field._require_same(elem.field)
+    q = out_field.q
+    peak = int(np.abs(matrix).max()) if matrix.size else 0
+    dtype = np.int64 if cols * peak * (q - 1) < 2 ** 63 else object
+    coeffs = np.array([e.coeffs for e in elements], dtype=dtype).reshape(
+        cols, out_field.m
+    )
+    product = (matrix.astype(dtype, copy=False) @ coeffs) % q
+    return [FieldElement(out_field, tuple(row)) for row in product.tolist()]

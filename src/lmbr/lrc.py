@@ -2,10 +2,11 @@
 identical local codes.
 
 Encoding first spreads the K message symbols over J = groups * k_local
-(+ globals * alpha) evaluations of a linearized polynomial, then feeds each
-group's slice of evaluations to its own local encoder (regenerating or
-fractional-repetition); information-locality layouts additionally emit the
-remaining evaluations verbatim as global nodes.
+(+ globals * alpha) evaluations of a linearized polynomial, then applies the
+block-diagonal mixed generator G (one copy of the local generator,
+regenerating or fractional-repetition, per group's slice of evaluations);
+information-locality layouts additionally emit the remaining evaluations
+verbatim as global nodes, through identity columns of G.
 
 Because the local encoders act F_q-linearly and the outer polynomial is
 F_q-linear, every stored scalar equals the polynomial evaluated at a known
@@ -47,7 +48,7 @@ from .errors import (
     RepairError,
 )
 from .frlocal import FrCode
-from .galois import FieldElement, field, rank_mod_q
+from .galois import FieldElement, apply_int_matrix, field, rank_mod_q
 from .gabidulin import GabidulinCode
 from .mbr import MbrCode
 
@@ -239,23 +240,18 @@ class LrcCode:
     # -- encode / decode ------------------------------------------------------------
 
     def encode(self, message: Sequence[FieldElement]) -> list[Shard]:
+        """Evaluate the pre-code, then apply the mixed generator.
+
+        One F_q product computes every stored scalar: each group's local
+        encoding and the verbatim global nodes are blocks of the same
+        matrix.
+        """
         evaluations = self.outer.encode(message)
-        k_local = self.local.k_message
-        shards = []
-        for grp in range(self.groups):
-            slice_ = evaluations[grp * k_local:(grp + 1) * k_local]
-            for pos, vec in enumerate(self.local.encode(list(slice_))):
-                index = grp * self.local.n_nodes + pos
-                shards.append(Shard(index, ("local", grp, pos), tuple(vec)))
-        base = self.groups * k_local
-        for slot in range(self.global_nodes):
-            payload = evaluations[base + slot * self.alpha:
-                                  base + (slot + 1) * self.alpha]
-            shards.append(
-                Shard(self.groups * self.local.n_nodes + slot,
-                      ("global", slot), tuple(payload))
-            )
-        return shards
+        stored = apply_int_matrix(self.mixed_generator.T, evaluations,
+                                  self.field)
+        a = self.alpha
+        return [Shard(i, self.role_of(i), tuple(stored[i * a:(i + 1) * a]))
+                for i in range(self.n_nodes)]
 
     def decode(self, shards: Iterable[Shard]) -> tuple[FieldElement, ...]:
         """Recover the message from any shard subset of sufficient rank.

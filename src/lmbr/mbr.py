@@ -11,13 +11,16 @@ message fills a symmetric d x d matrix
 with S an r x r symmetric block (upper triangle, row-major) and T an
 r x (d-r) block (row-major); node i stores row i of Psi . M, where Psi is an
 n_local x d Vandermonde matrix with seeds 0..n_local-1.  Any r rows of the
-first r columns of Psi are invertible, giving reconstruction from any r
-nodes; any d full rows are invertible, giving exact single-node repair.
+first r columns of Psi are invertible, so any r nodes determine the message;
+any d full rows are invertible, giving exact single-node repair.
 
 All coefficients live in the base field F_q, so encoding commutes with any
 F_q-linear map of the message symbols -- the property that lets these codes
 sit under a rank-metric pre-code.  Message symbols themselves may belong to
-any extension F_{q^m}.
+any extension F_{q^m}.  Encoding therefore applies the k_message x
+(n_local * alpha) generator over F_q, built once per code from the unit
+messages; helper symbols apply one row of Psi and repair applies the
+inverse of the helpers' rows, all through :func:`galois.apply_int_matrix`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InconsistentDataError, ParameterError
+from .errors import ParameterError
 from .galois import FieldElement, apply_int_matrix, inv_mod_q, is_prime, rank_mod_q
 
 
@@ -92,7 +95,7 @@ class MbrCode:
             dtype=np.int64,
         )
         self._check_row_independence()
-        self._generator: np.ndarray | None = None
+        self._generator = self._build_generator()
 
     def _check_row_independence(self):
         phi = self.psi[:, : self.r]
@@ -117,115 +120,21 @@ class MbrCode:
         assert len(slots) == self.k_message
         return slots
 
-    def _fill_matrix(self, msg: Sequence, zero) -> list[list]:
-        m = [[zero for _ in range(self.d)] for _ in range(self.d)]
-        for value, positions in zip(msg, self._message_positions()):
-            for (i, j) in positions:
-                m[i][j] = value
-        return m
-
     # -- core operations ---------------------------------------------------------
 
     def encode(self, message: Sequence[FieldElement]) -> list[tuple[FieldElement, ...]]:
-        """Node vectors (rows of Psi . M) for a message of extension symbols."""
+        """Node vectors (rows of Psi . M) for a message of extension symbols.
+
+        The stored scalars are the generator applied to the message.
+        """
         message = list(message)
         if len(message) != self.k_message:
             raise ParameterError(
                 f"message length {len(message)} != k_message {self.k_message}"
             )
-        fld = message[0].field
-        matrix = self._fill_matrix(message, fld.zero())
-        nodes = []
-        for i in range(self.n_local):
-            row = self.psi[i]
-            vec = []
-            for c in range(self.d):
-                acc = fld.zero()
-                for k in range(self.d):
-                    scalar = int(row[k])
-                    if scalar and not matrix[k][c].is_zero():
-                        acc = acc + scalar * matrix[k][c]
-                vec.append(acc)
-            nodes.append(tuple(vec))
-        return nodes
-
-    def reconstruct(
-        self, nodes: Sequence[tuple[int, Sequence[FieldElement]]]
-    ) -> tuple[FieldElement, ...]:
-        """Recover the message from any r (index, vector) pairs.
-
-        Supersets are accepted; the lowest r indices drive the solve and any
-        surplus vectors are verified against the re-encoded result.
-        """
-        seen = {}
-        for idx, vec in nodes:
-            if idx in seen:
-                raise ParameterError(f"duplicate node index {idx}")
-            if not 0 <= idx < self.n_local:
-                raise ParameterError(f"node index {idx} out of range")
-            vec = tuple(vec)
-            if len(vec) != self.alpha:
-                raise ParameterError("node vector has wrong length")
-            seen[idx] = vec
-        if len(seen) < self.r:
-            raise ParameterError(
-                f"reconstruction needs at least r={self.r} nodes, got {len(seen)}"
-            )
-        fld = next(iter(seen.values()))[0].field
-        use = sorted(seen)[: self.r]
-        psi_dc = self.psi[use]                     # r x d
-        phi_dc = psi_dc[:, : self.r]               # r x r, invertible
-        lam_dc = psi_dc[:, self.r:]                # r x (d-r)
-        phi_inv = inv_mod_q(phi_dc, self.q)
-        data = [list(seen[i]) for i in use]        # r x d of elements
-        # T = phi_inv . right block of the collected data.
-        t_block = [[fld.zero()] * (self.d - self.r) for _ in range(self.r)]
-        if self.d > self.r:
-            right = [row[self.r:] for row in data]  # r x (d-r)
-            for i in range(self.r):
-                for j in range(self.d - self.r):
-                    acc = fld.zero()
-                    for k in range(self.r):
-                        s = int(phi_inv[i, k])
-                        if s:
-                            acc = acc + s * right[k][j]
-                    t_block[i][j] = acc
-        # S = phi_inv . (left block - lam . T^t).
-        left = [row[: self.r] for row in data]
-        if self.d > self.r:
-            for i in range(self.r):
-                for j in range(self.r):
-                    acc = left[i][j]
-                    for k in range(self.d - self.r):
-                        s = int(lam_dc[i, k])
-                        if s:
-                            acc = acc - s * t_block[j][k]
-                    left[i][j] = acc
-        s_block = [[fld.zero()] * self.r for _ in range(self.r)]
-        for i in range(self.r):
-            for j in range(self.r):
-                acc = fld.zero()
-                for k in range(self.r):
-                    s = int(phi_inv[i, k])
-                    if s:
-                        acc = acc + s * left[k][j]
-                s_block[i][j] = acc
-        message = []
-        for i in range(self.r):
-            for j in range(i, self.r):
-                message.append(s_block[i][j])
-        for i in range(self.r):
-            for j in range(self.d - self.r):
-                message.append(t_block[i][j])
-        message = tuple(message)
-        if len(seen) > self.r:
-            reencoded = self.encode(message)
-            for idx, vec in seen.items():
-                if tuple(reencoded[idx]) != vec:
-                    raise InconsistentDataError(
-                        f"surplus node {idx} contradicts the reconstruction"
-                    )
-        return message
+        stored = apply_int_matrix(self._generator.T, message, message[0].field)
+        return [tuple(stored[i * self.alpha:(i + 1) * self.alpha])
+                for i in range(self.n_local)]
 
     def helper_symbol(
         self, stored: Sequence[FieldElement], failed: int
@@ -239,14 +148,8 @@ class MbrCode:
         if not 0 <= failed < self.n_local:
             raise ParameterError(f"failed index {failed} out of range")
         stored = tuple(stored)
-        fld = stored[0].field
-        row = self.psi[failed]
-        acc = fld.zero()
-        for c in range(self.d):
-            s = int(row[c])
-            if s and not stored[c].is_zero():
-                acc = acc + s * stored[c]
-        return acc
+        return apply_int_matrix(self.psi[failed:failed + 1], stored,
+                                stored[0].field)[0]
 
     def repair(
         self, failed: int, helpers: Sequence[tuple[int, FieldElement]]
@@ -284,20 +187,23 @@ class MbrCode:
         return RankProfile(tuple(values))
 
     def generator_matrix(self) -> np.ndarray:
-        """k_message x (n_local * alpha) generator over F_q.
+        """k_message x (n_local * alpha) generator over F_q (read-only).
 
         Column node*alpha + c is the F_q functional producing that stored
-        scalar; built by encoding the unit messages with plain residues.
+        scalar.
         """
-        if self._generator is None:
-            g = np.zeros((self.k_message, self.n_local * self.alpha), dtype=np.int64)
-            for l in range(self.k_message):
-                unit = [1 if i == l else 0 for i in range(self.k_message)]
-                matrix = np.array(self._fill_matrix(unit, 0), dtype=np.int64)
-                rows = (self.psi @ matrix) % self.q
-                g[l] = rows.reshape(-1)
-            self._generator = g
         return self._generator
+
+    def _build_generator(self) -> np.ndarray:
+        # Row l is Psi . M for the l-th unit message, flattened node-major.
+        g = np.zeros((self.k_message, self.n_local * self.alpha), dtype=np.int64)
+        for l, positions in enumerate(self._message_positions()):
+            unit = np.zeros((self.d, self.d), dtype=np.int64)
+            for i, j in positions:
+                unit[i, j] = 1
+            g[l] = ((self.psi @ unit) % self.q).reshape(-1)
+        g.setflags(write=False)
+        return g
 
     @property
     def n_nodes(self) -> int:

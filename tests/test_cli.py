@@ -1,12 +1,15 @@
 """Command-line front end: shard files on disk, command round trips,
 verification reports, and exit-code discipline."""
 
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lmbr import ConfigMismatchError, ShardFormatError, field
+from lmbr import ConfigMismatchError, ParameterError, Shard, ShardFormatError, field
 from lmbr.cli import (
     SimConfig,
     main,
@@ -485,3 +488,104 @@ def test_oversized_q_refused_exit2(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert error_record(capsys)["error"] == "ParameterError"
+
+
+#: SHA-256 over the shard files of one fixed and twenty seeded messages per
+#: configuration.  Frozen: a change to the modulus search, an encoder or the
+#: file layout shows up here.
+FROZEN_SHARD_HASHES = {
+    "C1": (dict(construction="all-symbol", q=3, t=2, file_dim=5),
+           "10901f6f254fc49472fbdb9422038481ad336a73186298a62550b8f99bd91b8e"),
+    "C2": (dict(construction="info-local", q=3, t=2, delta=1, file_dim=5),
+           "ea64a86425745d26346d79d8137d501e80b5bbdb17060baf00c254413d6b4f8d"),
+    "fano": (dict(construction="fr-local", q=7, t=2, k_fr=5, file_dim=10),
+             "4d7f1ea82be4e5fa707514eee44bc9b7ce6c6efd7af10b21f59b550dfcba493e"),
+    "mbr-stripes": (
+        dict(construction="info-local", q=3, t=2, delta=1, file_dim=5, m=8),
+        "ea64a86425745d26346d79d8137d501e80b5bbdb17060baf00c254413d6b4f8d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SHARD_HASHES))
+def test_serialized_shards_match_frozen_hashes(name):
+    config, want = FROZEN_SHARD_HASHES[name]
+    cfg = SimConfig(**config)
+    code = cfg.build()
+    digest = cfg.digest(code)
+    messages = [[code.field.from_int((7 * i + 1) % code.field.order)
+                 for i in range(code.file_dim)]]
+    rng = random.Random(0)
+    messages += [[code.field.random_element(rng) for _ in range(code.file_dim)]
+                 for _ in range(20)]
+    h = hashlib.sha256()
+    for msg in messages:
+        for shard in code.encode(msg):
+            h.update(serialize_shard(shard, cfg.q, code.field.m, digest))
+    assert h.hexdigest() == want
+
+
+C2_CFG = SimConfig(construction="info-local", q=3, t=2, delta=1, file_dim=5)
+C2_CODE = C2_CFG.build()
+C2_DIGEST = C2_CFG.digest(C2_CODE)
+#: A valid C2 header (node 0, local); index bytes 19-20, role tag byte 21.
+C2_HEADER = serialize_shard(C2_CODE.encode([C2_CODE.field.zero()] * 5)[0],
+                            3, C2_CODE.field.m, C2_DIGEST)[:24]
+
+
+def shard_blob(index, role_tag, payload):
+    head = bytearray(C2_HEADER)
+    head[19:21] = index.to_bytes(2, "little")
+    head[21] = role_tag
+    return bytes(head) + payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(0, 0xFFFF), role_tag=st.integers(0, 0xFF),
+       payload=st.one_of(st.binary(min_size=32, max_size=32),
+                         st.binary(max_size=48)))
+def test_parse_shard_outcomes_on_arbitrary_index_and_payload(index, role_tag,
+                                                              payload):
+    """Behind a valid header, any index, role tag and payload parse to a
+    shard or are refused as a format error; nothing else escapes."""
+    try:
+        shard = parse_shard(shard_blob(index, role_tag, payload), C2_CODE,
+                            C2_DIGEST)
+    except (ShardFormatError, ConfigMismatchError):
+        return
+    assert isinstance(shard, Shard)
+    assert shard.index == index < C2_CODE.n_nodes
+
+
+def test_out_of_range_coefficient_or_index_exit3(tmp_path, capsys):
+    msg_path = tmp_path / "msg.bin"
+    write_message(msg_path, SimConfig(), seed=14)
+    shard_dir = tmp_path / "shards"
+    run(capsys, "encode", *DESK_ARGS, "--in", str(msg_path),
+        "--out-dir", str(shard_dir))
+    target = shard_dir / "shard_0000.lmbr"
+    blob = target.read_bytes()
+    decode = ["decode", *DESK_ARGS, "--shard-dir", str(shard_dir),
+              "--out", str(tmp_path / "o.bin")]
+    target.write_bytes(blob[:-2] + b"\xff\xff")     # coefficient 65535 >= q
+    assert main(decode) == 3
+    assert error_record(capsys)["error"] == "ShardFormatError"
+    target.write_bytes(blob[:19] + (500).to_bytes(2, "little") + blob[21:])
+    assert main(decode) == 3
+    assert error_record(capsys)["error"] == "ShardFormatError"
+
+
+def test_q_beyond_uint16_coefficients_refused_exit2(tmp_path, capsys):
+    msg_path = tmp_path / "msg.bin"
+    msg_path.write_bytes(b"".join(c.to_bytes(2, "little")
+                                  for c in (65535, 1, 1, 1)))
+    rc = main(["encode", "--construction", "all-symbol", "--q", "65537",
+               "--t", "2", "--nl", "2", "--r", "1", "--d", "1", "--K", "2",
+               "--in", str(msg_path), "--out-dir", str(tmp_path / "shards")])
+    assert rc == 2
+    record = error_record(capsys)
+    assert record["error"] == "ParameterError"
+    assert "uint16" in record["detail"]
+    assert not (tmp_path / "shards").exists()
+    SimConfig(q=65521)                    # the largest prime that fits
+    with pytest.raises(ParameterError):
+        SimConfig(q=65537)

@@ -12,6 +12,8 @@ from lmbr import (
     InsufficientRankError,
     ParameterError,
     RepairError,
+    Shard,
+    all_symbol_code,
     fano_plane,
     field,
     infer_design,
@@ -24,6 +26,27 @@ from lmbr.galois import rank_mod_q
 
 def count_blocks_through(blocks, points):
     return sum(1 for b in blocks if set(points) <= set(b))
+
+
+def reference_encode(code, message):
+    """Reed-Solomon symbols in field arithmetic, then replication per the
+    design's incidence."""
+    symbols = []
+    for j in range(code.design.b):
+        acc = message[0].field.zero()
+        for l in range(code.k_message):
+            acc = acc + pow(j, l, code.q) * message[l]
+        symbols.append(acc)
+    return [tuple(symbols[j] for j in syms) for syms in code.node_symbols]
+
+
+def fano_one_group_stripe(seed):
+    """The Fano code alone under a pass-through pre-code (K = k_message), so
+    that LrcCode.decode recovers the local data from the group's nodes."""
+    lrc = all_symbol_code(1, FrCode(fano_plane(), 5, 7), 5)
+    rng = random.Random(seed)
+    msg = tuple(lrc.field.random_element(rng) for _ in range(5))
+    return lrc, msg, lrc.encode(msg)
 
 
 def test_fano_is_a_valid_2_7_3_1_design():
@@ -140,28 +163,21 @@ def test_fr_zero_message():
 
 
 def test_fr_any_two_nodes_reconstruct():
-    code = FrCode(fano_plane(), 5, 7)
-    F = field(7, 10)
-    rng = random.Random(1)
-    msg = [F.random_element(rng) for _ in range(5)]
-    nodes = code.encode(msg)
+    """Any k_rec = 2 nodes give back the data through LrcCode.decode."""
+    lrc, msg, shards = fano_one_group_stripe(seed=1)
     for pair in combinations(range(7), 2):
-        got = code.reconstruct([(i, nodes[i]) for i in pair])
-        assert got == tuple(msg)
+        assert lrc.decode(shards[i] for i in pair) == msg
     with pytest.raises(InsufficientRankError):
-        code.reconstruct([(0, nodes[0])])
+        lrc.decode(shards[:1])
 
 
 def test_fr_reconstruct_detects_replica_mismatch():
-    code = FrCode(fano_plane(), 5, 7)
-    F = field(7, 10)
-    rng = random.Random(2)
-    msg = [F.random_element(rng) for _ in range(5)]
-    nodes = code.encode(msg)
-    bad = list(nodes[1])
-    bad[0] = bad[0] + F.one()
+    lrc, msg, shards = fano_one_group_stripe(seed=2)
+    bad = list(shards[1].payload)
+    bad[0] = bad[0] + lrc.field.one()
+    shards[1] = Shard(1, shards[1].role, tuple(bad))
     with pytest.raises(InconsistentDataError):
-        code.reconstruct([(0, nodes[0]), (1, tuple(bad)), (2, nodes[2])])
+        lrc.decode(shards[:3])
 
 
 def test_fr_repair_node0_uses_expected_helpers():
@@ -253,10 +269,20 @@ def test_fr_raw_unions_not_uniform_but_capped_ranks_are():
 
 
 def test_fr_generator_matches_encode_on_units():
+    """Each generator row is the reference encoding of a unit message."""
     code = FrCode(fano_plane(), 5, 7)
     F = field(7, 1)
     gen = code.generator_matrix()
     for l in range(5):
         unit = [F.one() if i == l else F.zero() for i in range(5)]
-        flat = [s.coeffs[0] for vec in code.encode(unit) for s in vec]
+        flat = [s.coeffs[0] for vec in reference_encode(code, unit) for s in vec]
         assert flat == list(gen[l])
+
+
+def test_fr_encode_matches_reference():
+    code = FrCode(fano_plane(), 5, 7)
+    F = field(7, 10)
+    rng = random.Random(7)
+    for _ in range(5):
+        msg = [F.random_element(rng) for _ in range(5)]
+        assert code.encode(msg) == reference_encode(code, msg)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lmbr import ParameterError, field, rank_over_base
-from lmbr.galois import inv_mod_q, rank_mod_q
+from lmbr.galois import apply_int_matrix, inv_mod_q, rank_mod_q
 
 
 def brute_irreducible_degree2(q):
@@ -305,3 +305,28 @@ def test_elimination_refuses_q_whose_products_overflow_int64():
         [pow(1 - a * b, -1, q), -a * pow(1 - a * b, -1, q) % q],
         [-b * pow(1 - a * b, -1, q) % q, pow(1 - a * b, -1, q)],
     ]
+
+
+@pytest.mark.parametrize("q,m", [(3, 6), (7, 10), (3037000493, 1)])
+def test_apply_int_matrix_matches_elementwise_reference(q, m):
+    """The one-product apply equals a multiply-add per matrix entry, on both
+    sides of the int64 limit (q = 3037000493 takes the Python-int path)."""
+    F = field(q, m)
+    rng = random.Random(q + m)
+    for rows, cols in [(1, 1), (4, 3), (6, 9), (0, 2)]:
+        matrix = np.array([[rng.randrange(q) for _ in range(cols)]
+                           for _ in range(rows)], dtype=np.int64).reshape(rows, cols)
+        elements = [F.random_element(rng) for _ in range(cols)]
+        want = []
+        for row in matrix:
+            acc = F.zero()
+            for scalar, elem in zip(row, elements):
+                acc = acc + int(scalar) * elem
+            want.append(acc)
+        got = apply_int_matrix(matrix, elements, F)
+        assert got == want
+        assert all(type(c) is int for e in got for c in e.coeffs)
+    with pytest.raises(ParameterError):
+        apply_int_matrix(np.ones((1, 2), dtype=np.int64), [F.one()], F)
+    with pytest.raises(ParameterError):
+        apply_int_matrix(np.ones((1, 1), dtype=np.int64), [field(5, 1).one()], F)

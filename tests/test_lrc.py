@@ -317,20 +317,22 @@ def test_gamma_commutation_with_generator():
 
 
 def test_all_symbol_locality():
-    """Erasing delta-1 nodes of a group still recovers its outer symbols."""
+    """Erasing delta-1 nodes of a group leaves survivors that still span its
+    k_local outer symbols; erasing delta nodes does not."""
     code = desk_c1()
-    msg = random_message(code, 8)
-    evaluations = code.outer.encode(msg)
-    shards = code.encode(msg)
-    delta = code.local.n_local - code.local.r + 1
+    table = GroupRankTable(code)
+    n_local, k_local = code.local.n_local, code.local.k_message
+    delta = n_local - code.local.r + 1
     assert delta == 2
-    for grp in range(2):
-        members = list(code.group_members(grp))
-        for erased in combinations(members, delta - 1):
-            survivors = [i for i in members if i not in erased]
-            pairs = [(i - grp * 3, shards[i].payload) for i in survivors]
-            got = code.local.reconstruct(pairs)
-            assert got == tuple(evaluations[grp * 3:(grp + 1) * 3])
+    full = (1 << n_local) - 1
+    for erased in range(delta + 1):
+        for pattern in combinations(range(n_local), erased):
+            mask = full & ~sum(1 << i for i in pattern)
+            ranks = table.lookup(np.full((1, code.groups), mask))
+            if erased < delta:
+                assert (ranks == k_local).all(), pattern
+            else:
+                assert (ranks < k_local).all(), pattern
 
 
 def test_repair_local_path_exhaustive():

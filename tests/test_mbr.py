@@ -4,10 +4,19 @@ and the uniform rank accumulation they provide."""
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from lmbr import InconsistentDataError, MbrCode, ParameterError, field
-from lmbr.galois import rank_mod_q
+from lmbr import (
+    InconsistentDataError,
+    InsufficientRankError,
+    MbrCode,
+    ParameterError,
+    Shard,
+    all_symbol_code,
+    field,
+)
+from lmbr.galois import inv_mod_q, rank_mod_q
 
 DESK_CODES = [
     (3, 2, 2, 3),   # alpha 2, k_message 3
@@ -19,6 +28,53 @@ def make_message(code, ext_degree, seed):
     F = field(code.q, ext_degree)
     rng = random.Random(seed)
     return F, [F.random_element(rng) for _ in range(code.k_message)]
+
+
+def message_matrix(code, message, zero):
+    """M = [[S, T], [T^t, 0]]: S symmetric from its upper triangle and T,
+    both row-major, as the module docstring lays them out."""
+    m = [[zero] * code.d for _ in range(code.d)]
+    symbols = iter(message)
+    for i in range(code.r):
+        for j in range(i, code.r):
+            m[i][j] = m[j][i] = next(symbols)
+    for i in range(code.r):
+        for j in range(code.r, code.d):
+            m[i][j] = m[j][i] = next(symbols)
+    return m
+
+
+def reference_encode(code, message):
+    """Rows of Psi . M, one field multiply-add at a time."""
+    zero = message[0].field.zero()
+    m = message_matrix(code, message, zero)
+    nodes = []
+    for i in range(code.n_local):
+        vec = []
+        for c in range(code.d):
+            acc = zero
+            for k in range(code.d):
+                acc = acc + int(code.psi[i, k]) * m[k][c]
+            vec.append(acc)
+        nodes.append(tuple(vec))
+    return nodes
+
+
+def reference_helper_symbol(code, stored, failed):
+    """Inner product of a stored vector with the failed node's Psi row."""
+    acc = stored[0].field.zero()
+    for c in range(code.d):
+        acc = acc + int(code.psi[failed, c]) * stored[c]
+    return acc
+
+
+def one_group_stripe(code, seed):
+    """The local code alone under a pass-through pre-code (K = k_message), so
+    that LrcCode.decode recovers the local data from the group's nodes."""
+    lrc = all_symbol_code(1, code, code.k_message)
+    rng = random.Random(seed)
+    msg = tuple(lrc.field.random_element(rng) for _ in range(lrc.file_dim))
+    return lrc, msg, lrc.encode(msg)
 
 
 def test_parameter_arithmetic_frozen():
@@ -57,6 +113,7 @@ def test_small_code_matches_hand_formula():
 
 
 def test_generator_matches_encode_on_units():
+    """Each generator row is the reference encoding of a unit message."""
     for params in DESK_CODES:
         code = MbrCode(*params)
         F = field(code.q, 1)
@@ -64,8 +121,43 @@ def test_generator_matches_encode_on_units():
         for l in range(code.k_message):
             unit = [F.one() if i == l else F.zero()
                     for i in range(code.k_message)]
-            flat = [sym.coeffs[0] for vec in code.encode(unit) for sym in vec]
+            flat = [sym.coeffs[0] for vec in reference_encode(code, unit)
+                    for sym in vec]
             assert flat == list(gen[l])
+
+
+@pytest.mark.parametrize("params", DESK_CODES)
+def test_encode_and_helper_symbol_match_reference(params):
+    """The generator path equals Psi . M computed in field arithmetic, on
+    extension-field messages, and so do the helper symbols."""
+    code = MbrCode(*params)
+    for seed in range(5):
+        F, msg = make_message(code, 6, seed=seed)
+        nodes = code.encode(msg)
+        assert nodes == reference_encode(code, msg)
+        for failed in range(code.n_local):
+            for h in range(code.n_local):
+                assert (code.helper_symbol(nodes[h], failed)
+                        == reference_helper_symbol(code, nodes[h], failed))
+
+
+@pytest.mark.parametrize("params", [(4, 2, 3), (5, 3, 4)])
+def test_repair_exact_where_int64_products_overflow(params):
+    """q = 3037000493 is the largest prime that elimination accepts; a sum
+    of d >= 2 products near (q-1)^2 overflows int64, so repair must not
+    take the int64 path."""
+    q = 3037000493
+    code = MbrCode(*params, q)
+    F = field(q, 1)
+    helpers = list(range(1, code.d + 1))
+    top = F.element([q - 1])
+    got = code.repair(0, [(h, top) for h in helpers])
+    inv = inv_mod_q(code.psi[helpers], q)
+    want = tuple(F.element([sum(int(v) * (q - 1) for v in row) % q])
+                 for row in inv)
+    assert got == want
+    wrapped = (inv @ np.full(code.d, q - 1, dtype=np.int64)) % q
+    assert [int(v) for v in wrapped] != [e.coeffs[0] for e in want]
 
 
 def test_generator_full_rank():
@@ -76,33 +168,29 @@ def test_generator_full_rank():
 
 @pytest.mark.parametrize("params", DESK_CODES)
 def test_reconstruct_from_every_r_subset(params):
+    """Any r nodes of a group give back its data through LrcCode.decode."""
     code = MbrCode(*params)
-    F, msg = make_message(code, code.k_message, seed=1)
-    nodes = code.encode(msg)
+    lrc, msg, shards = one_group_stripe(code, seed=1)
     for subset in combinations(range(code.n_local), code.r):
-        got = code.reconstruct([(i, nodes[i]) for i in subset])
-        assert got == tuple(msg)
+        assert lrc.decode(shards[i] for i in subset) == msg
 
 
 def test_reconstruct_superset_and_errors():
     code = MbrCode(3, 2, 2, 3)
-    F, msg = make_message(code, 6, seed=2)
-    nodes = code.encode(msg)
-    assert code.reconstruct(list(enumerate(nodes))) == tuple(msg)
-    with pytest.raises(ParameterError):
-        code.reconstruct([(0, nodes[0])])
-    with pytest.raises(ParameterError):
-        code.reconstruct([(0, nodes[0]), (0, nodes[0])])
+    lrc, msg, shards = one_group_stripe(code, seed=2)
+    assert lrc.decode(shards) == msg
+    with pytest.raises(InsufficientRankError):
+        lrc.decode(shards[:1])
 
 
 def test_reconstruct_detects_corrupt_surplus():
     code = MbrCode(3, 2, 2, 3)
-    F, msg = make_message(code, 6, seed=3)
-    nodes = code.encode(msg)
-    bad = list(nodes[2])
-    bad[0] = bad[0] + F.one()
+    lrc, msg, shards = one_group_stripe(code, seed=3)
+    bad = list(shards[2].payload)
+    bad[0] = bad[0] + lrc.field.one()
+    shards[2] = Shard(2, shards[2].role, tuple(bad))
     with pytest.raises(InconsistentDataError):
-        code.reconstruct([(0, nodes[0]), (1, nodes[1]), (2, tuple(bad))])
+        lrc.decode(shards)
 
 
 @pytest.mark.parametrize("params", DESK_CODES)
@@ -160,16 +248,16 @@ def test_uniform_rank_accumulation_exhaustive(params):
 @pytest.mark.parametrize("params", DESK_CODES)
 def test_repair_then_reconstruct(params):
     code = MbrCode(*params)
-    F, msg = make_message(code, code.k_message, seed=6)
-    nodes = code.encode(msg)
+    lrc, msg, shards = one_group_stripe(code, seed=6)
     for failed in range(code.n_local):
         helpers = [i for i in range(code.n_local) if i != failed][: code.d]
-        symbols = [(h, code.helper_symbol(nodes[h], failed)) for h in helpers]
-        rebuilt = list(nodes)
-        rebuilt[failed] = code.repair(failed, symbols)
+        symbols = [(h, code.helper_symbol(shards[h].payload, failed))
+                   for h in helpers]
+        rebuilt = list(shards)
+        rebuilt[failed] = Shard(failed, shards[failed].role,
+                                code.repair(failed, symbols))
         for subset in combinations(range(code.n_local), code.r):
-            got = code.reconstruct([(i, rebuilt[i]) for i in subset])
-            assert got == tuple(msg)
+            assert lrc.decode(rebuilt[i] for i in subset) == msg
 
 
 def test_encode_is_base_field_linear():

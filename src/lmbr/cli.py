@@ -495,8 +495,20 @@ def cmd_bounds(cfg: SimConfig) -> int:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors are refusals, not usage text.
+
+    Subparsers are built from the parent's class, so a malformed flag in
+    any command reaches :func:`main` as a :class:`ParameterError` and
+    leaves as the JSON error record with exit 2.
+    """
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lmbr",
         description="Locally repairable storage codes with regenerating or "
                     "repair-by-transfer local layers.",
@@ -581,8 +593,8 @@ def _config_from_args(args) -> SimConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "make":
             return cmd_make(cfg)
@@ -594,7 +606,7 @@ def main(argv=None) -> int:
             return cmd_repair(cfg, args.shard_dir, args.failed)
         if args.command == "verify":
             claim = None
-            if args.claim_profile:
+            if args.claim_profile is not None:
                 try:
                     claim = [int(tok) for tok in args.claim_profile.split(",")]
                 except ValueError:

@@ -174,17 +174,21 @@ def load_design(path) -> Design:
     """Read a design file: one block per line, space-separated 1-based
     point indices; blank lines and '#' comments are skipped."""
     blocks = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                blocks.append(tuple(int(tok) for tok in line.split()))
-            except ValueError:
-                raise DesignError(
-                    f"design file {path}: non-integer point in {line!r}"
-                ) from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DesignError(f"design file {path} is not UTF-8 text: {exc}") from None
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            blocks.append(tuple(int(tok) for tok in line.split()))
+        except ValueError:
+            raise DesignError(
+                f"design file {path}: non-integer point in {line!r}"
+            ) from None
     if not blocks:
         raise DesignError(f"design file {path} contains no blocks")
     n_points = max(max(b) for b in blocks)

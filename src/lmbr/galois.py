@@ -5,8 +5,12 @@ polynomial in the power basis 1, x, ..., x^{m-1}, constant term first, taken
 modulo a fixed monic irreducible polynomial of degree m.  The modulus is
 found by a deterministic search (non-leading coefficients read as a base-q
 integer, ascending), so element encodings are reproducible across runs and
-machines.  Irreducibility is established by trial division, which is exact
-and cheap at the field sizes this toolkit targets.
+machines.  Irreducibility is decided exactly by Ben-Or's test: a degree-m
+polynomial f is irreducible iff gcd(x^(q^i) - x, f) = 1 for i = 1..m/2,
+since every irreducible factor of degree i divides x^(q^i) - x.  The powers
+x^(q^i) mod f come from repeated q-th powering, so a candidate costs
+O(m log q) polynomial products mod f rather than one division per monic
+polynomial of degree up to m/2.
 
 The q-power (Frobenius) map a -> a^q is F_q-linear; it is applied through
 cached m x m matrices over F_q instead of repeated exponentiation, because
@@ -82,6 +86,43 @@ def _poly_rem(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
     return _poly_divmod(a, b, q)[1]
 
 
+def _poly_sub(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return _poly_trim([(x - y) % q for x, y in zip(a, b)])
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _poly_trim([c % q for c in out])
+
+
+def _poly_powmod(a: Sequence[int], e: int, f: Sequence[int], q: int) -> list[int]:
+    """a^e mod f in F_q[x], by square-and-multiply."""
+    result = [1]
+    base = _poly_rem(a, f, q)
+    while e:
+        if e & 1:
+            result = _poly_rem(_poly_mul(result, base, q), f, q)
+        base = _poly_rem(_poly_mul(base, base, q), f, q)
+        e >>= 1
+    return result
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    """A greatest common divisor of trimmed a and b in F_q[x] (not monic)."""
+    while b:
+        a, b = b, _poly_rem(a, b, q)
+    return a
+
+
 def _monic_polys(q: int, degree: int) -> Iterator[list[int]]:
     for value in range(q ** degree):
         coeffs = []
@@ -94,14 +135,20 @@ def _monic_polys(q: int, degree: int) -> Iterator[list[int]]:
 
 
 def _is_irreducible(p: Sequence[int], q: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg(p)//2."""
+    """Ben-Or's test: gcd(x^(q^i) - x, p) = 1 for every i = 1..deg(p)//2.
+
+    A reducible p has an irreducible factor of some degree i <= deg(p)/2,
+    and that factor divides x^(q^i) - x; an irreducible p of degree m
+    divides x^(q^i) - x only when m | i.  The first non-trivial gcd
+    proves p reducible.
+    """
     degree = len(p) - 1
-    if degree == 1:
-        return True
-    for d in range(1, degree // 2 + 1):
-        for divisor in _monic_polys(q, d):
-            if not _poly_rem(list(p), divisor, q):
-                return False
+    x = [0, 1]
+    power = x
+    for _ in range(degree // 2):
+        power = _poly_powmod(power, q, p, q)      # x^(q^i) mod p
+        if len(_poly_gcd(p, _poly_sub(power, x, q), q)) > 1:
+            return False
     return True
 
 
@@ -237,7 +284,9 @@ class ExtField:
             raise ParameterError(f"q must be prime, got q={q}")
         if m < 1:
             raise ParameterError(f"extension degree must satisfy m >= 1, got m={m}")
-        if q ** m > SIZE_BUDGET:
+        # q >= 2, so m beyond the budget's bit length already means
+        # q^m > SIZE_BUDGET; refuse before building a huge q^m.
+        if m > SIZE_BUDGET.bit_length() or q ** m > SIZE_BUDGET:
             raise ParameterError(
                 f"field size q^m = {q}^{m} exceeds the budget 2^40; refusing"
             )
@@ -330,30 +379,12 @@ class ExtField:
         while r1:
             quotient, rem = _poly_divmod(r0, r1, q)
             r0, r1 = r1, rem
-            s0, s1 = s1, self._poly_sub(s0, self._poly_mul_small(quotient, s1))
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(quotient, s1, q), q)
         # r0 is the gcd, a nonzero constant because the modulus is irreducible.
         scale = pow(r0[0], q - 2, q)
         out = [(scale * c) % q for c in s0]
         out += [0] * (self.m - len(out))
         return tuple(out[: self.m])
-
-    def _poly_sub(self, a: list[int], b: list[int]) -> list[int]:
-        q = self.q
-        n = max(len(a), len(b))
-        a = a + [0] * (n - len(a))
-        b = b + [0] * (n - len(b))
-        return _poly_trim([(x - y) % q for x, y in zip(a, b)])
-
-    def _poly_mul_small(self, a: list[int], b: list[int]) -> list[int]:
-        if not a or not b:
-            return []
-        q = self.q
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % q
-        return _poly_trim(out)
 
     def _pow_coeffs(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
         result = self._one_coeffs()

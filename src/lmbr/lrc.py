@@ -257,7 +257,12 @@ class LrcCode:
         """Recover the message from any shard subset of sufficient rank.
 
         All supplied shards are used; surplus symbols are consistency
-        checks, so a corrupt shard raises instead of silently winning.
+        checks.  A corrupt shard always raises
+        :class:`InconsistentDataError` when the *other* supplied shards
+        alone span rank K: they pin the message down, so no message agrees
+        with them and with the corrupt symbol.  Otherwise a corrupt shard
+        can decode silently to a wrong message, as at the decode threshold
+        with no surplus rank.
         """
         pairs = []
         for shard in shards:

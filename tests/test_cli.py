@@ -1,9 +1,13 @@
 """Command-line front end: shard files on disk, command round trips,
 verification reports, and exit-code discipline."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
+import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 from lmbr import ConfigMismatchError, ParameterError, Shard, ShardFormatError, field
 from lmbr.cli import (
+    CONSTRUCTIONS,
     SimConfig,
     main,
     parse_shard,
@@ -452,6 +457,12 @@ def test_bad_design_file_exit2_with_witness(tmp_path, capsys):
     assert main(["make", *FR_ARGS, "--design-file", str(path),
                  "--out-dir", str(tmp_path)]) == 2
     assert error_record(capsys)["error"] == "DesignError"
+    path.write_bytes(b"1 2 3\n\xff\xfe\n")
+    assert main(["make", *FR_ARGS, "--design-file", str(path),
+                 "--out-dir", str(tmp_path)]) == 2
+    record = error_record(capsys)
+    assert record["error"] == "DesignError"
+    assert "UTF-8" in record["detail"]
 
 
 def test_non_integer_claim_profile_exit2(capsys):
@@ -461,6 +472,47 @@ def test_non_integer_claim_profile_exit2(capsys):
     record = error_record(capsys)
     assert record["error"] == "ParameterError"
     assert "'2,x'" in record["detail"]
+
+
+def test_empty_claim_profile_exit2(capsys):
+    rc = main(["verify", *DESK_ARGS, "--mode", "ura", "--claim-profile", ""])
+    assert rc == 2
+    record = error_record(capsys)
+    assert record["error"] == "ParameterError"
+    assert "--claim-profile" in record["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["make", "--q", "abc"],
+    ["verify", *DESK_ARGS, "--mode", "ura", "--claim-profile", "-1,2,2"],
+    ["verify", *DESK_ARGS],
+    ["make", "--construction", "nope"],
+    ["frobnicate"],
+    [],
+])
+def test_argument_errors_exit2_with_json_record(argv, capsys):
+    assert main(argv) == 2
+    record = error_record(capsys)
+    assert record["error"] == "ParameterError"
+    assert "usage" not in record["detail"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["make", "--help"])
+    assert exc.value.code == 0
+    assert "--construction" in capsys.readouterr().out
+
+
+def test_huge_extension_degree_refused_quickly(tmp_path, capsys):
+    start = time.perf_counter()
+    rc = main(["make", *DESK_ARGS, "--m", "100000000",
+               "--out-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2
+    record = error_record(capsys)
+    assert record["error"] == "ParameterError"
+    assert "budget" in record["detail"]
 
 
 def test_duplicate_shard_index_exit3(tmp_path, capsys):
@@ -589,3 +641,55 @@ def test_q_beyond_uint16_coefficients_refused_exit2(tmp_path, capsys):
     SimConfig(q=65521)                    # the largest prime that fits
     with pytest.raises(ParameterError):
         SimConfig(q=65537)
+
+
+def _flag_value(ints):
+    """An integer flag's value: a number, or any short text at all."""
+    return st.one_of(ints.map(str), st.text(max_size=6))
+
+
+_ANY_INT = st.one_of(st.integers(-2, 45),
+                     st.sampled_from([2, 3, 5, 7, 11, 13, 65521, 65537]),
+                     st.integers())
+#: MbrCode checks every C(n_local, d) row set of its Vandermonde matrix when
+#: it is built, so --nl and --d stay small.
+_SMALL_INT = st.integers(-1, 8)
+_CONFIG_FLAGS = st.fixed_dictionaries({}, optional={
+    "--construction": st.one_of(st.sampled_from(CONSTRUCTIONS),
+                                st.text(max_size=12)),
+    **{flag: _flag_value(_ANY_INT)
+       for flag in ("--q", "--m", "--t", "--r", "--delta", "--K", "--kfr",
+                    "--seed", "--pattern-cap")},
+    **{flag: _flag_value(_SMALL_INT) for flag in ("--nl", "--d")},
+})
+
+
+@settings(max_examples=250, deadline=None)
+@given(command=st.sampled_from([["make"], ["bounds"],
+                                ["verify", "--mode", "bounds-crosscheck"]]),
+       flags=_CONFIG_FLAGS)
+def test_cli_contract_holds_for_arbitrary_config_flags(command, flags):
+    """Any value of any config flag ends in exit 0, 2 or 3, with stderr empty
+    or exactly one JSON error record: never a traceback or usage text.
+
+    Path flags (--design-file, --out-dir) are left out: their values name
+    files, not configurations.
+    """
+    argv = list(command)
+    for flag, value in flags.items():
+        argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out_dir, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv + ["--out-dir", out_dir])
+    assert rc in (0, 2, 3), (argv, rc, err.getvalue())
+    err = err.getvalue()
+    assert "Traceback" not in err and "usage:" not in err
+    if err:
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        record = json.loads(lines[0])
+        assert sorted(record) == ["detail", "error"]
+    else:
+        assert rc == 0
+        assert isinstance(json.loads(out.getvalue()), dict)

@@ -1,12 +1,14 @@
 """Field construction, arithmetic, Frobenius structure, and base-field rank."""
 
 import random
+import time
+from itertools import product
 
 import numpy as np
 import pytest
 
 from lmbr import ParameterError, field, rank_over_base
-from lmbr.galois import apply_int_matrix, inv_mod_q, rank_mod_q
+from lmbr.galois import ExtField, apply_int_matrix, inv_mod_q, rank_mod_q
 
 
 def brute_irreducible_degree2(q):
@@ -181,10 +183,120 @@ def test_frobenius_is_multiplicative():
             assert (a * b).frobenius(1) == a.frobenius(1) * b.frobenius(1)
 
 
+#: field(q, m).modulus as found by trial division, for every q^m <= 10^6
+#: with q <= 13 and for the larger fields the constructions use.  Frozen:
+#: element encodings, config digests and shard bytes all follow from it.
+FROZEN_MODULI = {
+    (2, 1): (0, 1),
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 14): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 15): (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 17): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 18): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 19): (1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 1): (0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (3, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 11): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 12): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 1): (0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (5, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (7, 1): (0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (7, 5): (3, 1, 0, 0, 0, 1),
+    (7, 6): (2, 0, 0, 0, 0, 0, 1),
+    (7, 7): (1, 6, 0, 0, 0, 0, 0, 1),
+    (11, 1): (0, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (4, 1, 0, 1),
+    (11, 4): (2, 1, 0, 0, 1),
+    (11, 5): (2, 0, 0, 0, 0, 1),
+    (13, 1): (0, 1),
+    (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1),
+    (13, 4): (2, 0, 0, 0, 1),
+    (13, 5): (2, 4, 0, 0, 0, 1),
+    (3, 15): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (7, 10): (3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (7, 12): (2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 22): (1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 14): (2, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (13, 10): (9, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("q,m", sorted(FROZEN_MODULI))
+def test_modulus_matches_frozen_table(q, m):
+    assert field(q, m).modulus == FROZEN_MODULI[(q, m)]
+
+
+def _trial_division_irreducible(p, q):
+    """Reference: p has no monic divisor of degree 1..deg(p)//2."""
+    degree = len(p) - 1
+    for d in range(1, degree // 2 + 1):
+        for low in product(range(q), repeat=d):
+            rem = list(p)
+            for shift in range(degree - d, -1, -1):
+                factor = rem[shift + d]
+                for i, c in enumerate((*low, 1)):
+                    rem[shift + i] = (rem[shift + i] - factor * c) % q
+            if not any(rem):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q,max_degree", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_irreducibility_matches_trial_division(q, max_degree):
+    """Ben-Or's test agrees with trial division on every monic polynomial."""
+    from lmbr.galois import _is_irreducible
+
+    for degree in range(1, max_degree + 1):
+        for low in product(range(q), repeat=degree):
+            p = (*low, 1)
+            assert _is_irreducible(p, q) == _trial_division_irreducible(p, q), p
+
+
+def test_large_field_setup_is_fast():
+    """Trial division took about 26 s for this field."""
+    start = time.perf_counter()
+    F = ExtField(13, 10)
+    assert time.perf_counter() - start < 2.0
+    assert F.modulus == FROZEN_MODULI[(13, 10)]
+
+
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-@pytest.mark.parametrize("q,m", [(3, 2), (3, 6), (3, 8), (7, 10), (11, 3), (13, 2)])
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 6), (3, 8), (7, 10), (11, 3), (13, 2),
+                                 (7, 12), (3, 22), (13, 10)])
 def test_modulus_irreducible_by_independent_oracle(q, m):
-    """Cross-check the trial-division search against sympy's factorizer."""
+    """Cross-check the modulus search (Ben-Or's test over ascending
+    candidates) against sympy's factorizer."""
     sympy = pytest.importorskip("sympy")
     from sympy.abc import x
 

@@ -12,6 +12,7 @@ import pytest
 
 from lmbr import (
     FrCode,
+    InconsistentDataError,
     InsufficientRankError,
     MbrCode,
     ParameterError,
@@ -25,7 +26,7 @@ from lmbr import (
 from lmbr.cli import SimConfig
 from lmbr.galois import rank_mod_q
 from lmbr.linpoly import LinearizedPoly
-from lmbr.lrc import DminResult, GroupRankTable
+from lmbr.lrc import DminResult, GroupRankTable, Shard
 
 
 def desk_local():
@@ -144,10 +145,48 @@ def test_corrupt_shard_detected():
     shards = code.encode(msg)
     bad_payload = (shards[0].payload[0] + code.field.one(),
                    shards[0].payload[1])
-    from lmbr import InconsistentDataError, Shard
     bad = Shard(0, shards[0].role, bad_payload)
     with pytest.raises(InconsistentDataError):
         code.decode([bad] + [s for s in shards[1:]])
+
+
+def test_corruption_detected_whenever_other_shards_span_rank_k():
+    """The guarantee `LrcCode.decode` documents, exhaustively on C1: for
+    every survivor set, victim shard and single flipped coefficient, decode
+    raises when the other supplied shards alone span rank K.  Where they do
+    not, a corruption can decode silently to a wrong message."""
+    code = desk_c1()
+    msg = random_message(code, 6)
+    shards = code.encode(msg)
+    q = code.field.q
+    detected = silent = 0
+    for size in range(1, code.n_nodes + 1):
+        for survivors in combinations(range(code.n_nodes), size):
+            for victim in survivors:
+                others = [i for i in survivors if i != victim]
+                guaranteed = bool(others) and code.decodable(others)
+                if not guaranteed and silent:
+                    continue
+                for pos in range(code.alpha):
+                    for c in range(code.field.m):
+                        coeffs = list(shards[victim].payload[pos].coeffs)
+                        coeffs[c] = (coeffs[c] + 1) % q
+                        payload = list(shards[victim].payload)
+                        payload[pos] = code.field.element(coeffs)
+                        bad = Shard(victim, shards[victim].role,
+                                    tuple(payload))
+                        supplied = [bad if i == victim else shards[i]
+                                    for i in survivors]
+                        if guaranteed:
+                            with pytest.raises(InconsistentDataError):
+                                code.decode(supplied)
+                            detected += 1
+                            continue
+                        try:
+                            silent += code.decode(supplied) != tuple(msg)
+                        except (InconsistentDataError, InsufficientRankError):
+                            pass
+    assert detected > 0 and silent > 0
 
 
 def test_construction2_decode_thresholds():

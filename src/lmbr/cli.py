@@ -85,6 +85,10 @@ class SimConfig:
                 f"q={self.q} exceeds 65536: shard and message files store "
                 "each coefficient as a uint16"
             )
+        if self.construction == "info-local" and self.delta < 1:
+            raise ParameterError(
+                "info-local layout needs delta >= 1 global nodes"
+            )
 
     def local_code(self):
         if self.construction == "fr-local":
@@ -97,10 +101,6 @@ class SimConfig:
     def build(self) -> LrcCode:
         local = self.local_code()
         if self.construction == "info-local":
-            if self.delta < 1:
-                raise ParameterError(
-                    "info-local layout needs delta >= 1 global nodes"
-                )
             return info_locality_code(
                 self.t, self.delta, local, self.file_dim, ext_degree=self.m
             )

@@ -37,6 +37,9 @@ from .errors import (
 from .galois import FieldElement, apply_int_matrix, is_prime
 from .mbr import RankProfile
 
+#: Most node subsets :meth:`FrCode.profile` sweeps before refusing.
+PROFILE_SUBSET_CAP = 1 << 22
+
 #: The seven lines of the Fano plane over points 1..7 (a 2-(7,3,1) design).
 FANO_BLOCKS = (
     (1, 2, 3),
@@ -330,7 +333,7 @@ class FrCode:
 
     # -- rank accumulation -------------------------------------------------------------
 
-    def profile(self, pattern_cap: int = 1 << 22) -> RankProfile:
+    def profile(self) -> RankProfile:
         """Capped-union rank profile, verified exhaustively.
 
         The rank any i nodes expose is min(|union of their symbol sets|,
@@ -342,9 +345,9 @@ class FrCode:
         if self._profile is not None:
             return self._profile
         n = self.design.n_points
-        if 2 ** n > pattern_cap:
+        if 2 ** n > PROFILE_SUBSET_CAP:
             raise PatternCapError(
-                f"2^{n} subsets exceed the cap {pattern_cap}"
+                f"2^{n} subsets exceed the cap {PROFILE_SUBSET_CAP}"
             )
         values = []
         prev = 0

@@ -12,13 +12,18 @@ x^(q^i) mod f come from repeated q-th powering, so a candidate costs
 O(m log q) polynomial products mod f rather than one division per monic
 polynomial of degree up to m/2.
 
-The q-power (Frobenius) map a -> a^q is F_q-linear; it is applied through
-cached m x m matrices over F_q instead of repeated exponentiation, because
-evaluation of linearized polynomials dominates the decoder's runtime.
+The q-power (Frobenius) map a -> a^q is F_q-linear; each field builds its
+one m x m matrix over F_q from x^q mod the modulus and applies it instead of
+exponentiating, because evaluation of linearized polynomials dominates the
+decoder's runtime.  The q^i-power applies that matrix i mod m times.
 
 Fields are interned: :func:`field` returns one shared, immutable instance
 per (q, m), so elements of equal fields always compare against the same
 modulus.  All operations are pure and safe for concurrent use.
+
+Linear algebra over F_q (rank, inverse, pivot columns) runs through one
+Gauss-Jordan elimination on int64 numpy arrays, which refuses any q whose
+residue products could overflow.
 """
 
 from __future__ import annotations
@@ -241,7 +246,7 @@ class FieldElement:
         return FieldElement(self.field, self.field._inv(self.coeffs))
 
     def frobenius(self, i: int = 1) -> "FieldElement":
-        """The q^i-power of this element, via the cached linear map."""
+        """The q^i-power of this element, via the field's Frobenius matrix."""
         return FieldElement(self.field, self.field._frobenius(self.coeffs, i))
 
     def is_zero(self) -> bool:
@@ -295,54 +300,21 @@ class ExtField:
         self.order = q ** m
         self.modulus: tuple[int, ...] = _search_modulus(q, m)
         # x^(m+i) mod modulus for i in 0..m-2, used to fold products back.
-        self._reduction: list[tuple[int, ...]] = []
-        power = list(self.modulus[:-1])  # x^m = -(low part), monic modulus
-        power = [(-c) % q for c in power]
-        self._reduction.append(tuple(power))
-        for _ in range(m - 2):
-            power = self._shift_mod(power)
-            self._reduction.append(tuple(power))
-        self._frob_matrices: dict[int, tuple[tuple[int, ...], ...]] = {
-            0: tuple(
-                tuple(1 if i == j else 0 for j in range(m)) for i in range(m)
-            )
-        }
-        self._frob_matrices[1] = self._build_frobenius_matrix()
+        self._reduction = [self._reduce([0] * (m + i) + [1])
+                           for i in range(m - 1)]
+        # Row-major Frobenius matrix: column j is (x^j)^q = (x^q)^j.
+        xq = self._reduce(_poly_powmod([0, 1], q, self.modulus, q))
+        columns = [self._reduce([1])]
+        for _ in range(m - 1):
+            columns.append(self._mul(columns[-1], xq))
+        self._frob = tuple(zip(*columns))
 
     # -- construction helpers -----------------------------------------------
 
-    def _shift_mod(self, p: list[int]) -> list[int]:
-        """Multiply a reduced polynomial by x, reducing mod the modulus."""
-        q, m = self.q, self.m
-        carry = p[-1]
-        shifted = [0] + p[:-1]
-        if carry:
-            head = self._reduction[0]
-            shifted = [(a + carry * b) % q for a, b in zip(shifted, head)]
-        return [c % q for c in shifted]
-
-    def _build_frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
-        # Column j is the coefficient vector of (x^j)^q.
-        m = self.m
-        basis_image = []
-        xq = self._pow_coeffs(self._gen_coeffs(), self.q)
-        col = self._one_coeffs()
-        for _ in range(m):
-            basis_image.append(col)
-            col = self._mul(col, xq)
-        # Store row-major for fast mat-vec.
-        return tuple(
-            tuple(basis_image[j][i] for j in range(m)) for i in range(m)
-        )
-
-    def _gen_coeffs(self) -> tuple[int, ...]:
-        if self.m == 1:
-            # x reduces to the modulus root; irrelevant for m = 1 fields.
-            return (0,)
-        return tuple(1 if i == 1 else 0 for i in range(self.m))
-
-    def _one_coeffs(self) -> tuple[int, ...]:
-        return tuple(1 if i == 0 else 0 for i in range(self.m))
+    def _reduce(self, p: Sequence[int]) -> tuple[int, ...]:
+        """p mod the modulus, as a length-m coefficient vector."""
+        rem = _poly_rem(p, self.modulus, self.q)
+        return tuple(rem) + (0,) * (self.m - len(rem))
 
     # -- coefficient-level arithmetic ----------------------------------------
 
@@ -386,39 +358,13 @@ class ExtField:
         out += [0] * (self.m - len(out))
         return tuple(out[: self.m])
 
-    def _pow_coeffs(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
-        result = self._one_coeffs()
-        base = tuple(a)
-        while e:
-            if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return result
-
     def _frobenius(self, coeffs: tuple[int, ...], i: int) -> tuple[int, ...]:
-        i %= self.m
-        matrix = self._frob_matrices.get(i)
-        if matrix is None:
-            # Compose from the power-1 matrix; idempotent, so benign if two
-            # threads race on the cache.
-            matrix = self._frob_matrices[1]
-            for _ in range(i - 1):
-                matrix = self._mat_mul(matrix, self._frob_matrices[1])
-            self._frob_matrices[i] = matrix
         q = self.q
-        return tuple(
-            sum(r * c for r, c in zip(row, coeffs)) % q for row in matrix
-        )
-
-    def _mat_mul(self, a, b):
-        q, m = self.q, self.m
-        return tuple(
-            tuple(
-                sum(a[i][k] * b[k][j] for k in range(m)) % q for j in range(m)
+        for _ in range(i % self.m):
+            coeffs = tuple(
+                sum(r * c for r, c in zip(row, coeffs)) % q for row in self._frob
             )
-            for i in range(m)
-        )
+        return coeffs
 
     # -- public API -----------------------------------------------------------
 
@@ -434,11 +380,11 @@ class ExtField:
         return FieldElement(self, tuple(0 for _ in range(self.m)))
 
     def one(self) -> FieldElement:
-        return FieldElement(self, self._one_coeffs())
+        return FieldElement(self, self._reduce([1]))
 
     def gen(self) -> FieldElement:
         """The power-basis generator x (only meaningful for m >= 2)."""
-        return FieldElement(self, self._gen_coeffs())
+        return FieldElement(self, self._reduce([0, 1]))
 
     def from_int(self, value: int) -> FieldElement:
         """Inverse of :meth:`FieldElement.to_int` (base-q digit unpacking)."""
@@ -521,51 +467,58 @@ def _require_int64_products(q: int) -> None:
         )
 
 
-def rank_mod_q(matrix: np.ndarray, q: int) -> int:
-    """Rank of an integer matrix over F_q, by Gaussian elimination."""
+def _row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of an integer matrix over F_q (Gauss-Jordan).
+
+    Returns the reduced matrix and its pivot columns: column c is a pivot
+    exactly when it is independent of the columns before it.  This is the
+    one elimination loop of the toolkit.
+    """
     _require_int64_products(q)
     a = np.array(matrix, dtype=np.int64) % q
     rows, cols = a.shape
-    rank = 0
+    pivots: list[int] = []
     for c in range(cols):
-        if rank == rows:
+        r = len(pivots)
+        if r == rows:
             break
-        pivot_rows = np.nonzero(a[rank:, c])[0]
-        if pivot_rows.size == 0:
+        # Any nonzero entry may serve as pivot: the reduced form is unique.
+        p = r + int(a[r:, c].argmax())
+        lead = int(a[p, c])
+        if not lead:
             continue
-        p = rank + int(pivot_rows[0])
-        if p != rank:
-            a[[rank, p]] = a[[p, rank]]
-        inv = pow(int(a[rank, c]), q - 2, q)
-        a[rank] = (a[rank] * inv) % q
-        below = a[rank + 1:, c]
-        if below.any():
-            a[rank + 1:] = (a[rank + 1:] - np.outer(below, a[rank])) % q
-        rank += 1
-    return rank
+        row = a[p] * pow(lead, q - 2, q) % q
+        a[p] = a[r]                      # swap rows r and p ...
+        a -= np.outer(a[:, c], row)      # ... clear column c everywhere ...
+        a[r] = row                       # ... and put the pivot row at r
+        a %= q
+        pivots.append(c)
+    return a, pivots
+
+
+def rank_mod_q(matrix: np.ndarray, q: int) -> int:
+    """Rank of an integer matrix over F_q."""
+    return len(_row_reduce(matrix, q)[1])
+
+
+def pivot_columns(matrix: np.ndarray, q: int) -> list[int]:
+    """Ascending indices of the columns independent of the columns before
+    them over F_q; the first k are the first k independent columns."""
+    return _row_reduce(matrix, q)[1]
 
 
 def inv_mod_q(matrix: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of a square integer matrix over F_q (Gauss-Jordan)."""
-    _require_int64_products(q)
-    a = np.array(matrix, dtype=np.int64) % q
+    """Inverse of a square integer matrix over F_q, by reducing [A | I]."""
+    a = np.asarray(matrix)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ParameterError("matrix must be square")
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    for c in range(n):
-        pivot_rows = np.nonzero(aug[c:, c])[0]
-        if pivot_rows.size == 0:
-            raise ParameterError("matrix is singular over F_q")
-        p = c + int(pivot_rows[0])
-        if p != c:
-            aug[[c, p]] = aug[[p, c]]
-        inv = pow(int(aug[c, c]), q - 2, q)
-        aug[c] = (aug[c] * inv) % q
-        others = [r for r in range(n) if r != c and aug[r, c]]
-        for r in others:
-            aug[r] = (aug[r] - aug[r, c] * aug[c]) % q
-    return aug[:, n:]
+    reduced, pivots = _row_reduce(
+        np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), q
+    )
+    if pivots != list(range(n)):
+        raise ParameterError("matrix is singular over F_q")
+    return reduced[:, n:]
 
 
 def rank_over_base(elements: Sequence[FieldElement]) -> int:

@@ -9,9 +9,11 @@ to the decoder after arbitrary F_q-linear mixing, not only at the original
 points.
 
 :func:`interpolate` recovers the unique polynomial from such evaluations.
-Surplus evaluations are never ignored: they are checked against the
-recovered polynomial so that corrupted symbols surface as
-:class:`~lmbr.errors.InconsistentDataError` instead of silently decoding.
+It solves the Moore system on the first points, in the order given, that are
+F_q-independent of the points before them.  Surplus evaluations are never
+ignored: they are checked against the recovered polynomial so that
+corrupted symbols surface as :class:`~lmbr.errors.InconsistentDataError`
+instead of silently decoding.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InconsistentDataError, InsufficientRankError, ParameterError
-from .galois import ExtField, FieldElement
+from .galois import ExtField, FieldElement, coeff_columns, pivot_columns
 
 
 class LinearizedPoly:
@@ -81,35 +83,6 @@ class LinearizedPoly:
         return f"LinearizedPoly(q_degree={self.q_degree})"
 
 
-def _greedy_independent(points: Sequence[FieldElement], needed: int) -> list[int]:
-    """Indices of the first ``needed`` F_q-independent points (ascending).
-
-    Returns fewer indices when the whole list has smaller rank.
-    """
-    if not points:
-        return []
-    q = points[0].field.q
-    # Incremental elimination: pivots maps a leading position to a reduced
-    # row normalized to 1 there.
-    pivots: dict[int, list[int]] = {}
-    chosen: list[int] = []
-    for idx, p in enumerate(points):
-        v = list(p.coeffs)
-        for pos, row in pivots.items():
-            c = v[pos]
-            if c:
-                v = [(a - c * b) % q for a, b in zip(v, row)]
-        lead = next((i for i, a in enumerate(v) if a), None)
-        if lead is None:
-            continue
-        inv = pow(v[lead], q - 2, q)
-        pivots[lead] = [(inv * a) % q for a in v]
-        chosen.append(idx)
-        if len(chosen) == needed:
-            break
-    return chosen
-
-
 def _solve_square(field: ExtField, matrix: list[list[FieldElement]],
                   rhs: list[FieldElement]) -> list[FieldElement]:
     """Gaussian elimination over F_{q^m} for a square system."""
@@ -136,8 +109,11 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
     the given evaluations.
 
     The points may be arbitrary field elements (of any rank profile); only
-    ``max_q_degree + 1`` of them need to be independent over F_q.  Every
-    remaining pair is verified against the recovered polynomial.
+    ``max_q_degree + 1`` of them need to be independent over F_q.  The
+    Moore system is solved on the first ``max_q_degree + 1`` points that
+    are independent of the points before them (the pivot columns of the
+    points' coefficient matrix), and every remaining pair is verified
+    against the recovered polynomial.
 
     Raises :class:`InsufficientRankError` when the points do not span enough
     of F_q^m, and :class:`InconsistentDataError` when a surplus evaluation
@@ -165,7 +141,7 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
         raise InsufficientRankError(
             f"need at least {needed} evaluations, got {len(points)}"
         )
-    chosen = _greedy_independent(points, needed)
+    chosen = pivot_columns(coeff_columns(points), fld.q)[:needed]
     if len(chosen) < needed:
         raise InsufficientRankError(
             f"evaluation points have rank {len(chosen)} over the base field, "

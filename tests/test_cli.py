@@ -5,14 +5,19 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lmbr
 from lmbr import ConfigMismatchError, ParameterError, Shard, ShardFormatError, field
 from lmbr.cli import (
     CONSTRUCTIONS,
@@ -515,6 +520,42 @@ def test_huge_extension_degree_refused_quickly(tmp_path, capsys):
     assert "budget" in record["detail"]
 
 
+def test_wide_mbr_layout_refused_quickly(tmp_path):
+    """Building MbrCode(30, 1, 15, 31) costs one rank test, not one per
+    C(30, 15) row set, so the oversized field F_{31^15} is refused at once.
+    Run in a child process so that a slow build fails the test instead of
+    stalling the suite."""
+    src = Path(lmbr.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "lmbr.cli", "make", "--nl", "30", "--d", "15",
+         "--r", "1", "--q", "31", "--t", "1", "--K", "1",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=3,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    record = json.loads(proc.stderr)
+    assert record["error"] == "ParameterError"
+    assert "budget" in record["detail"]
+
+
+@pytest.mark.parametrize("command", [["make"], ["bounds"],
+                                     ["verify", "--mode", "bounds-crosscheck"]])
+def test_info_local_without_global_nodes_exit2(tmp_path, capsys, command):
+    """bounds-crosscheck refuses the layout that make refuses."""
+    argv = [*command, "--construction", "info-local", "--delta", "-1",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert error_record(capsys) == {
+        "error": "ParameterError",
+        "detail": "info-local layout needs delta >= 1 global nodes",
+    }
+    with pytest.raises(ParameterError):
+        SimConfig(construction="info-local", delta=0)
+    SimConfig(construction="all-symbol", delta=0)     # delta unused there
+
+
 def test_duplicate_shard_index_exit3(tmp_path, capsys):
     cfg = SimConfig()
     msg_path = tmp_path / "msg.bin"
@@ -651,9 +692,9 @@ def _flag_value(ints):
 _ANY_INT = st.one_of(st.integers(-2, 45),
                      st.sampled_from([2, 3, 5, 7, 11, 13, 65521, 65537]),
                      st.integers())
-#: MbrCode checks every C(n_local, d) row set of its Vandermonde matrix when
-#: it is built, so --nl and --d stay small.
-_SMALL_INT = st.integers(-1, 8)
+#: --nl and --d reach a (30, 29, 29) MBR code, which builds or refuses in a
+#: fraction of a second.
+_SMALL_INT = st.integers(-1, 30)
 _CONFIG_FLAGS = st.fixed_dictionaries({}, optional={
     "--construction": st.one_of(st.sampled_from(CONSTRUCTIONS),
                                 st.text(max_size=12)),

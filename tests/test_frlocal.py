@@ -11,6 +11,7 @@ from lmbr import (
     InconsistentDataError,
     InsufficientRankError,
     ParameterError,
+    PatternCapError,
     RepairError,
     Shard,
     all_symbol_code,
@@ -20,7 +21,7 @@ from lmbr import (
     load_design,
     verify_design,
 )
-from lmbr.frlocal import FANO_BLOCKS
+from lmbr.frlocal import FANO_BLOCKS, PROFILE_SUBSET_CAP
 from lmbr.galois import rank_mod_q
 
 
@@ -244,6 +245,15 @@ def test_fr_repair_symbol_extinct():
 def test_fr_profile_frozen_and_capped_uniformity():
     assert tuple(FrCode(fano_plane(), 5, 7).profile()) == (3, 2, 0, 0, 0, 0, 0)
     assert tuple(FrCode(fano_plane(), 3, 7).profile()) == (3, 0, 0, 0, 0, 0, 0)
+
+
+def test_fr_profile_refuses_past_the_subset_cap():
+    """A 23-point design has 2^23 node subsets, past PROFILE_SUBSET_CAP."""
+    ring = verify_design(23, [(i, i % 23 + 1) for i in range(1, 24)],
+                         strength=1, index=2)
+    assert PROFILE_SUBSET_CAP < 2 ** ring.n_points
+    with pytest.raises(PatternCapError):
+        FrCode(ring, 2, 23).profile()
 
 
 def test_fr_raw_unions_not_uniform_but_capped_ranks_are():

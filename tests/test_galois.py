@@ -1,4 +1,5 @@
-"""Field construction, arithmetic, Frobenius structure, and base-field rank."""
+"""Field construction, arithmetic, Frobenius structure, and base-field
+elimination (rank, inverse, pivot columns)."""
 
 import random
 import time
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 
 from lmbr import ParameterError, field, rank_over_base
-from lmbr.galois import ExtField, apply_int_matrix, inv_mod_q, rank_mod_q
+from lmbr.galois import (
+    ExtField,
+    _row_reduce,
+    apply_int_matrix,
+    inv_mod_q,
+    pivot_columns,
+    rank_mod_q,
+)
 
 
 def brute_irreducible_degree2(q):
@@ -172,6 +180,25 @@ def test_frobenius_large_field_matches_pow():
         a = F.random_element(rng)
         assert a.frobenius(1) == a ** 7
         assert a.frobenius(3) == a ** (7 ** 3)
+
+
+@pytest.mark.parametrize("q,m", [(2, 5), (3, 4), (7, 3), (5, 1)])
+def test_frobenius_powers_match_exponentiation(q, m):
+    """frobenius(i) applies the one Frobenius matrix i mod m times."""
+    F = field(q, m)
+    rng = random.Random(10 * q + m)
+    samples = [F.zero(), F.one(), F.gen()]
+    samples += [F.random_element(rng) for _ in range(8)]
+    for a in samples:
+        for i in range(2 * m + 1):
+            assert a.frobenius(i) == a ** (q ** i)
+
+
+def test_generator_of_prime_field_is_zero():
+    """x reduces to 0 modulo the degree-1 modulus x."""
+    for q in (2, 5, 13):
+        assert field(q, 1).gen().is_zero()
+    assert field(3, 2).gen().coeffs == (0, 1)
 
 
 def test_frobenius_is_multiplicative():
@@ -397,7 +424,7 @@ def test_inv_mod_q_round_trip():
 def test_elimination_refuses_q_whose_products_overflow_int64():
     """Past (q-1)^2 >= 2^63 the residue products wrap in int64: a rank-1
     matrix read as rank 2.  Such q is refused, never answered wrongly."""
-    from lmbr import MbrCode, all_symbol_code
+    from lmbr import MbrCode, all_symbol_code, interpolate
 
     q = 1099511627689                 # prime, accepted by field(q, 1)
     a, b = 123456789012, 987654321098
@@ -407,6 +434,8 @@ def test_elimination_refuses_q_whose_products_overflow_int64():
         inv_mod_q(np.array([[1, a], [b, 1]]), q)
     with pytest.raises(ParameterError):
         all_symbol_code(1, MbrCode(2, 1, 1, q), 1)
+    with pytest.raises(ParameterError):         # interpolation eliminates too
+        interpolate([field(q, 1).one()], [field(q, 1).one()], 0)
     # The largest prime below the limit still eliminates exactly.
     q = 3037000493
     a, b = q - 2, q - 3
@@ -442,3 +471,61 @@ def test_apply_int_matrix_matches_elementwise_reference(q, m):
         apply_int_matrix(np.ones((1, 2), dtype=np.int64), [F.one()], F)
     with pytest.raises(ParameterError):
         apply_int_matrix(np.ones((1, 1), dtype=np.int64), [field(5, 1).one()], F)
+
+
+def _mod_q(dm, q):
+    """sympy's GF(q) entries are symmetric residues; reduce them to 0..q-1."""
+    return np.array([[int(v) % q for v in row] for row in dm.to_Matrix().tolist()],
+                    dtype=np.int64).reshape(dm.shape)
+
+
+def _elimination_cases(q, rng):
+    """Seeded square, wide, tall, singular and all-zero matrices over F_q."""
+    cases = [rng.integers(0, q, size=shape) for shape in
+             [(1, 1), (4, 4), (5, 5), (3, 6), (2, 7), (6, 3), (7, 2)]]
+    for n in (3, 5):
+        mat = rng.integers(0, q, size=(n, n))
+        mat[-1] = (mat[0] * int(rng.integers(0, q)) + mat[1]) % q
+        cases.append(mat)                       # singular: last row dependent
+        wide = rng.integers(0, q, size=(n, n + 2))
+        wide[:, 1] = (3 * wide[:, 0]) % q       # a dependent column
+        cases.append(wide)
+    cases += [np.zeros((3, 3), dtype=np.int64), np.zeros((2, 5), dtype=np.int64)]
+    return cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 65521])
+def test_elimination_matches_sympy(q):
+    """Rank, pivot columns, reduced form and inverse agree with sympy's
+    DomainMatrix over GF(q); a singular matrix raises ParameterError."""
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
+    K = GF(q)
+    rng = np.random.default_rng(q)
+    singular = invertible = 0
+    for mat in _elimination_cases(q, rng):
+        ref = DomainMatrix([[K(int(v)) for v in row] for row in mat],
+                           mat.shape, K)
+        ref_rref, ref_pivots = ref.rref()
+        assert rank_mod_q(mat, q) == ref.rank()
+        assert pivot_columns(mat, q) == list(ref_pivots)
+        reduced, pivots = _row_reduce(mat, q)
+        assert pivots == list(ref_pivots)
+        assert np.array_equal(reduced, _mod_q(ref_rref, q))
+        if mat.shape[0] != mat.shape[1]:
+            with pytest.raises(ParameterError):
+                inv_mod_q(mat, q)
+            continue
+        try:
+            ref_inv = ref.inv()
+        except DMNonInvertibleMatrixError:
+            singular += 1
+            with pytest.raises(ParameterError):
+                inv_mod_q(mat, q)
+            continue
+        invertible += 1
+        assert np.array_equal(inv_mod_q(mat, q), _mod_q(ref_inv, q))
+    assert singular >= 3 and invertible >= 1

@@ -14,6 +14,60 @@ from lmbr import (
     interpolate,
     rank_over_base,
 )
+from lmbr.galois import coeff_columns, pivot_columns
+
+
+def greedy_independent(points, needed):
+    """Reference: indices of the first ``needed`` F_q-independent points, by
+    incremental elimination; fewer when the whole list has smaller rank."""
+    if not points:
+        return []
+    q = points[0].field.q
+    # pivots maps a leading position to a reduced row normalized to 1 there.
+    pivots = {}
+    chosen = []
+    for idx, p in enumerate(points):
+        v = list(p.coeffs)
+        for pos, row in pivots.items():
+            c = v[pos]
+            if c:
+                v = [(a - c * b) % q for a, b in zip(v, row)]
+        lead = next((i for i, a in enumerate(v) if a), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], q - 2, q)
+        pivots[lead] = [(inv * a) % q for a in v]
+        chosen.append(idx)
+        if len(chosen) == needed:
+            break
+    return chosen
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 6), (7, 10)])
+def test_pivot_columns_pick_the_greedy_points(q, m):
+    """interpolate's choice, the first pivot columns of the points'
+    coefficient matrix, is the greedy scan's choice, on point lists with
+    dependent, repeated and zero points."""
+    F = field(q, m)
+    rng = random.Random(100 * q + m)
+    for _ in range(40):
+        span = [F.random_element(rng) for _ in range(rng.randrange(1, m + 1))]
+        points = []
+        for _ in range(rng.randrange(1, 2 * m + 3)):
+            kind = rng.random()
+            if kind < 0.15:
+                points.append(F.zero())
+            elif kind < 0.3 and points:
+                points.append(rng.choice(points))
+            else:
+                acc = F.zero()
+                for b in span:
+                    acc = acc + rng.randrange(q) * b
+                points.append(acc)
+        pivots = pivot_columns(coeff_columns(points), q)
+        assert len(pivots) == rank_over_base(points)
+        for needed in range(1, m + 1):
+            assert pivots[:needed] == greedy_independent(points, needed)
 
 
 def test_q_power_evaluation_frozen():

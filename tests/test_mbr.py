@@ -160,6 +160,18 @@ def test_repair_exact_where_int64_products_overflow(params):
     assert [int(v) for v in wrapped] != [e.coeffs[0] for e in want]
 
 
+@pytest.mark.parametrize("params", [(3, 2, 2, 3), (4, 2, 3, 5), (5, 3, 4, 7)])
+def test_vandermonde_rows_independent_exhaustively(params):
+    """Any d rows of Psi, and any r rows of its first r columns, are
+    invertible: the property the constructor's single rank check relies on,
+    checked here on every row set."""
+    code = MbrCode(*params)
+    for rows in combinations(range(code.n_local), code.d):
+        assert rank_mod_q(code.psi[list(rows)], code.q) == code.d
+    for rows in combinations(range(code.n_local), code.r):
+        assert rank_mod_q(code.psi[list(rows), :code.r], code.q) == code.r
+
+
 def test_generator_full_rank():
     for params in DESK_CODES:
         code = MbrCode(*params)

@@ -221,10 +221,14 @@ class FrCode:
             )
         if k_message < 1:
             raise ParameterError("message dimension must be positive")
+        if design.block_size < 2:
+            raise DesignError(
+                "blocks of size 1 give each symbol one holder, so no node "
+                "could be repaired by transfer"
+            )
         self.design = design
         self.q = q
         self.k_message = k_message
-        self.alpha = design.lambda_s(1)
         # node i holds the symbols of the blocks through point i+1 (0-based
         # symbol ids, ascending).
         self.node_symbols: tuple[tuple[int, ...], ...] = tuple(
@@ -232,6 +236,7 @@ class FrCode:
             for point in range(1, design.n_points + 1)
         )
         self._lambdas = [design.lambda_s(s) for s in range(design.strength + 1)]
+        self.alpha = self._lambdas[1]
         self.k_rec = self._solve_recovery_threshold()
         # Reed-Solomon generator: row j evaluates at point j.
         self.rs_matrix = np.array(

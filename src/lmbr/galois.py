@@ -21,9 +21,10 @@ Fields are interned: :func:`field` returns one shared, immutable instance
 per (q, m), so elements of equal fields always compare against the same
 modulus.  All operations are pure and safe for concurrent use.
 
-Linear algebra over F_q (rank, inverse, pivot columns) runs through one
-Gauss-Jordan elimination on int64 numpy arrays, which refuses any q whose
-residue products could overflow.
+Linear algebra over F_q (rank, inverse, pivot columns, linpoly's Moore
+system) runs through the toolkit's one Gauss-Jordan elimination, on int64
+numpy arrays, which refuses any q whose residue products could overflow.  A
+field element is inverted as a^(q^m - 2), exactly for every q.
 """
 
 from __future__ import annotations
@@ -65,30 +66,21 @@ def _poly_trim(p: list[int]) -> list[int]:
     return p
 
 
-def _poly_divmod(a: Sequence[int], b: Sequence[int], q: int
-                 ) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b in F_q[x]."""
+def _poly_rem(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    """Remainder of a by b in F_q[x]."""
     rem = _poly_trim([c % q for c in a])
     b = _poly_trim([c % q for c in b])
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     inv_lead = pow(b[-1], q - 2, q)
-    quot = [0] * max(0, len(rem) - len(b) + 1)
     while len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - len(b)
-        factor = (rem[-1] * inv_lead) % q
-        quot[shift] = factor
-        for i, bc in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * bc) % q
+        if rem[-1]:
+            shift = len(rem) - len(b)
+            factor = (rem[-1] * inv_lead) % q
+            for i, bc in enumerate(b):
+                rem[shift + i] = (rem[shift + i] - factor * bc) % q
         rem.pop()  # leading coefficient is now zero by construction
-    return _poly_trim(quot), _poly_trim(rem)
-
-
-def _poly_rem(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
-    return _poly_divmod(a, b, q)[1]
+    return _poly_trim(rem)
 
 
 def _poly_sub(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
@@ -243,7 +235,10 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._inv(self.coeffs))
+        """a^(q^m - 2): the nonzero elements form a group of order q^m - 1."""
+        if self.is_zero():
+            raise ZeroDivisionError("inversion of zero field element")
+        return self ** (self.field.order - 2)
 
     def frobenius(self, i: int = 1) -> "FieldElement":
         """The q^i-power of this element, via the field's Frobenius matrix."""
@@ -341,23 +336,6 @@ class ExtField:
                     prod[j] += c * row[j]
         return tuple(v % q for v in prod[:m])
 
-    def _inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        if not any(a):
-            raise ZeroDivisionError("inversion of zero field element")
-        q = self.q
-        # Extended Euclid in F_q[x] against the modulus.
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            quotient, rem = _poly_divmod(r0, r1, q)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(quotient, s1, q), q)
-        # r0 is the gcd, a nonzero constant because the modulus is irreducible.
-        scale = pow(r0[0], q - 2, q)
-        out = [(scale * c) % q for c in s0]
-        out += [0] * (self.m - len(out))
-        return tuple(out[: self.m])
-
     def _frobenius(self, coeffs: tuple[int, ...], i: int) -> tuple[int, ...]:
         q = self.q
         for _ in range(i % self.m):
@@ -365,6 +343,17 @@ class ExtField:
                 sum(r * c for r, c in zip(row, coeffs)) % q for row in self._frob
             )
         return coeffs
+
+    @functools.cached_property
+    def _basis_mul(self) -> np.ndarray:
+        """Slice i is the F_q matrix of multiplication by x^i: column k is
+        x^(i+k) mod the modulus, from the table of x^n for n < 2m-1, built on
+        first use.  Contracting coefficient vectors with it gives their
+        multiplication matrices; in int64 this is exact, as m (q-1)^2 < 2^63
+        for m >= 2 within the size budget, and the table is 1 for m = 1."""
+        powers = np.array(np.eye(self.m, dtype=np.int64).tolist()
+                          + self._reduction, dtype=np.int64)
+        return np.stack([powers[i:i + self.m].T for i in range(self.m)])
 
     # -- public API -----------------------------------------------------------
 
@@ -472,7 +461,8 @@ def _row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
     Returns the reduced matrix and its pivot columns: column c is a pivot
     exactly when it is independent of the columns before it.  This is the
-    one elimination loop of the toolkit.
+    one elimination loop of the toolkit: rank, inverse, pivot columns and
+    the F_q form of the Moore system all call it.
     """
     _require_int64_products(q)
     a = np.array(matrix, dtype=np.int64) % q

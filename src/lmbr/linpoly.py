@@ -10,7 +10,10 @@ points.
 
 :func:`interpolate` recovers the unique polynomial from such evaluations.
 It solves the Moore system on the first points, in the order given, that are
-F_q-independent of the points before them.  Surplus evaluations are never
+F_q-independent of the points before them.  The system is solved over F_q:
+each F_{q^m} unknown becomes its m coefficients, each Moore entry the m x m
+matrix of multiplication by it, and the ((t+1) m)-square system goes through
+the toolkit's one elimination routine.  Surplus evaluations are never
 ignored: they are checked against the recovered polynomial so that
 corrupted symbols surface as :class:`~lmbr.errors.InconsistentDataError`
 instead of silently decoding.
@@ -20,8 +23,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InconsistentDataError, InsufficientRankError, ParameterError
-from .galois import ExtField, FieldElement, coeff_columns, pivot_columns
+from .galois import ExtField, FieldElement, _row_reduce, coeff_columns, pivot_columns
 
 
 class LinearizedPoly:
@@ -83,26 +88,6 @@ class LinearizedPoly:
         return f"LinearizedPoly(q_degree={self.q_degree})"
 
 
-def _solve_square(field: ExtField, matrix: list[list[FieldElement]],
-                  rhs: list[FieldElement]) -> list[FieldElement]:
-    """Gaussian elimination over F_{q^m} for a square system."""
-    n = len(matrix)
-    rows = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        # The caller only solves Moore systems on independent points, which
-        # are provably nonsingular.
-        assert pivot is not None, "Moore matrix of independent points is singular"
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
-
-
 def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
                 max_q_degree: int) -> LinearizedPoly:
     """Unique linearized polynomial of q-degree <= ``max_q_degree`` through
@@ -147,15 +132,23 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
             f"evaluation points have rank {len(chosen)} over the base field, "
             f"need {needed}"
         )
-    # Moore system: row j is (p_j, p_j^q, ..., p_j^(q^t)).
-    moore = []
-    for j in chosen:
-        row = [points[j]]
+    # Moore system over F_q: the unknowns are the coefficient vectors of
+    # u_0..u_t, and block (j, i) is the matrix of multiplication by p_j^(q^i).
+    q, m = fld.q, fld.m
+    powers = [[points[j]] for j in chosen]
+    for row in powers:
         for _ in range(max_q_degree):
             row.append(row[-1].frobenius(1))
-        moore.append(row)
-    coeffs = _solve_square(fld, moore, [values[j] for j in chosen])
-    poly = LinearizedPoly(fld, coeffs)
+    blocks = np.tensordot([[p.coeffs for p in row] for row in powers],
+                          fld._basis_mul, axes=1) % q
+    n = needed * m
+    moore = blocks.transpose(0, 2, 1, 3).reshape(n, n)
+    rhs = coeff_columns([values[j] for j in chosen]).T.reshape(n, 1)
+    reduced, pivots = _row_reduce(np.concatenate([moore, rhs], axis=1), q)
+    # Independent points give a nonsingular Moore matrix.
+    assert pivots == list(range(n)), "Moore matrix of independent points is singular"
+    poly = LinearizedPoly(fld, [FieldElement(fld, tuple(u)) for u in
+                                reduced[:, n].reshape(needed, m).tolist()])
     chosen_set = set(chosen)
     for idx, (p, v) in enumerate(zip(points, values)):
         if idx in chosen_set:

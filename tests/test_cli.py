@@ -470,6 +470,20 @@ def test_bad_design_file_exit2_with_witness(tmp_path, capsys):
     assert "UTF-8" in record["detail"]
 
 
+def test_single_point_blocks_exit2(tmp_path, capsys):
+    """Blocks of size 1 leave every symbol with one holder, so nothing can
+    be repaired by transfer: a refusal, not a traceback."""
+    path = tmp_path / "d"
+    path.write_text("1\n2\n3\n")
+    rc = main(["make", "--construction", "fr-local", "--design-file",
+               str(path), "--kfr", "1", "--q", "3", "--t", "1", "--K", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    record = error_record(capsys)
+    assert record["error"] == "DesignError"
+    assert "one holder" in record["detail"]
+
+
 def test_non_integer_claim_profile_exit2(capsys):
     rc = main(["verify", *DESK_ARGS, "--mode", "ura",
                "--claim-profile", "2,x"])

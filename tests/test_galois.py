@@ -65,6 +65,12 @@ def test_prime_field_arithmetic():
     assert (two * two).coeffs == (1,)
     assert two.inverse().coeffs == (2,)
     assert (two - two).is_zero()
+    # Past the int64 elimination limit, inversion is still exact.
+    q = 1099511627689
+    big = field(q, 1)
+    a = big.element([123456789012])
+    assert a.inverse().coeffs == (pow(123456789012, -1, q),)
+    assert a / a == big.one()
 
 
 def test_f9_x_squared_reduces():

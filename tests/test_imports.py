@@ -1,4 +1,5 @@
-"""Every name a module imports is used by that module."""
+"""Every name a module imports is used by that module, and every private
+helper of the package is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import lmbr
 
-MODULES = sorted(p for p in Path(lmbr.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(lmbr.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +42,49 @@ def test_unused_import_is_reported():
               "x = np.zeros(2)\n"
               "y = list(product([1], [2]))\n")
     assert unused_imports(source) == ["combinations (line 3)"]
+
+
+def private_definitions(tree: ast.AST) -> set[str]:
+    """Functions, methods and classes whose names start with one underscore
+    (dunder methods are called by the language, not by name)."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def orphaned_privates(sources: list[str]) -> list[str]:
+    """Private definitions that no name or attribute in any of the sources
+    refers to; a definition is not a reference to itself."""
+    trees = [ast.parse(source) for source in sources]
+    defined = set().union(*(private_definitions(tree) for tree in trees))
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(defined - referenced)
+
+
+def test_every_private_helper_is_referenced():
+    sources = [path.read_text() for path in SOURCES]
+    assert any(private_definitions(ast.parse(source)) for source in sources)
+    assert orphaned_privates(sources) == []
+
+
+def test_orphaned_private_is_reported():
+    lib = ("def _used(x):\n"
+           "    return x\n"
+           "def _orphan():\n"
+           "    return 0\n"
+           "class Box:\n"
+           "    def __init__(self):\n"
+           "        self._attr = 1\n"
+           "    def _method(self):\n"
+           "        return self._attr\n"
+           "    def _unused_method(self):\n"
+           "        return 2\n")
+    user = "from lib import _used\ny = _used(Box()._method())\n"
+    assert orphaned_privates([lib, user]) == ["_orphan", "_unused_method"]

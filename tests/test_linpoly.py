@@ -233,3 +233,44 @@ def test_moore_rank_threshold():
     assert interpolate(pts, vals, 2) == f
     with pytest.raises(InsufficientRankError):
         interpolate(pts[:2], vals[:2], 2)
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (65521, 1), (65521, 2), (7, 10),
+                                 (2, 20)])
+def test_round_trip_mixed_points_with_surplus(q, m):
+    """Random polynomials of random q-degree come back exactly from random
+    F_q-mixed points with surplus; one corrupted surplus value is named by
+    its index, and points of too small a rank are refused.  Covers prime
+    fields, q near the uint16 limit and a (K m)-square system with m = 20."""
+    F = field(q, m)
+    rng = random.Random(q * 100 + m)
+
+    def mixed(span, count):
+        points = []
+        for _ in range(count):
+            acc = F.zero()
+            for b in span:
+                acc = acc + rng.randrange(q) * b
+            points.append(acc)
+        return points
+
+    for _ in range(3):
+        K = rng.randrange(1, m + 1)
+        f = LinearizedPoly(F, [F.random_element(rng) for _ in range(K)])
+        points = []
+        while rank_over_base(points) < K:
+            basis = [F.random_element(rng) for _ in range(m)]
+            points = mixed(basis, K + rng.randrange(1, m + 2))
+        values = [f.evaluate(p) for p in points]
+        assert interpolate(points, values, K - 1) == f
+
+        chosen = pivot_columns(coeff_columns(points), q)[:K]
+        idx = rng.choice([i for i in range(len(points)) if i not in chosen])
+        corrupt = list(values)
+        corrupt[idx] = corrupt[idx] + F.one()
+        with pytest.raises(InconsistentDataError, match=f"index {idx} "):
+            interpolate(points, corrupt, K - 1)
+
+        deficient = mixed(basis[:K - 1], len(points))
+        with pytest.raises(InsufficientRankError):
+            interpolate(deficient, [f.evaluate(p) for p in deficient], K - 1)

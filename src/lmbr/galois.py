@@ -12,10 +12,12 @@ x^(q^i) mod f come from repeated q-th powering, so a candidate costs
 O(m log q) polynomial products mod f rather than one division per monic
 polynomial of degree up to m/2.
 
-The q-power (Frobenius) map a -> a^q is F_q-linear; each field builds its
-one m x m matrix over F_q from x^q mod the modulus and applies it instead of
-exponentiating, because evaluation of linearized polynomials dominates the
-decoder's runtime.  The q^i-power applies that matrix i mod m times.
+Each field derives its arithmetic from two int64 arrays: the table T of
+x^n mod the modulus for n < 2m-1, whose windows of m rows are the matrices
+of multiplication by x^i, and by which a product's convolution is folded
+back; and the one Frobenius matrix F (column j is (x^q)^j), since a -> a^q
+is F_q-linear.  The q^i-power applies F i mod m times, and the Moore system
+takes its q-powers from the same F.
 
 Fields are interned: :func:`field` returns one shared, immutable instance
 per (q, m), so elements of equal fields always compare against the same
@@ -294,15 +296,18 @@ class ExtField:
         self.m = m
         self.order = q ** m
         self.modulus: tuple[int, ...] = _search_modulus(q, m)
-        # x^(m+i) mod modulus for i in 0..m-2, used to fold products back.
-        self._reduction = [self._reduce([0] * (m + i) + [1])
-                           for i in range(m - 1)]
-        # Row-major Frobenius matrix: column j is (x^j)^q = (x^q)^j.
+        # Row n is x^n mod the modulus.  Within the size budget, sums of 2m-1
+        # products of residues stay below 2^63 for m >= 2.
+        self._table = np.array([self._reduce([0] * n + [1])
+                                for n in range(2 * m - 1)], dtype=np.int64)
+        # Frobenius matrix: column j is (x^j)^q = (x^q)^j.
         xq = self._reduce(_poly_powmod([0, 1], q, self.modulus, q))
         columns = [self._reduce([1])]
         for _ in range(m - 1):
             columns.append(self._mul(columns[-1], xq))
-        self._frob = tuple(zip(*columns))
+        self._frob = np.array(columns, dtype=np.int64).T
+        # The field is shared by every caller: its arrays stay read-only.
+        self._table.flags.writeable = self._frob.flags.writeable = False
 
     # -- construction helpers -----------------------------------------------
 
@@ -320,40 +325,26 @@ class ExtField:
             )
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        q, m = self.q, self.m
-        if m == 1:
+        """Convolve, then fold x^n for n >= m back through the table; m = 1
+        multiplies in Python ints, as q may exceed the int64 bound."""
+        q = self.q
+        if self.m == 1:
             return ((a[0] * b[0]) % q,)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k] % q
-            if c:
-                row = self._reduction[k - m]
-                for j in range(m):
-                    prod[j] += c * row[j]
-        return tuple(v % q for v in prod[:m])
+        return tuple((np.convolve(a, b) % q @ self._table % q).tolist())
 
     def _frobenius(self, coeffs: tuple[int, ...], i: int) -> tuple[int, ...]:
-        q = self.q
+        v = np.array(coeffs, dtype=np.int64)
         for _ in range(i % self.m):
-            coeffs = tuple(
-                sum(r * c for r, c in zip(row, coeffs)) % q for row in self._frob
-            )
-        return coeffs
+            v = self._frob @ v % self.q
+        return tuple(v.tolist())
 
-    @functools.cached_property
+    @property
     def _basis_mul(self) -> np.ndarray:
-        """Slice i is the F_q matrix of multiplication by x^i: column k is
-        x^(i+k) mod the modulus, from the table of x^n for n < 2m-1, built on
-        first use.  Contracting coefficient vectors with it gives their
-        multiplication matrices; in int64 this is exact, as m (q-1)^2 < 2^63
-        for m >= 2 within the size budget, and the table is 1 for m = 1."""
-        powers = np.array(np.eye(self.m, dtype=np.int64).tolist()
-                          + self._reduction, dtype=np.int64)
-        return np.stack([powers[i:i + self.m].T for i in range(self.m)])
+        """Slice i is the F_q matrix of multiplication by x^i: the window
+        T[i:i+m].T of the table, column k being x^(i+k) mod the modulus.
+        Contracting coefficient vectors with it gives their multiplication
+        matrices, exactly in int64 (a sum of m products below (q-1)^2)."""
+        return np.lib.stride_tricks.sliding_window_view(self._table, self.m, axis=0)
 
     # -- public API -----------------------------------------------------------
 
@@ -477,11 +468,12 @@ def _row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
         lead = int(a[p, c])
         if not lead:
             continue
-        row = a[p] * pow(lead, q - 2, q) % q
-        a[p] = a[r]                      # swap rows r and p ...
-        a -= np.outer(a[:, c], row)      # ... clear column c everywhere ...
-        a[r] = row                       # ... and put the pivot row at r
-        a %= q
+        right = a[:, c:]                     # rows r.. are zero left of c
+        row = right[p] * pow(lead, q - 2, q) % q
+        right[p] = right[r]                  # swap rows r and p ...
+        right -= np.outer(right[:, 0], row)  # ... clear column c everywhere ...
+        right[r] = row                       # ... and put the pivot row at r
+        right %= q
         pivots.append(c)
     return a, pivots
 

@@ -126,7 +126,9 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
         raise InsufficientRankError(
             f"need at least {needed} evaluations, got {len(points)}"
         )
-    chosen = pivot_columns(coeff_columns(points), fld.q)[:needed]
+    q, m = fld.q, fld.m
+    columns = coeff_columns(points)
+    chosen = pivot_columns(columns, q)[:needed]
     if len(chosen) < needed:
         raise InsufficientRankError(
             f"evaluation points have rank {len(chosen)} over the base field, "
@@ -134,12 +136,10 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
         )
     # Moore system over F_q: the unknowns are the coefficient vectors of
     # u_0..u_t, and block (j, i) is the matrix of multiplication by p_j^(q^i).
-    q, m = fld.q, fld.m
-    powers = [[points[j]] for j in chosen]
-    for row in powers:
-        for _ in range(max_q_degree):
-            row.append(row[-1].frobenius(1))
-    blocks = np.tensordot([[p.coeffs for p in row] for row in powers],
+    powers = [columns[:, chosen]]       # powers[i]: the points to the q^i
+    for _ in range(max_q_degree):
+        powers.append(fld._frob @ powers[-1] % q)
+    blocks = np.tensordot(np.stack(powers).transpose(2, 0, 1),
                           fld._basis_mul, axes=1) % q
     n = needed * m
     moore = blocks.transpose(0, 2, 1, 3).reshape(n, n)

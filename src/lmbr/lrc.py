@@ -266,6 +266,10 @@ class LrcCode:
         """
         pairs = []
         for shard in shards:
+            if not 0 <= shard.index < self.n_nodes or len(shard.payload) != self.alpha:
+                raise ParameterError(
+                    f"shard {shard.index} with {len(shard.payload)} symbols does "
+                    f"not fit n={self.n_nodes} nodes of alpha={self.alpha}")
             base = shard.index * self.alpha
             for c, value in enumerate(shard.payload):
                 pairs.append((self.gamma[base + c], value))

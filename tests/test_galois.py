@@ -188,7 +188,8 @@ def test_frobenius_large_field_matches_pow():
         assert a.frobenius(3) == a ** (7 ** 3)
 
 
-@pytest.mark.parametrize("q,m", [(2, 5), (3, 4), (7, 3), (5, 1)])
+@pytest.mark.parametrize("q,m", [(2, 5), (3, 4), (7, 3), (5, 1),
+                                 (65521, 2), (2, 40)])
 def test_frobenius_powers_match_exponentiation(q, m):
     """frobenius(i) applies the one Frobenius matrix i mod m times."""
     F = field(q, m)
@@ -214,6 +215,51 @@ def test_frobenius_is_multiplicative():
         for _ in range(20):
             a, b = F.random_element(rng), F.random_element(rng)
             assert (a * b).frobenius(1) == a.frobenius(1) * b.frobenius(1)
+
+
+def reference_mul(F, a, b):
+    """Reference: schoolbook product of two coefficient vectors in Python
+    ints, folded from the top by the rows x^(m+i) mod the modulus."""
+    q, m = F.q, F.m
+    if m == 1:
+        return ((a[0] * b[0]) % q,)
+    # x^m = -(lower coefficients of the modulus); x^(m+i+1) is x^(m+i)
+    # shifted up one place, with its x^m term replaced the same way.
+    top = [(-c) % q for c in F.modulus[:m]]
+    reduction = [top]
+    for _ in range(m - 2):
+        prev = reduction[-1]
+        reduction.append([(prev[-1] * t + s) % q
+                          for t, s in zip(top, [0] + prev[:-1])])
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k] % q
+        if c:
+            row = reduction[k - m]
+            for j in range(m):
+                prod[j] += c * row[j]
+    return tuple(v % q for v in prod[:m])
+
+
+@pytest.mark.parametrize("q,m", [(2, 40), (3, 25), (7, 10), (65521, 2),
+                                 (1048573, 2), (1099511627689, 1)])
+def test_products_match_schoolbook_reference(q, m):
+    """Convolve-and-fold products equal the schoolbook reference, up to the
+    largest q of each m in the size budget (the int64 edge for m = 2) and
+    past int64 for m = 1."""
+    F = field(q, m)
+    rng = random.Random(q * m)
+    top = F.element([q - 1] * m)     # every convolution entry at its maximum
+    samples = [F.zero(), F.one(), F.gen(), top]
+    samples += [F.random_element(rng) for _ in range(40)]
+    for a in samples:
+        for b in (top, rng.choice(samples), F.random_element(rng)):
+            assert (a * b).coeffs == reference_mul(F, a.coeffs, b.coeffs)
+            assert all(type(c) is int for c in (a * b).coeffs)
 
 
 #: field(q, m).modulus as found by trial division, for every q^m <= 10^6

@@ -150,6 +150,25 @@ def test_corrupt_shard_detected():
         code.decode([bad] + [s for s in shards[1:]])
 
 
+def test_decode_rejects_shard_index_or_length_outside_the_code():
+    """An index outside 0..n-1, or a payload of other than alpha symbols,
+    is refused instead of being paired with another node's points (a
+    negative index through Python indexing, a long payload's tail through
+    the next node's)."""
+    code = desk_c1()
+    shards = code.encode(random_message(code, 7))
+    first, last = shards[0], shards[-1]
+    bad_shards = [
+        Shard(-1, last.role, last.payload),
+        Shard(code.n_nodes, last.role, last.payload),
+        Shard(0, first.role, first.payload + shards[1].payload),
+        Shard(0, first.role, first.payload[:1]),
+    ]
+    for bad in bad_shards:
+        with pytest.raises(ParameterError):
+            code.decode([bad] + list(shards[1:]))
+
+
 def test_corruption_detected_whenever_other_shards_span_rank_k():
     """The guarantee `LrcCode.decode` documents, exhaustively on C1: for
     every survivor set, victim shard and single flipped coefficient, decode

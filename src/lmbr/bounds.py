@@ -27,19 +27,29 @@ from .mbr import RankProfile
 class BoundContext:
     """Length-n code assembled from local codes with the given profile.
 
-    n = groups * n_local + extra, where the ``extra`` columns (present for
-    information-locality layouts) each accumulate a full a_1 of fresh rank.
+    n = groups * n_local + extra.  The caller gives ``extra``, the number of
+    columns outside the local groups (the global nodes of an
+    information-locality layout), each of which accumulates a full a_1 of
+    fresh rank; it cannot be told from n, since extra may reach n_local.
     """
 
     n: int
     n_local: int
     k_local: int
     profile: RankProfile
+    extra: int = 0
 
     def __post_init__(self):
         if self.n_local < 1 or self.n < self.n_local:
             raise ParameterError(
                 f"need n >= n_local >= 1, got n={self.n}, n_local={self.n_local}"
+            )
+        if not 0 <= self.extra <= self.n - self.n_local or \
+                (self.n - self.extra) % self.n_local:
+            raise ParameterError(
+                f"need extra >= 0 and n - extra a positive multiple of "
+                f"n_local, got n={self.n}, extra={self.extra}, "
+                f"n_local={self.n_local}"
             )
         if len(self.profile) != self.n_local:
             raise ParameterError(
@@ -54,18 +64,16 @@ class BoundContext:
             raise ParameterError("local dimension must be positive")
 
     @classmethod
-    def for_local_code(cls, local, n: int) -> "BoundContext":
-        """Context for a length-n assembly of copies of ``local``."""
+    def for_local_code(cls, local, n: int, extra: int = 0) -> "BoundContext":
+        """Context for copies of ``local`` plus ``extra`` further columns,
+        n columns in all."""
         prof = local.profile()
-        return cls(n=n, n_local=len(prof), k_local=prof.total, profile=prof)
+        return cls(n=n, n_local=len(prof), k_local=prof.total, profile=prof,
+                   extra=extra)
 
     @property
     def groups(self) -> int:
-        return self.n // self.n_local
-
-    @property
-    def extra(self) -> int:
-        return self.n % self.n_local
+        return (self.n - self.extra) // self.n_local
 
     # -- the two basic sequence operations -------------------------------------
 

@@ -27,7 +27,7 @@ import random
 import struct
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -374,18 +374,14 @@ def _verify_repair_all(cfg: SimConfig, code: LrcCode) -> dict:
             shard, metrics = code.repair(failed, available)
             check(failed, shard, metrics, expect_symbols=code.alpha)
         else:
-            # Decode path: every threshold-sized helper subset at desk scale.
-            avail = sorted(available)
-            total = comb(len(avail), code.decode_threshold)
-            if total <= cfg.pattern_cap:
-                for subset in combinations(avail, code.decode_threshold):
-                    recovered = code.decode(available[i] for i in subset)
-                    shard = code.encode(recovered)[failed]
-                    cases += 1
-                    if shard != originals[failed]:
-                        failures.append(
-                            {"failed": failed, "subset": list(subset)}
-                        )
+            # Decode path: every threshold-sized helper subset at desk scale,
+            # each through the repair call itself (it decodes from exactly
+            # the shards it is given when there are no more than needed).
+            if comb(len(available), code.decode_threshold) <= cfg.pattern_cap:
+                for subset in combinations(sorted(available),
+                                           code.decode_threshold):
+                    check(failed, *code.repair(
+                        failed, {i: available[i] for i in subset}))
             shard, metrics = code.repair(failed, available)
             check(failed, shard, metrics)
     return {
@@ -419,7 +415,8 @@ def cmd_verify(cfg: SimConfig, mode: str,
         # Pure profile arithmetic; no extension field is needed.
         local = cfg.local_code()
         extra = cfg.delta if cfg.construction == "info-local" else 0
-        ctx = BoundContext.for_local_code(local, cfg.t * local.n_nodes + extra)
+        ctx = BoundContext.for_local_code(local, cfg.t * local.n_nodes + extra,
+                                          extra=extra)
         report = _verify_bounds_crosscheck(ctx)
     elif mode == "dmin":
         report = _verify_dmin(cfg, cfg.build())
@@ -516,27 +513,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config(p):
-        p.add_argument("--construction", choices=CONSTRUCTIONS,
-                       default="all-symbol")
-        p.add_argument("--q", type=int, default=3, help="base field order")
-        p.add_argument("--m", type=int, default=None,
-                       help="extension degree (default: outer code length)")
-        p.add_argument("--t", type=int, default=2, help="local group count")
-        p.add_argument("--nl", type=int, default=3, help="local code length")
-        p.add_argument("--r", type=int, default=2,
-                       help="local reconstruction threshold")
-        p.add_argument("--d", type=int, default=2, help="repair degree")
-        p.add_argument("--delta", type=int, default=1,
-                       help="global node count (info-local only)")
-        p.add_argument("--K", type=int, default=5, dest="file_dim",
-                       help="file size (message symbols)")
-        p.add_argument("--kfr", type=int, default=5,
-                       help="message dimension of the repetition layer")
-        p.add_argument("--design-file", default=None,
-                       help="block design, one block per line, 1-based points")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--pattern-cap", type=int, default=10 ** 6)
-        p.add_argument("--out-dir", default=".")
+        # Each flag's dest is its SimConfig field; a flag left unset stays
+        # off the namespace, so the field's own default applies.
+        def flag(name, **kwargs):
+            p.add_argument(name, default=argparse.SUPPRESS, **kwargs)
+
+        flag("--construction", choices=CONSTRUCTIONS)
+        flag("--q", type=int, help="base field order")
+        flag("--m", type=int,
+             help="extension degree (default: outer code length)")
+        flag("--t", type=int, help="local group count")
+        flag("--nl", type=int, dest="n_l", metavar="NL",
+             help="local code length")
+        flag("--r", type=int, help="local reconstruction threshold")
+        flag("--d", type=int, help="repair degree")
+        flag("--delta", type=int, help="global node count (info-local only)")
+        flag("--K", type=int, dest="file_dim",
+             help="file size (message symbols)")
+        flag("--kfr", type=int, dest="k_fr", metavar="KFR",
+             help="message dimension of the repetition layer")
+        flag("--design-file",
+             help="block design, one block per line, 1-based points")
+        flag("--seed", type=int)
+        flag("--pattern-cap", type=int)
+        flag("--out-dir")
 
     p = sub.add_parser("make", help="construct a code and print its summary")
     add_config(p)
@@ -573,29 +573,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> SimConfig:
-    return SimConfig(
-        construction=args.construction,
-        q=args.q,
-        m=args.m,
-        t=args.t,
-        n_l=args.nl,
-        r=args.r,
-        d=args.d,
-        delta=args.delta,
-        file_dim=args.file_dim,
-        k_fr=args.kfr,
-        design_file=args.design_file,
-        seed=args.seed,
-        pattern_cap=args.pattern_cap,
-        out_dir=args.out_dir,
-    )
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
+        cfg = SimConfig(**{f.name: getattr(args, f.name)
+                           for f in fields(SimConfig) if hasattr(args, f.name)})
         if args.command == "make":
             return cmd_make(cfg)
         if args.command == "encode":

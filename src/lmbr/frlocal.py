@@ -7,8 +7,8 @@ of blocks coded symbols with a Reed-Solomon code over F_q (q >= b, applied
 F_q-linearly so extension-field symbols pass straight through), then places
 symbol j verbatim on every node whose point belongs to block j.  Every node
 thus stores alpha = lambda_1 symbols, and a failed node is repaired by
-copying each of its symbols from some surviving holder: no arithmetic, a
-fixed lookup table, exactly alpha symbols moved.  Coding and placement
+copying each of its symbols from the lowest-index surviving holder: no
+arithmetic, exactly alpha symbols moved.  Coding and placement
 together are one F_q-linear map, so encoding applies its generator (the
 Reed-Solomon row of every stored symbol, node by node) through
 :func:`galois.apply_int_matrix`.
@@ -243,14 +243,6 @@ class FrCode:
             [[pow(j, l, q) for l in range(k_message)] for j in range(b)],
             dtype=np.int64,
         )
-        self.repair_table: tuple[dict, ...] = tuple(
-            {
-                sym: min(h for h in range(design.n_points)
-                         if h != i and sym in self.node_symbols[h])
-                for sym in self.node_symbols[i]
-            }
-            for i in range(design.n_points)
-        )
         self._generator = np.concatenate(
             [self.rs_matrix[list(syms)].T for syms in self.node_symbols], axis=1
         )
@@ -306,31 +298,27 @@ class FrCode:
     def repair(
         self, failed: int, available: Mapping[int, Sequence[FieldElement]]
     ) -> tuple[tuple[FieldElement, ...], dict[int, int]]:
-        """Copy each lost symbol from a surviving holder.
+        """Copy each lost symbol from its lowest-index available holder.
 
-        Prefers the static repair table; falls back to the lowest-index
-        available holder when the table's choice is down.  Returns the
-        rebuilt vector and the symbol -> helper assignment; exactly alpha
-        symbols move and no arithmetic happens.
+        Returns the rebuilt vector and the symbol -> helper assignment;
+        exactly alpha symbols move and no arithmetic happens.  Raises
+        :class:`RepairError` when some lost symbol has no available holder.
         """
         if failed in available:
             raise ParameterError("failed node listed as available")
         if not 0 <= failed < self.design.n_points:
             raise ParameterError(f"failed index {failed} out of range")
+        survivors = sorted(available)
         values = []
         assignment: dict[int, int] = {}
         for sym in self.node_symbols[failed]:
-            helper = self.repair_table[failed][sym]
-            if helper not in available:
-                holders = [
-                    h for h in sorted(available)
-                    if sym in self.node_symbols[h]
-                ]
-                if not holders:
-                    raise RepairError(
-                        f"symbol {sym} is extinct: all holders unavailable"
-                    )
-                helper = holders[0]
+            helper = next(
+                (h for h in survivors if sym in self.node_symbols[h]), None
+            )
+            if helper is None:
+                raise RepairError(
+                    f"symbol {sym} is extinct: all holders unavailable"
+                )
             pos = self.node_symbols[helper].index(sym)
             values.append(available[helper][pos])
             assignment[sym] = helper

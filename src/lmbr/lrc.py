@@ -202,7 +202,9 @@ class LrcCode:
             self.field.element(self.expanded[:, c])
             for c in range(self.expanded.shape[1])
         )
-        self.bound_ctx = BoundContext.for_local_code(local, self.n_nodes)
+        self.bound_ctx = BoundContext.for_local_code(
+            local, self.n_nodes, extra=global_nodes
+        )
         self.dmin_bound = self.bound_ctx.optimal_dmin(file_dim)
         #: Number of shards that guarantees decodability.
         self.decode_threshold = self.n_nodes - self.dmin_bound + 1
@@ -375,9 +377,7 @@ class LrcCode:
         return Shard(failed, role, tuple(vec)), metrics
 
     def _repair_by_decode(self, failed, available, local_failure):
-        ordered = sorted(available)
-        use = ordered[: self.decode_threshold] \
-            if len(ordered) >= self.decode_threshold else ordered
+        use = sorted(available)[: self.decode_threshold]
         message = self.decode(available[i] for i in use)
         shard = self.encode(message)[failed]
         return shard, {

@@ -1,15 +1,25 @@
 """Partial sums, their inverse, the distance bound, and file-size bounds."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmbr import BoundContext, MbrCode, ParameterError, RankProfile
+from lmbr import (
+    BoundContext,
+    MbrCode,
+    ParameterError,
+    RankProfile,
+    all_symbol_code,
+    info_locality_code,
+)
+from lmbr.galois import rank_mod_q
 
 DESK = BoundContext(n=6, n_local=3, k_local=3, profile=RankProfile((2, 1, 0)))
-DESK7 = BoundContext(n=7, n_local=3, k_local=3, profile=RankProfile((2, 1, 0)))
+DESK7 = BoundContext(n=7, n_local=3, k_local=3, profile=RankProfile((2, 1, 0)),
+                     extra=1)
 BIG = BoundContext(n=10, n_local=5, k_local=9, profile=RankProfile((4, 3, 2, 0, 0)))
 
 
@@ -182,6 +192,40 @@ def test_context_validation():
         BoundContext(n=2, n_local=3, k_local=3, profile=RankProfile((2, 1, 0)))
     with pytest.raises(ParameterError):
         BoundContext(n=6, n_local=3, k_local=3, profile=RankProfile((2, 1)))
+
+
+def test_extra_columns_are_given_and_leave_whole_groups():
+    profile = RankProfile((2, 1, 0))
+    for n, extra in ((7, 0), (6, 1), (6, -1), (6, 4)):
+        with pytest.raises(ParameterError):
+            BoundContext(n=n, n_local=3, k_local=3, profile=profile,
+                         extra=extra)
+    ctx = BoundContext(n=9, n_local=3, k_local=3, profile=profile, extra=3)
+    assert (ctx.groups, ctx.extra) == (2, 3)
+    assert ctx.max_file_size(1) == 2 * 3 + 3 * 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda local: all_symbol_code(2, local, 5, ext_degree=6),
+    lambda local: info_locality_code(2, 1, local, 5, ext_degree=8),
+    lambda local: info_locality_code(2, 2, local, 5),
+    lambda local: info_locality_code(2, 3, local, 5),
+    lambda local: info_locality_code(2, 4, local, 5),
+], ids=["C1", "C2", "info-local-delta2", "info-local-delta3",
+        "info-local-delta4"])
+def test_max_file_size_is_min_rank_over_every_node_subset(build):
+    """P(s) from the bound context equals the brute-force minimum F_q rank
+    of the stored columns of any s nodes, for every s, including the sizes
+    that reach into the global nodes once delta >= n_local."""
+    code = build(MbrCode(3, 2, 2, 3))
+    n, a = code.n_nodes, code.alpha
+    for s in range(1, n + 1):
+        lowest = min(
+            rank_mod_q(code.expanded[:, [i * a + c for i in subset
+                                         for c in range(a)]], 3)
+            for subset in combinations(range(n), s)
+        )
+        assert code.bound_ctx.max_file_size(n - s + 1) == lowest, s
 
 
 @st.composite

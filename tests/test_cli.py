@@ -2,6 +2,7 @@
 verification reports, and exit-code discipline."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -18,7 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmbr
-from lmbr import ConfigMismatchError, ParameterError, Shard, ShardFormatError, field
+from lmbr import (
+    ConfigMismatchError,
+    LrcCode,
+    ParameterError,
+    Shard,
+    ShardFormatError,
+    field,
+)
 from lmbr.cli import (
     CONSTRUCTIONS,
     SimConfig,
@@ -305,6 +313,29 @@ def test_verify_negative_control_exit1(capsys):
     assert rc == 1
     assert report["pass"] is False
     assert report["witness"]["subset"] is not None
+
+
+def test_verify_repair_all_negative_control_exit1(monkeypatch, capsys):
+    """A decode repair that goes wrong whenever node 0 is not among its
+    shards passes a single repair call but fails repair-all, which repairs
+    the global node from every threshold-sized helper subset."""
+    real = LrcCode._repair_by_decode
+
+    def flawed(self, failed, available, local_failure):
+        shard, metrics = real(self, failed, available, local_failure)
+        if 0 not in available:
+            payload = (shard.payload[0] + self.field.one(),) + shard.payload[1:]
+            shard = Shard(shard.index, shard.role, payload)
+        return shard, metrics
+
+    monkeypatch.setattr(LrcCode, "_repair_by_decode", flawed)
+    rc, report = run(capsys, "verify", *C2_ARGS, "--mode", "repair-all")
+    assert rc == 1
+    assert report["pass"] is False
+    witness = report["witness"]
+    assert witness["failed"] == 6
+    assert witness["metrics"]["path"] == "decode-reencode"
+    assert witness["metrics"]["helpers"] == [1, 2, 3, 4]
 
 
 def test_verify_cap_refusal_exit2(capsys):
@@ -747,4 +778,108 @@ def test_cli_contract_holds_for_arbitrary_config_flags(command, flags):
         assert sorted(record) == ["detail", "error"]
     else:
         assert rc == 0
+        assert isinstance(json.loads(out.getvalue()), dict)
+
+
+FUZZ_CONFIGS = {
+    "C1": (DESK_ARGS, SimConfig()),
+    "fano": (FR_ARGS, SimConfig(construction="fr-local", q=7, file_dim=10)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def encoded_files(name):
+    """The message file and the shard files of one seeded message."""
+    args, cfg = FUZZ_CONFIGS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        msg_path = Path(tmp) / "message.bin"
+        write_message(msg_path, cfg, seed=15)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["encode", *args, "--in", str(msg_path),
+                         "--out-dir", tmp]) == 0
+        shards = {p.name: p.read_bytes()
+                  for p in sorted(Path(tmp).glob("shard_*.lmbr"))}
+        return msg_path.read_bytes(), shards
+
+
+def mutate(draw, blob):
+    """One byte flip in the header or the payload, a truncation, an
+    extension, or random bytes in place of the file."""
+    header = min(24, len(blob))
+    kind = draw(st.sampled_from(["header", "payload", "truncate", "extend",
+                                 "random"]))
+    if kind in ("header", "payload"):
+        low, high = (0, header) if kind == "header" else (header, len(blob))
+        if low == high:
+            return blob
+        out = bytearray(blob)
+        out[draw(st.integers(low, high - 1))] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if kind == "truncate":
+        return blob[:draw(st.integers(0, max(len(blob) - 1, 0)))]
+    if kind == "extend":
+        return blob + draw(st.binary(min_size=1, max_size=8))
+    return draw(st.binary(max_size=64))
+
+
+@st.composite
+def file_fuzz_cases(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+    message, shards = encoded_files(name)
+    shards = dict(shards)
+    n = len(shards)
+    command = draw(st.sampled_from(["decode", "repair", "encode"]))
+    if command == "encode":
+        message = mutate(draw, message)
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            target = draw(st.sampled_from(sorted(shards) + ["stray"]))
+            if target == "stray":
+                stray = draw(st.sampled_from(
+                    ["shard_0099.lmbr", "shard_x.lmbr", "shard_.lmbr"]))
+                source = draw(st.sampled_from(sorted(shards) or ["-"]))
+                shards[stray] = mutate(draw, shards.get(source, b""))
+            elif draw(st.booleans()):
+                shards[target] = mutate(draw, shards[target])
+            else:
+                del shards[target]
+    return name, command, message, shards, draw(st.integers(-2, n + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=file_fuzz_cases())
+def test_cli_contract_holds_for_corrupt_shard_and_message_files(case):
+    """Whole shard and message files, corrupted, truncated, extended,
+    replaced, dropped or joined by a stray shard file, run through encode,
+    decode and repair: exit 0-3, and a non-zero exit writes exactly one JSON
+    error record to stderr, never a traceback."""
+    name, command, message, shards, failed = case
+    args = FUZZ_CONFIGS[name][0]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "message.bin").write_bytes(message)
+        shard_dir = tmp / "shards"
+        shard_dir.mkdir()
+        for file_name, blob in shards.items():
+            (shard_dir / file_name).write_bytes(blob)
+        argv = {
+            "encode": ["--in", str(tmp / "message.bin"),
+                       "--out-dir", str(tmp / "out")],
+            "decode": ["--shard-dir", str(shard_dir),
+                       "--out", str(tmp / "decoded.bin")],
+            "repair": ["--shard-dir", str(shard_dir),
+                       "--failed", str(failed)],
+        }[command]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, *args, *argv])
+    err = err.getvalue()
+    assert rc in (0, 1, 2, 3), (command, rc, err)
+    if rc:
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        record = json.loads(lines[0])
+        assert isinstance(record, dict) and "error" in record
+    else:
+        assert err == ""
         assert isinstance(json.loads(out.getvalue()), dict)

@@ -242,6 +242,54 @@ def test_fr_repair_symbol_extinct():
         code.repair(0, available)
 
 
+def table_then_scan_helper(code, failed, sym, available):
+    """The holder rule with a precomputed table: the lowest-index other
+    holder of the symbol if it is available, else the lowest-index
+    available holder, else None."""
+    n = code.design.n_points
+    preferred = min(h for h in range(n)
+                    if h != failed and sym in code.node_symbols[h])
+    if preferred in available:
+        return preferred
+    holders = [h for h in sorted(available) if sym in code.node_symbols[h]]
+    return holders[0] if holders else None
+
+
+def test_fr_repair_matches_table_then_scan_on_every_survivor_set():
+    """Every failed Fano node against every subset of the other six: repair
+    copies verbatim from the helpers the table-then-scan rule picks, and
+    raises RepairError exactly when some lost symbol has no holder left."""
+    code = FrCode(fano_plane(), 5, 7)
+    F = field(7, 10)
+    rng = random.Random(8)
+    nodes = code.encode([F.random_element(rng) for _ in range(5)])
+    cases = raised = 0
+    for failed in range(7):
+        others = [i for i in range(7) if i != failed]
+        for size in range(7):
+            for subset in combinations(others, size):
+                available = {i: nodes[i] for i in subset}
+                expected = {
+                    sym: table_then_scan_helper(code, failed, sym, available)
+                    for sym in code.node_symbols[failed]
+                }
+                cases += 1
+                if None in expected.values():
+                    raised += 1
+                    with pytest.raises(RepairError):
+                        code.repair(failed, available)
+                    continue
+                vec, assignment = code.repair(failed, available)
+                assert assignment == expected
+                assert vec == nodes[failed]
+                for pos, sym in enumerate(code.node_symbols[failed]):
+                    helper = expected[sym]
+                    hpos = code.node_symbols[helper].index(sym)
+                    assert vec[pos] is available[helper][hpos]
+    assert cases == 7 * 64
+    assert 0 < raised < cases
+
+
 def test_fr_profile_frozen_and_capped_uniformity():
     assert tuple(FrCode(fano_plane(), 5, 7).profile()) == (3, 2, 0, 0, 0, 0, 0)
     assert tuple(FrCode(fano_plane(), 3, 7).profile()) == (3, 0, 0, 0, 0, 0, 0)

@@ -16,8 +16,8 @@ Each field derives its arithmetic from two int64 arrays: the table T of
 x^n mod the modulus for n < 2m-1, whose windows of m rows are the matrices
 of multiplication by x^i, and by which a product's convolution is folded
 back; and the one Frobenius matrix F (column j is (x^q)^j), since a -> a^q
-is F_q-linear.  The q^i-power applies F i mod m times, and the Moore system
-takes its q-powers from the same F.
+is F_q-linear.  The Moore system and each linearized polynomial's matrix
+(:mod:`lmbr.linpoly`) take every q-power from this F.
 
 Fields are interned: :func:`field` returns one shared, immutable instance
 per (q, m), so elements of equal fields always compare against the same
@@ -242,10 +242,6 @@ class FieldElement:
             raise ZeroDivisionError("inversion of zero field element")
         return self ** (self.field.order - 2)
 
-    def frobenius(self, i: int = 1) -> "FieldElement":
-        """The q^i-power of this element, via the field's Frobenius matrix."""
-        return FieldElement(self.field, self.field._frobenius(self.coeffs, i))
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -331,12 +327,6 @@ class ExtField:
         if self.m == 1:
             return ((a[0] * b[0]) % q,)
         return tuple((np.convolve(a, b) % q @ self._table % q).tolist())
-
-    def _frobenius(self, coeffs: tuple[int, ...], i: int) -> tuple[int, ...]:
-        v = np.array(coeffs, dtype=np.int64)
-        for _ in range(i % self.m):
-            v = self._frob @ v % self.q
-        return tuple(v.tolist())
 
     @property
     def _basis_mul(self) -> np.ndarray:
@@ -514,6 +504,15 @@ def rank_over_base(elements: Sequence[FieldElement]) -> int:
     return rank_mod_q(coeff_columns(elements), elements[0].field.q)
 
 
+def _matmul_mod_q(matrix: np.ndarray, residues: np.ndarray, q: int) -> np.ndarray:
+    """(matrix @ residues) % q for residues in [0, q), exactly: in int64 when
+    no dot product can reach 2^63, over Python ints otherwise."""
+    peak = int(np.abs(matrix).max()) if matrix.size else 0
+    dtype = np.int64 if matrix.shape[1] * peak * (q - 1) < 2 ** 63 else object
+    return (matrix.astype(dtype, copy=False)
+            @ residues.astype(dtype, copy=False)) % q
+
+
 def apply_int_matrix(
     matrix: np.ndarray, elements: Sequence[FieldElement], out_field: ExtField
 ) -> list[FieldElement]:
@@ -522,20 +521,13 @@ def apply_int_matrix(
     The matrix acts F_q-linearly, on each power-basis coordinate separately,
     which is exactly the sense in which the local codes of this toolkit act
     on pre-coded symbols: the coefficient vectors are stacked as a
-    cols x m array and multiplied once, mod q.  The product runs in int64
-    when no dot product can reach 2^63 and over Python ints otherwise, so
-    it is exact for every q.
+    cols x m array and multiplied once, mod q, exactly for every q.
     """
     rows, cols = matrix.shape
     if cols != len(elements):
         raise ParameterError(f"matrix width {cols} != vector length {len(elements)}")
     for elem in elements:
         out_field._require_same(elem.field)
-    q = out_field.q
-    peak = int(np.abs(matrix).max()) if matrix.size else 0
-    dtype = np.int64 if cols * peak * (q - 1) < 2 ** 63 else object
-    coeffs = np.array([e.coeffs for e in elements], dtype=dtype).reshape(
-        cols, out_field.m
-    )
-    product = (matrix.astype(dtype, copy=False) @ coeffs) % q
+    coeffs = np.array([e.coeffs for e in elements], dtype=np.int64)
+    product = _matmul_mod_q(matrix, coeffs.reshape(cols, out_field.m), out_field.q)
     return [FieldElement(out_field, tuple(row)) for row in product.tolist()]

@@ -8,6 +8,10 @@ the message carriers of rank-metric pre-coding: evaluations may be handed
 to the decoder after arbitrary F_q-linear mixing, not only at the original
 points.
 
+Evaluation uses that linearity: on coefficient vectors f is the m x m F_q
+matrix L_f = sum_i M(u_i) F^i, with M(u) the matrix of multiplication by u
+and F the field's Frobenius matrix, so each evaluation is one product mod q.
+
 :func:`interpolate` recovers the unique polynomial from such evaluations.
 It solves the Moore system on the first points, in the order given, that are
 F_q-independent of the points before them.  The system is solved over F_q:
@@ -26,17 +30,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InconsistentDataError, InsufficientRankError, ParameterError
-from .galois import ExtField, FieldElement, _row_reduce, coeff_columns, pivot_columns
+from .galois import (ExtField, FieldElement, _matmul_mod_q, _row_reduce,
+                     coeff_columns, pivot_columns)
 
 
 class LinearizedPoly:
     """Canonical-form linearized polynomial (trailing coefficient nonzero).
 
     ``coeffs`` is the tuple (u_0, ..., u_t); the zero polynomial stores an
-    empty tuple and has q-degree -1.
+    empty tuple and has q-degree -1.  ``matrix`` is L_f, built once by
+    Horner's rule: L <- L F + M(u_i) for i = t, ..., 0.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "matrix")
 
     def __init__(self, field: ExtField, coeffs: Sequence[FieldElement]):
         coeffs = list(coeffs)
@@ -51,22 +57,24 @@ class LinearizedPoly:
             )
         self.field = field
         self.coeffs = tuple(coeffs)
+        # Exact in int64: for m >= 2 the size budget keeps m (q-1)^2 below
+        # 2^63, and at m = 1 the one step multiplies zeros by F.
+        self.matrix = np.zeros((field.m, field.m), dtype=np.int64)
+        top_down = np.array([u.coeffs for u in reversed(coeffs)], dtype=np.int64)
+        for mult in np.tensordot(top_down.reshape(-1, field.m), field._basis_mul,
+                                 axes=1):
+            self.matrix = (self.matrix @ field._frob + mult) % field.q
 
     @property
     def q_degree(self) -> int:
         return len(self.coeffs) - 1
 
     def evaluate(self, point: FieldElement) -> FieldElement:
-        """f(point) = sum_i u_i * point^(q^i)."""
+        """f(point) = sum_i u_i * point^(q^i), as L_f times the point's
+        coefficient vector."""
         self.field._require_same(point.field)
-        acc = self.field.zero()
-        power = point
-        for i, u in enumerate(self.coeffs):
-            if i:
-                power = power.frobenius(1)
-            if not u.is_zero():
-                acc = acc + u * power
-        return acc
+        value = _matmul_mod_q(self.matrix, np.array(point.coeffs), self.field.q)
+        return FieldElement(self.field, tuple(value.tolist()))
 
     def coeff_vector(self, length: int) -> tuple[FieldElement, ...]:
         """Coefficients padded with zeros up to ``length``."""
@@ -149,11 +157,8 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
     assert pivots == list(range(n)), "Moore matrix of independent points is singular"
     poly = LinearizedPoly(fld, [FieldElement(fld, tuple(u)) for u in
                                 reduced[:, n].reshape(needed, m).tolist()])
-    chosen_set = set(chosen)
     for idx, (p, v) in enumerate(zip(points, values)):
-        if idx in chosen_set:
-            continue
-        if poly.evaluate(p) != v:
+        if idx not in chosen and poly.evaluate(p) != v:
             raise InconsistentDataError(
                 f"surplus evaluation at index {idx} contradicts the "
                 "interpolated polynomial (corrupt symbol?)"

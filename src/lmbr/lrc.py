@@ -379,7 +379,11 @@ class LrcCode:
     def _repair_by_decode(self, failed, available, local_failure):
         use = sorted(available)[: self.decode_threshold]
         message = self.decode(available[i] for i in use)
-        shard = self.encode(message)[failed]
+        a = self.alpha
+        columns = self.mixed_generator[:, failed * a:(failed + 1) * a]
+        payload = apply_int_matrix(columns.T, self.outer.encode(message),
+                                   self.field)
+        shard = Shard(failed, self.role_of(failed), tuple(payload))
         return shard, {
             "path": "decode-reencode",
             "helpers": [int(i) for i in use],
@@ -469,6 +473,12 @@ class LrcCode:
         if len(claimed) != n_local:
             raise ParameterError(
                 f"claimed profile must have length n_local={n_local}"
+            )
+        # Each entry is the rank a node's alpha columns add: 0..alpha.  This
+        # also keeps the prefix sums inside the int64 tables below.
+        if any(not 0 <= a <= self.alpha for a in claimed):
+            raise ParameterError(
+                f"claimed profile entries must lie in 0..alpha={self.alpha}"
             )
         cols = self.groups * n_local
         subsets = 2 ** cols

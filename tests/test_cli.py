@@ -34,6 +34,7 @@ from lmbr.cli import (
     parse_shard,
     serialize_shard,
 )
+from lmbr.frlocal import FANO_BLOCKS
 
 DESK_ARGS = ["--construction", "all-symbol", "--q", "3", "--t", "2",
              "--nl", "3", "--r", "2", "--d", "2", "--K", "5"]
@@ -883,3 +884,83 @@ def test_cli_contract_holds_for_corrupt_shard_and_message_files(case):
     else:
         assert err == ""
         assert isinstance(json.loads(out.getvalue()), dict)
+
+
+#: Design-file lines: Fano blocks, blank and comment lines, non-integer
+#: tokens, and blocks of small points that may be zero, negative, repeated
+#: or of mixed sizes.
+_DESIGN_LINE = st.one_of(
+    st.sampled_from([" ".join(map(str, b)) for b in FANO_BLOCKS]),
+    st.sampled_from(["", "   ", "# comment", "1 2 3 # tail", "1 x 3", "1.5 2",
+                     "0 1 2", "-1 2 3", "1 1 2", "1 2", "1 2 3 4"]),
+    st.lists(st.integers(-2, 9), max_size=4).map(
+        lambda points: " ".join(map(str, points))),
+)
+_DESIGN_FILE = st.one_of(
+    st.lists(_DESIGN_LINE, max_size=9).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=16),
+    st.just(b"\xff\xfe1 2 3\n"),
+)
+_CLAIM_PROFILE = st.one_of(
+    st.sampled_from(["", ",", "1,,2", "-1,2,2", "2,2,1", "2,2", "2,1,1,1",
+                     "3,3,3,3,3,3,3", "9" * 30 + ",2,2", "-" + "9" * 30 + ",1,1"]),
+    st.lists(st.sampled_from([-1, 0, 1, 2, 3, 10 ** 30, -10 ** 30]),
+             min_size=1, max_size=8).map(lambda entries: ",".join(map(str, entries))),
+    st.text(alphabet="0123456789,- x", max_size=12),
+)
+#: Values of the small config flags; None leaves the flag out, so that the
+#: defaults (a buildable code) come up often.
+_SMALL_FLAGS = {
+    "--q": [None, None, 3, 7, 11, -1, 0, 1, 4],
+    "--t": [None, None, 1, 2, 3, -1, 0],
+    "--kfr": [None, None, 1, 3, 5, -1, 0, 6],
+    "--K": [None, None, 1, 3, 5, 10, -1, 0, 12],
+}
+
+
+@st.composite
+def verify_and_bench_argv(draw):
+    argv = draw(st.sampled_from([
+        ["verify", "--mode", mode]
+        for mode in ("dmin", "ura", "repair-all", "bounds-crosscheck")
+    ] + [["bench", "--trials", str(n)] for n in range(3)]))
+    argv += ["--construction", draw(st.sampled_from(CONSTRUCTIONS))]
+    for flag, values in _SMALL_FLAGS.items():
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv += [flag, str(value)]
+    if argv[0] == "verify" and draw(st.booleans()):
+        profile = draw(_CLAIM_PROFILE)
+        # The joined form lets a leading minus through argparse.
+        argv += (["--claim-profile=" + profile] if draw(st.booleans())
+                 else ["--claim-profile", profile])
+    design = draw(st.one_of(st.none(), st.just("missing"), _DESIGN_FILE))
+    return argv, design
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=verify_and_bench_argv())
+def test_cli_contract_holds_for_verify_and_bench_on_corrupt_inputs(case):
+    """verify and bench with arbitrary design-file contents, claimed
+    profiles and small configurations: exit 0-3 and exactly one JSON
+    object, on stdout for a result or on stderr for an error, never a
+    traceback."""
+    argv, design = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if design is not None:
+            path = Path(tmp) / "design.txt"
+            if design != "missing":
+                path.write_bytes(design)
+            argv = argv + ["--design-file", str(path)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
+    outputs = [text for text in (out.getvalue(), err.getvalue()) if text]
+    assert len(outputs) == 1, (argv, outputs)
+    lines = outputs[0].splitlines()
+    assert len(lines) == 1, (argv, outputs)
+    record = json.loads(lines[0])
+    assert isinstance(record, dict)
+    if err.getvalue():
+        assert rc != 0 and sorted(record) == ["detail", "error"]

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from lmbr import (
+    GabidulinCode,
     InconsistentDataError,
     InsufficientRankError,
     LinearizedPoly,
@@ -85,6 +86,22 @@ def test_degree_zero_scales():
         theta = F9.random_element(rng)
         f = LinearizedPoly(F9, [u0])
         assert f.evaluate(theta) == u0 * theta
+
+
+@pytest.mark.parametrize("q", [1099511627689, 65521])
+def test_prime_field_evaluation_matches_python_int_products(q):
+    """At m = 1, f(y) = u y; with q just below 2^40 the product u p passes
+    2^63, so the evaluation must leave int64."""
+    F = field(q, 1)
+    code = GabidulinCode(F, 1, 1)
+    rng = random.Random(q)
+    values = [0, 1, 2, q - 2, q - 1] + [rng.randrange(q) for _ in range(10)]
+    for u in values:
+        f = LinearizedPoly(F, [F.element([u])])
+        for p in values:
+            assert f.evaluate(F.element([p])).coeffs == ((u * p) % q,)
+        # The one code point is 1.
+        assert code.encode([F.element([u])]) == (F.element([u]),)
 
 
 def test_base_field_linearity_exhaustive_lambdas():

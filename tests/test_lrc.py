@@ -4,6 +4,7 @@ two-stage decoder sound."""
 
 import random
 import time
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -24,7 +25,7 @@ from lmbr import (
     info_locality_code,
 )
 from lmbr.cli import SimConfig
-from lmbr.galois import rank_mod_q
+from lmbr.galois import FieldElement, rank_mod_q
 from lmbr.linpoly import LinearizedPoly
 from lmbr.lrc import DminResult, GroupRankTable, Shard
 
@@ -417,6 +418,29 @@ def test_repair_global_node_via_decode():
     assert metrics["downloaded_symbols"] == 8
 
 
+@pytest.mark.parametrize("build", [desk_c1, desk_c2, fano_code,
+                                   mbr_stripes_code])
+def test_data_path_makes_no_field_element_arithmetic(build, monkeypatch):
+    """Encode, a full-shard decode and the repair of every node run as F_q
+    matrix products: not one FieldElement product or sum."""
+    code = build()
+    msg = random_message(code, 21)
+    calls = Counter()
+    for name in ("__mul__", "__rmul__", "__add__"):
+        def counted(*args, _name=name, _fn=getattr(FieldElement, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(FieldElement, name, counted)
+    shards = code.encode(msg)
+    assert code.decode(shards) == tuple(msg)
+    for failed in range(code.n_nodes):
+        available = {s.index: s for s in shards if s.index != failed}
+        assert code.repair(failed, available)[0] == shards[failed]
+    assert calls == Counter()
+    code.field.one() * code.field.one() + code.field.one()
+    assert calls == Counter({"__mul__": 1, "__add__": 1})
+
+
 def test_repair_falls_back_when_group_degraded():
     code = desk_c1()
     msg = random_message(code, 11)
@@ -513,6 +537,15 @@ def test_ura_report_negative_control():
     report = desk_c1().ura_report(claimed_profile=[2, 2, 0])
     assert report["pass"] is False
     assert report["witness"] is not None
+
+
+@pytest.mark.parametrize("claim", [[-1, 2, 2], [2, 3, 0], [10 ** 29, 2, 0],
+                                   [-10 ** 29, 2, 2]])
+def test_ura_report_refuses_entries_outside_zero_to_alpha(claim):
+    """A node adds between 0 and alpha to the rank; 30-digit entries used to
+    overflow the int64 prefix-sum table."""
+    with pytest.raises(ParameterError, match="0..alpha=2"):
+        desk_c1().ura_report(claimed_profile=claim)
 
 
 def test_ura_report_cap():

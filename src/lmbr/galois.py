@@ -23,10 +23,13 @@ Fields are interned: :func:`field` returns one shared, immutable instance
 per (q, m), so elements of equal fields always compare against the same
 modulus.  All operations are pure and safe for concurrent use.
 
-Linear algebra over F_q (rank, inverse, pivot columns, linpoly's Moore
-system) runs through the toolkit's one Gauss-Jordan elimination, on int64
-numpy arrays, which refuses any q whose residue products could overflow.  A
-field element is inverted as a^(q^m - 2), exactly for every q.
+Linear algebra over F_q has two eliminations, one per job.  Ranks come
+from :func:`subset_ranks`, one stacked rank-only pass that ranks every
+subset of a matrix's node column groups (a single matrix is its one-node
+case).  Pivot columns, inverses and linpoly's Moore system need the reduced
+form and run through one Gauss-Jordan elimination.  Both work on int64
+numpy arrays where no product can overflow and on Python ints otherwise, so
+they are exact for every q.  A field element is inverted as a^(q^m - 2).
 """
 
 from __future__ import annotations
@@ -425,16 +428,19 @@ def coeff_columns(elements: Sequence[FieldElement]) -> np.ndarray:
     return out
 
 
-def _require_int64_products(q: int) -> None:
-    """Refuse q whose residue products overflow int64.
+def _exact_dtype(terms: int, peak: int, q: int):
+    """int64 when a sum of ``terms`` products of an entry at most ``peak``
+    with a residue mod q stays below 2^63; Python ints (object) otherwise.
+    Every F_q product and elimination of this module follows this rule, so
+    each is exact for every q that :func:`field` accepts.  An elimination
+    step takes a difference of two products of residues, each in
+    [0, (q-1)^2], so it counts as one term."""
+    return np.int64 if terms * peak * (q - 1) < 2 ** 63 else object
 
-    Elimination forms products of two residues, up to (q-1)^2; past 2^63
-    they wrap silently and the rank would be wrong.
-    """
-    if (q - 1) ** 2 >= 2 ** 63:
-        raise ParameterError(
-            f"q={q} is too large for int64 elimination: (q-1)^2 >= 2^63"
-        )
+
+def _residues(matrix, q: int) -> np.ndarray:
+    """An integer matrix mod q, in the dtype its eliminations need."""
+    return np.array(matrix, dtype=_exact_dtype(1, q - 1, q)) % q
 
 
 def _row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
@@ -442,11 +448,11 @@ def _row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
     Returns the reduced matrix and its pivot columns: column c is a pivot
     exactly when it is independent of the columns before it.  This is the
-    one elimination loop of the toolkit: rank, inverse, pivot columns and
-    the F_q form of the Moore system all call it.
+    elimination for the jobs that need the reduced form: pivot columns,
+    the inverse and the F_q form of the Moore system.  Ranks come from
+    :func:`subset_ranks`, which needs no reduced form.
     """
-    _require_int64_products(q)
-    a = np.array(matrix, dtype=np.int64) % q
+    a = _residues(matrix, q)
     rows, cols = a.shape
     pivots: list[int] = []
     for c in range(cols):
@@ -468,9 +474,96 @@ def _row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+#: Entries of stacked residues one step of :func:`subset_ranks` may hold;
+#: past it the states are split and each half finishes the pass alone.
+_STATE_BUDGET = 1 << 20
+
+
+def subset_ranks(matrix: np.ndarray, width: int, q: int,
+                 max_lost: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rank over F_q of the columns of every subset of the matrix's nodes.
+
+    Columns j*width .. (j+1)*width - 1 belong to node j, and a subset is
+    keyed by the bitmask with bit j for node j.  Returns the keys in
+    ascending order and their ranks, both int64; with ``max_lost`` only the
+    subsets that lack at most that many nodes are kept.
+
+    One pass visits the nodes in order.  A partial state is the residue of
+    the columns still to come once its chosen columns are eliminated; at
+    each node every state either skips the node's columns or eliminates
+    them.  Elimination is rank-only and fraction-free: a pivot row p with
+    lead a clears its column from every row, itself included, by
+    R <- a R - R[:, c] R[p, :].  That is an invertible row operation
+    followed by column operations against the pivot column, so the columns
+    still to come keep their rank relative to the chosen ones; no rows are
+    swapped, and all the states of a step are eliminated as one stacked
+    array.  Skipping a node whose state has already skipped ``max_lost``
+    drops the state.  The keys come out sorted: the states that take node
+    j follow the states that skip it.
+    """
+    a = _residues(matrix, q)
+    cols = a.shape[1]
+    if width < 1 or cols % width:
+        raise ParameterError(
+            f"{cols} columns do not split into nodes of width {width}")
+    if cols // width > 63:
+        raise ParameterError(
+            f"subset keys fit at most 63 nodes, got {cols // width}")
+    zero = np.zeros(1, dtype=np.int64)
+    return _extend(a[None], zero, zero, zero, 0, width, q,
+                   cols // width if max_lost is None else max_lost)
+
+
+def _extend(residue, keys, ranks, lost, node, width, q, max_lost):
+    """Finish the pass of :func:`subset_ranks` from ``node`` on, for the
+    states with these residues, keys, ranks and lost-node counts."""
+    while residue.shape[2]:
+        if residue.size > _STATE_BUDGET and len(residue) > 1:
+            half = len(residue) // 2
+            parts = [_extend(residue[s], keys[s], ranks[s], lost[s], node,
+                             width, q, max_lost)
+                     for s in (slice(None, half), slice(half, None))]
+            keys, ranks = (np.concatenate(p) for p in zip(*parts))
+            order = np.argsort(keys)
+            return keys[order], ranks[order]
+        keep = lost < max_lost
+        gained, taken = _eliminate(residue, width, q)
+        residue = np.concatenate([residue[keep, :, width:], taken])
+        keys = np.concatenate([keys[keep], keys | 1 << node])
+        ranks = np.concatenate([ranks[keep], ranks + gained])
+        lost = np.concatenate([lost[keep] + 1, lost])
+        node += 1
+    return keys, ranks
+
+
+def _eliminate(residue: np.ndarray, width: int, q: int):
+    """Eliminate the first ``width`` columns of each stacked residue.
+
+    Returns the rank each state gains and the residues of the columns
+    after those.
+    """
+    at = np.arange(len(residue))
+    gained = np.zeros(len(residue), dtype=np.int64)
+    for done in range(width):
+        if not np.count_nonzero(residue):  # no state can gain rank any more
+            return gained, residue[:, :, width - done:]
+        column, rest = residue[:, :, 0], residue[:, :, 1:]
+        pivot = column.argmax(axis=1)    # any nonzero entry may serve
+        lead = column[at, pivot]
+        found = lead != 0                # else the column is zero: no pivot
+        gained += found
+        lead[~found] = 1
+        residue = (lead[:, None, None] * rest
+                   - column[:, :, None] * rest[at, pivot][:, None, :]) % q
+    return gained, residue
+
+
 def rank_mod_q(matrix: np.ndarray, q: int) -> int:
-    """Rank of an integer matrix over F_q."""
-    return len(_row_reduce(matrix, q)[1])
+    """Rank of an integer matrix over F_q: the one-node case of
+    :func:`subset_ranks`, a single elimination step over all the columns
+    with no subsets to keep."""
+    a = _residues(matrix, q)
+    return int(_eliminate(a[None], a.shape[1], q)[0][0])
 
 
 def pivot_columns(matrix: np.ndarray, q: int) -> list[int]:
@@ -508,7 +601,7 @@ def _matmul_mod_q(matrix: np.ndarray, residues: np.ndarray, q: int) -> np.ndarra
     """(matrix @ residues) % q for residues in [0, q), exactly: in int64 when
     no dot product can reach 2^63, over Python ints otherwise."""
     peak = int(np.abs(matrix).max()) if matrix.size else 0
-    dtype = np.int64 if matrix.shape[1] * peak * (q - 1) < 2 ** 63 else object
+    dtype = _exact_dtype(matrix.shape[1], peak, q)
     return (matrix.astype(dtype, copy=False)
             @ residues.astype(dtype, copy=False)) % q
 

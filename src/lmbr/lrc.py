@@ -24,11 +24,13 @@ elimination.  The outer points are the power basis, so Theta is the first J
 unit columns and has full column rank (checked on every call); the rank of
 any set of Gamma columns is then the rank of the same columns of G.  G is
 block-diagonal, so that rank is the sum of one table lookup per group (the
-rank of the group's surviving local-generator columns, computed once per
-distinct survivor set) plus alpha per surviving global node.
-:func:`LrcCode.ura_report` sums the same per-group table.  Both still visit
-every pattern or subset; the table replaces only the per-pattern
-elimination.
+rank of the group's surviving local-generator columns) plus alpha per
+surviving global node.  One node-by-node :func:`~lmbr.galois.subset_ranks`
+pass over the local generator fills the table, up front: every survivor
+set the enumeration can meet before its cap refuses.
+:func:`LrcCode.ura_report` sums the same per-group table, filled for every
+subset.  Both still visit every pattern or subset; the table replaces only
+the per-pattern elimination.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from .errors import (
     RepairError,
 )
 from .frlocal import FrCode
-from .galois import FieldElement, apply_int_matrix, field, rank_mod_q
+from .galois import (FieldElement, apply_int_matrix, field, rank_mod_q,
+                     subset_ranks)
 from .gabidulin import GabidulinCode
 from .mbr import MbrCode
 
@@ -97,13 +100,6 @@ def _subset_blocks(n: int, size: int):
         yield chosen, rows
 
 
-def _per_mask(masks: np.ndarray, value) -> np.ndarray:
-    """``value(mask)`` for every entry, computed once per distinct mask."""
-    distinct, where = np.unique(masks, return_inverse=True)
-    values = np.array([value(int(mask)) for mask in distinct], dtype=np.int64)
-    return values[where].reshape(masks.shape)
-
-
 class GroupRankTable:
     """Rank over F_q of any set of a code's stored columns, by lookups.
 
@@ -111,23 +107,25 @@ class GroupRankTable:
     per group plus identity columns for the global nodes, each block on its
     own message coordinates.  The rank of a column set is therefore the sum
     of its per-group ranks plus ``alpha`` per global node.  A group's node
-    set is keyed by a bitmask (bit j for its j-th node); the rank of a mask
-    is computed by elimination on the local generator the first time it is
-    asked for, so a table holds at most 2^n_local entries, and only those
-    its caller meets.
+    set is keyed by a bitmask (bit j for its j-th node).  The table is
+    filled when it is built, by one :func:`~lmbr.galois.subset_ranks` pass
+    over the local generator: every mask, or with ``max_lost`` every mask
+    that lacks at most that many of the group's nodes.  Lookups are array
+    operations on the sorted keys, and a mask the table lacks is refused.
     """
 
-    def __init__(self, code: "LrcCode"):
+    def __init__(self, code: "LrcCode", max_lost: int | None = None):
         local = code.local
         n_local = local.n_nodes
         if n_local > 63:
             raise ParameterError(
                 f"group masks fit n_local <= 63 nodes, got {n_local}"
             )
-        self._generator = local.generator_matrix()
         self._alpha = local.alpha
-        self._q = local.q
-        self._ranks = {0: 0}
+        self._n_local = n_local
+        #: Filled masks, ascending, and the rank of each.
+        self.keys, self.group_ranks = subset_ranks(
+            local.generator_matrix(), local.alpha, local.q, max_lost)
         self._span = code.groups * n_local
         # Row i holds bit (i mod n_local) in the column of node i's group.
         self._weights = np.zeros((self._span, code.groups), dtype=np.int64)
@@ -138,9 +136,20 @@ class GroupRankTable:
         """Per-group node masks (rows x groups) of 0/1 node rows."""
         return rows[:, : self._span] @ self._weights
 
+    def index(self, masks: np.ndarray) -> np.ndarray:
+        """Position of each group mask among :attr:`keys`."""
+        if len(self.keys) == 1 << self._n_local:
+            return masks                 # every mask: keys[i] == i
+        at = np.searchsorted(self.keys, masks)
+        found = self.keys[np.minimum(at, len(self.keys) - 1)] == masks
+        if not found.all():
+            raise ParameterError(
+                f"group mask {int(masks[~found][0])} is not in the table")
+        return at
+
     def lookup(self, masks: np.ndarray) -> np.ndarray:
         """Rank of each group mask's local-generator columns."""
-        return _per_mask(masks, self._group_rank)
+        return self.group_ranks[self.index(masks)]
 
     def ranks(self, rows: np.ndarray) -> np.ndarray:
         """Rank of the stored columns of each 0/1 node row.
@@ -149,14 +158,6 @@ class GroupRankTable:
         """
         return (self.lookup(self.masks(rows)).sum(axis=1)
                 + self._alpha * rows[:, self._span:].sum(axis=1))
-
-    def _group_rank(self, mask: int) -> int:
-        if mask not in self._ranks:
-            cols = [node * self._alpha + c
-                    for node in range(mask.bit_length()) if mask >> node & 1
-                    for c in range(self._alpha)]
-            self._ranks[mask] = rank_mod_q(self._generator[:, cols], self._q)
-        return self._ranks[mask]
 
 
 class LrcCode:
@@ -406,17 +407,22 @@ class LrcCode:
         points are independent over F_q (checked here: rank(Theta) = J), so
         the survivors' expanded columns have the rank of the same columns
         of the block-diagonal mixed generator.  Levels whose pattern count
-        exceeds ``pattern_cap`` are refused (no sampling).  The witness
-        pattern is re-validated against the real decoder before being
-        returned.
+        exceeds ``pattern_cap`` are refused (no sampling), and so is every
+        level after the first refused one; the table is filled for the
+        group masks that lack at most as many nodes as the last level
+        within the cap.  The witness pattern is re-validated against the
+        real decoder before being returned.
         """
         if rank_mod_q(self.theta, self.local.q) != self.outer.length:
             raise AssertionError(
                 "outer points are dependent over F_q; survivor ranks do not "
                 "split over the local groups"
             )
-        table = GroupRankTable(self)
         n = self.n_nodes
+        last = 0
+        while last < n and comb(n, last + 1) <= pattern_cap:
+            last += 1
+        table = GroupRankTable(self, max_lost=last)
         checked = 0
         for erased in range(1, n + 1):
             count = comb(n, erased)
@@ -464,7 +470,9 @@ class LrcCode:
         :class:`GroupRankTable`, which is exact for the same reason the
         ranks add: the bank's generator is block-diagonal, so a column
         subset's rank is the sum of its per-group ranks.  The table itself
-        is filled by elimination and assumes nothing about the profile.
+        is filled by elimination, for every group mask, and assumes nothing
+        about the profile; the expected sum looks up the claimed prefix sum
+        at each mask's node count.
         """
         if claimed_profile is None:
             claimed_profile = list(self.local.profile())
@@ -495,15 +503,15 @@ class LrcCode:
             return (s // n_local) * period_total + prefix[s % n_local]
 
         table = GroupRankTable(self)
+        sizes = sum(table.keys >> node & 1 for node in range(n_local))
+        claimed_ranks = np.array(prefix, dtype=np.int64)[sizes]
         witness = None
         for size in range(1, cols + 1):
             minimum = None
             for chosen, rows in _subset_blocks(cols, size):
-                masks = table.masks(rows)
-                measured = table.lookup(masks).sum(axis=1)
-                expected = _per_mask(
-                    masks, lambda mask: prefix[mask.bit_count()]
-                ).sum(axis=1)
+                at = table.index(table.masks(rows))
+                measured = table.group_ranks[at].sum(axis=1)
+                expected = claimed_ranks[at].sum(axis=1)
                 wrong = np.flatnonzero(measured != expected)
                 if wrong.size and witness is None:
                     first = wrong[0]

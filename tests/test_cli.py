@@ -339,6 +339,81 @@ def test_verify_repair_all_negative_control_exit1(monkeypatch, capsys):
     assert witness["metrics"]["helpers"] == [1, 2, 3, 4]
 
 
+MBR_STRIPES_ARGS = ["--construction", "info-local", "--q", "3", "--t", "2",
+                    "--delta", "1", "--K", "5", "--m", "8"]
+
+#: stdout, stderr and exit code of verify runs, frozen byte for byte.
+FROZEN_VERIFY = [
+    pytest.param(
+        DESK_ARGS + ["--mode", "dmin"], 0,
+        '{"mode": "dmin", "claimed": 3, "measured": 3, "patterns_checked": '
+        '21, "pass": true, "witness": [0, 1, 2]}\n', "", id="C1-dmin"),
+    pytest.param(
+        DESK_ARGS + ["--mode", "ura"], 0,
+        '{"mode": "ura", "claimed": [2, 1, 0], "measured": '
+        '"all-subsets-match", "columns": 6, "subsets_checked": 64, '
+        '"pass": true, "witness": null}\n', "", id="C1-ura"),
+    pytest.param(
+        C2_ARGS + ["--mode", "dmin"], 0,
+        '{"mode": "dmin", "claimed": 4, "measured": 4, "patterns_checked": '
+        '63, "pass": true, "witness": [0, 1, 2, 6]}\n', "", id="C2-dmin"),
+    pytest.param(
+        C2_ARGS + ["--mode", "ura"], 0,
+        '{"mode": "ura", "claimed": [2, 1, 0], "measured": '
+        '"all-subsets-match", "columns": 6, "subsets_checked": 64, '
+        '"pass": true, "witness": null}\n', "", id="C2-ura"),
+    pytest.param(
+        FR_ARGS + ["--mode", "dmin"], 0,
+        '{"mode": "dmin", "claimed": 6, "measured": 6, "patterns_checked": '
+        '3472, "pass": true, "witness": [0, 1, 2, 3, 4, 5]}\n', "",
+        id="fano-dmin"),
+    pytest.param(
+        FR_ARGS + ["--mode", "ura"], 0,
+        '{"mode": "ura", "claimed": [3, 2, 0, 0, 0, 0, 0], "measured": '
+        '"all-subsets-match", "columns": 14, "subsets_checked": 16384, '
+        '"pass": true, "witness": null}\n', "", id="fano-ura"),
+    pytest.param(
+        MBR_STRIPES_ARGS + ["--mode", "dmin"], 0,
+        '{"mode": "dmin", "claimed": 4, "measured": 4, "patterns_checked": '
+        '63, "pass": true, "witness": [0, 1, 2, 6]}\n', "",
+        id="mbr-stripes-dmin"),
+    pytest.param(
+        MBR_STRIPES_ARGS + ["--mode", "ura"], 0,
+        '{"mode": "ura", "claimed": [2, 1, 0], "measured": '
+        '"all-subsets-match", "columns": 6, "subsets_checked": 64, '
+        '"pass": true, "witness": null}\n', "", id="mbr-stripes-ura"),
+    pytest.param(
+        DESK_ARGS + ["--mode", "ura", "--claim-profile", "2,2,0"], 1,
+        '{"mode": "ura", "claimed": [2, 2, 0], "measured": "mismatch", '
+        '"columns": 6, "subsets_checked": null, "pass": false, "witness": '
+        '{"kind": "block-rank", "subset": [0, 1], "measured": 3, '
+        '"expected": 4}}\n', "", id="C1-ura-claim-2,2,0"),
+    pytest.param(
+        DESK_ARGS + ["--mode", "dmin", "--pattern-cap", "3"], 2, "",
+        '{"error": "PatternCapError", "detail": "C(6,1) = 6 erasure '
+        'patterns exceed the cap 3; refusing to sample"}\n',
+        id="C1-dmin-cap-3"),
+    pytest.param(
+        DESK_ARGS + ["--mode", "ura", "--pattern-cap", "10"], 2, "",
+        '{"error": "PatternCapError", "detail": "2^6 = 64 subsets exceed '
+        'the cap 10"}\n', id="C1-ura-cap-10"),
+    pytest.param(
+        FR_ARGS + ["--mode", "dmin", "--pattern-cap", "20"], 2, "",
+        '{"error": "PatternCapError", "detail": "C(14,2) = 91 erasure '
+        'patterns exceed the cap 20; refusing to sample"}\n',
+        id="fano-dmin-cap-20"),
+]
+
+
+@pytest.mark.parametrize("argv,rc,out,err", FROZEN_VERIFY)
+def test_verify_output_is_frozen(argv, rc, out, err, capsys):
+    """verify --mode dmin and --mode ura on C1, C2, Fano and mbr-stripes,
+    a claimed-profile negative control and cap refusals print exactly the
+    recorded bytes and exit with the recorded code."""
+    assert main(["verify", *argv]) == rc
+    assert capsys.readouterr() == (out, err)
+
+
 def test_verify_cap_refusal_exit2(capsys):
     rc = main(["verify", *DESK_ARGS, "--mode", "dmin", "--pattern-cap", "3"])
     assert rc == 2

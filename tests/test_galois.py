@@ -5,10 +5,14 @@ import random
 import time
 from itertools import product
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lmbr import LinearizedPoly, ParameterError, field, rank_over_base
+from lmbr import LinearizedPoly, ParameterError, field, galois, rank_over_base
 from lmbr.galois import (
     ExtField,
     _row_reduce,
@@ -16,6 +20,7 @@ from lmbr.galois import (
     inv_mod_q,
     pivot_columns,
     rank_mod_q,
+    subset_ranks,
 )
 
 
@@ -482,31 +487,33 @@ def test_inv_mod_q_round_trip():
         found += 1
 
 
-def test_elimination_refuses_q_whose_products_overflow_int64():
-    """Past (q-1)^2 >= 2^63 the residue products wrap in int64: a rank-1
-    matrix read as rank 2.  Such q is refused, never answered wrongly."""
-    from lmbr import MbrCode, all_symbol_code, interpolate
+def test_elimination_is_exact_where_products_overflow_int64():
+    """Past (q-1)^2 >= 2^63 the residue products would wrap in int64 and a
+    rank-1 matrix would read as rank 2.  Elimination then runs over Python
+    ints: rank, inverse, interpolation and a code build are exact for every
+    q that field() accepts, on both sides of the int64 limit."""
+    from lmbr import GabidulinCode, MbrCode, all_symbol_code, interpolate
 
-    q = 1099511627689                 # prime, accepted by field(q, 1)
-    a, b = 123456789012, 987654321098
-    with pytest.raises(ParameterError):
-        rank_mod_q(np.array([[1, a], [b, a * b % q]]), q)
-    with pytest.raises(ParameterError):
-        inv_mod_q(np.array([[1, a], [b, 1]]), q)
-    with pytest.raises(ParameterError):
-        all_symbol_code(1, MbrCode(2, 1, 1, q), 1)
-    with pytest.raises(ParameterError):         # interpolation eliminates too
-        interpolate([field(q, 1).one()], [field(q, 1).one()], 0)
-    # The largest prime below the limit still eliminates exactly.
-    q = 3037000493
-    a, b = q - 2, q - 3
-    assert rank_mod_q(np.array([[1, a], [b, a * b % q]]), q) == 1
-    assert rank_mod_q(np.array([[1, a], [b, (a * b + 1) % q]]), q) == 2
-    inv = inv_mod_q(np.array([[1, a], [b, 1]]), q)
-    assert [[int(v) for v in row] for row in inv] == [
-        [pow(1 - a * b, -1, q), -a * pow(1 - a * b, -1, q) % q],
-        [-b * pow(1 - a * b, -1, q) % q, pow(1 - a * b, -1, q)],
-    ]
+    for q in (1099511627689, 3037000493):   # primes, accepted by field(q, 1)
+        a, b = 123456789012 % q, 987654321098 % q
+        assert rank_mod_q(np.array([[1, a], [b, a * b % q]]), q) == 1
+        assert rank_mod_q(np.array([[1, a], [b, (a * b + 1) % q]]), q) == 2
+        inv = inv_mod_q(np.array([[1, a], [b, 1]]), q)
+        det_inv = pow(1 - a * b, -1, q)
+        assert [[int(v) for v in row] for row in inv] == [
+            [det_inv, -a * det_inv % q], [-b * det_inv % q, det_inv]]
+        F = field(q, 1)
+        poly = interpolate([F.from_int(5)], [F.from_int(a)], 0)
+        assert poly.evaluate(F.from_int(5)) == F.from_int(a)
+        assert poly.evaluate(F.one()) == F.from_int(a * pow(5, -1, q) % q)
+        outer = GabidulinCode(F, 1, 1)
+        message = [F.from_int(b)]
+        pairs = list(zip(outer.points, outer.encode(message)))
+        assert list(outer.decode_erasures(pairs)) == message
+        code = all_symbol_code(1, MbrCode(2, 1, 1, q), 1)
+        shards = code.encode(message)
+        assert list(code.decode(shards[1:])) == message
+        assert code.measure_dmin().value == 2 == code.dmin_bound
 
 
 @pytest.mark.parametrize("q,m", [(3, 6), (7, 10), (3037000493, 1)])
@@ -590,3 +597,51 @@ def test_elimination_matches_sympy(q):
         invertible += 1
         assert np.array_equal(inv_mod_q(mat, q), _mod_q(ref_inv, q))
     assert singular >= 3 and invertible >= 1
+
+
+@st.composite
+def node_matrices(draw):
+    """A matrix over F_q split into nodes of equal width, with zero rows,
+    zero columns, all-zero nodes and repeated entries among the draws."""
+    q = draw(st.sampled_from([2, 3, 7, 65521, 1099511627689]))
+    rows = draw(st.integers(0, 4))
+    width = draw(st.integers(1, 3))
+    nodes = draw(st.integers(0, 5))
+    entry = st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1)
+    matrix = np.zeros((rows, nodes * width), dtype=np.int64)
+    for node in range(nodes):
+        if draw(st.booleans()):              # else the node stays all-zero
+            for r in range(rows):
+                for c in range(width):
+                    matrix[r, node * width + c] = draw(entry)
+    max_lost = draw(st.none() | st.integers(0, nodes))
+    return matrix, width, q, max_lost
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=node_matrices(), split=st.booleans())
+def test_subset_ranks_match_pivot_columns(case, split):
+    """Every kept subset's rank is the pivot count of its columns, and the
+    keys are exactly the ascending masks that lack at most max_lost nodes,
+    also when the pass splits its states to stay within its budget."""
+    matrix, width, q, max_lost = case
+    nodes = matrix.shape[1] // width
+    with mock.patch.object(galois, "_STATE_BUDGET",
+                           1 if split else galois._STATE_BUDGET):
+        keys, ranks = subset_ranks(matrix, width, q, max_lost)
+    lost_at_most = nodes if max_lost is None else max_lost
+    assert keys.tolist() == [mask for mask in range(1 << nodes)
+                             if nodes - bin(mask).count("1") <= lost_at_most]
+    for mask, rank in zip(keys.tolist(), ranks.tolist()):
+        cols = [node * width + c for node in range(nodes) if mask >> node & 1
+                for c in range(width)]
+        assert rank == len(pivot_columns(matrix[:, cols], q)), mask
+
+
+def test_subset_ranks_refuse_a_ragged_split_or_too_many_nodes():
+    with pytest.raises(ParameterError):
+        subset_ranks(np.zeros((2, 5), dtype=np.int64), 2, 3)
+    with pytest.raises(ParameterError):
+        subset_ranks(np.zeros((2, 3), dtype=np.int64), 0, 3)
+    with pytest.raises(ParameterError):
+        subset_ranks(np.zeros((1, 64), dtype=np.int64), 1, 3, max_lost=0)

@@ -10,6 +10,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lmbr import (
     FrCode,
@@ -24,8 +26,9 @@ from lmbr import (
     field,
     info_locality_code,
 )
+from lmbr import lrc
 from lmbr.cli import SimConfig
-from lmbr.galois import FieldElement, rank_mod_q
+from lmbr.galois import SIZE_BUDGET, FieldElement, pivot_columns, rank_mod_q
 from lmbr.linpoly import LinearizedPoly
 from lmbr.lrc import DminResult, GroupRankTable, Shard
 
@@ -258,10 +261,16 @@ def bank_423():
     return all_symbol_code(3, MbrCode(4, 2, 3, 5), 12)
 
 
+def reference_rank(matrix, q):
+    """Rank as the pivot count of the reduced form, an elimination that
+    shares no code with the certifiers' rank table."""
+    return len(pivot_columns(matrix, q))
+
+
 def expanded_rank(code, survivors):
     """Reference: one elimination on the survivors' expanded columns."""
     cols = [i * code.alpha + c for i in survivors for c in range(code.alpha)]
-    return rank_mod_q(code.expanded[:, cols], code.local.q)
+    return reference_rank(code.expanded[:, cols], code.local.q)
 
 
 def reference_dmin(code):
@@ -293,7 +302,7 @@ def reference_ura(code, claimed):
         minimum = None
         for subset in combinations(range(cols), size):
             idx = [i * code.alpha + c for i in subset for c in range(code.alpha)]
-            measured = rank_mod_q(basic[:, idx], code.local.q)
+            measured = reference_rank(basic[:, idx], code.local.q)
             expected = sum(prefix[sum(1 for i in subset if i // n_local == g)]
                            for g in range(code.groups))
             if measured != expected and witness is None:
@@ -344,6 +353,101 @@ def test_certifiers_match_per_pattern_reference(build, claims):
         # The true profile passes; every override is a negative control.
         assert expected["pass"] is (claim is None)
         assert code.ura_report(claimed_profile=claim) == expected
+
+
+@st.composite
+def small_codes(draw):
+    """Composed codes small enough for the per-pattern references: MBR
+    banks of at most two groups of two to four nodes, or one Fano group,
+    each with or without a global node."""
+    globals_ = draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        local = FrCode(fano_plane(), draw(st.integers(1, 5)),
+                       draw(st.sampled_from([7, 11])))
+        groups = 1
+    else:
+        n_local = draw(st.integers(2, 4))
+        d = draw(st.integers(1, n_local - 1))
+        r = draw(st.integers(1, d))
+        q = draw(st.sampled_from([p for p in (3, 5, 7) if p >= n_local]))
+        local = MbrCode(n_local, r, d, q)
+        groups = draw(st.integers(1, 2))
+    outer_len = groups * local.k_message + globals_ * local.alpha
+    assume(local.q ** outer_len <= SIZE_BUDGET)
+    file_dim = draw(st.integers(1, groups * local.k_message))
+    return info_locality_code(groups, globals_, local, file_dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=small_codes(), data=st.data())
+def test_certifiers_match_references_on_drawn_codes(code, data):
+    """measure_dmin and ura_report equal the per-pattern references, for
+    the true profile and a perturbed one, under a drawn pattern cap: a
+    level over the cap refuses with the first such level's count."""
+    n = code.n_nodes
+    cap = data.draw(st.sampled_from([10 ** 6, 1 << n])
+                    | st.integers(1, 1 << n), label="pattern_cap")
+    expected = reference_dmin(code)
+    over = [e for e in range(1, expected.value + 1) if comb(n, e) > cap]
+    if over:
+        with pytest.raises(PatternCapError,
+                           match=rf"^C\({n},{over[0]}\) = {comb(n, over[0])} "):
+            code.measure_dmin(pattern_cap=cap)
+    else:
+        assert code.measure_dmin(pattern_cap=cap) == expected
+    true = list(code.local.profile())
+    node = data.draw(st.integers(0, len(true) - 1), label="perturbed node")
+    value = data.draw(st.integers(0, code.alpha).filter(
+        lambda v: v != true[node]), label="perturbed value")
+    perturbed = true[:node] + [value] + true[node + 1:]
+    for claim in (true, perturbed):
+        if 2 ** (code.groups * code.local.n_nodes) > cap:
+            with pytest.raises(PatternCapError):
+                code.ura_report(claimed_profile=claim, pattern_cap=cap)
+        else:
+            assert (code.ura_report(claimed_profile=claim, pattern_cap=cap)
+                    == reference_ura(code, claim))
+
+
+def test_fano_certification_makes_no_elimination_per_mask(monkeypatch):
+    """The rank table comes from one subset_ranks pass: measure_dmin's only
+    rank_mod_q call is the Theta check, and ura_report makes none (one
+    call per group mask before, 128 and 127 of them)."""
+    calls = Counter()
+    real = lrc.rank_mod_q
+
+    def counted(*args):
+        calls[certifier] += 1
+        return real(*args)
+
+    monkeypatch.setattr(lrc, "rank_mod_q", counted)
+    code = fano_code()
+    for certifier in ("measure_dmin", "ura_report"):
+        getattr(code, certifier)()
+    assert calls["measure_dmin"] <= 1 and calls["ura_report"] <= 1
+
+
+def test_dmin_fills_only_the_masks_below_the_first_refused_level(monkeypatch):
+    """A 23-node group under a cap of 2000: levels 1..3 fit and level 4
+    refuses, so the table holds the 1 + 23 + 253 + 1771 = 2048 masks that
+    lack at most three nodes, not all 2^23, and the refusal is quick."""
+    filled = []
+    real = lrc.subset_ranks
+
+    def recorded(*args, **kwargs):
+        keys, ranks = real(*args, **kwargs)
+        filled.append(len(keys))
+        return keys, ranks
+
+    monkeypatch.setattr(lrc, "subset_ranks", recorded)
+    code = all_symbol_code(1, MbrCode(23, 1, 1, 23), 1)
+    started = time.perf_counter()
+    with pytest.raises(PatternCapError) as refused:
+        code.measure_dmin(pattern_cap=2000)
+    assert time.perf_counter() - started < 1.0
+    assert str(refused.value) == ("C(23,4) = 8855 erasure patterns exceed "
+                                  "the cap 2000; refusing to sample")
+    assert filled == [2048]
 
 
 def test_certify_configuration_within_budget():

@@ -143,7 +143,7 @@ def test_encode_and_helper_symbol_match_reference(params):
 
 @pytest.mark.parametrize("params", [(4, 2, 3), (5, 3, 4)])
 def test_repair_exact_where_int64_products_overflow(params):
-    """q = 3037000493 is the largest prime that elimination accepts; a sum
+    """q = 3037000493 is the largest prime that eliminates in int64; a sum
     of d >= 2 products near (q-1)^2 overflows int64, so repair must not
     take the int64 path."""
     q = 3037000493

@@ -23,13 +23,14 @@ Fields are interned: :func:`field` returns one shared, immutable instance
 per (q, m), so elements of equal fields always compare against the same
 modulus.  All operations are pure and safe for concurrent use.
 
-Linear algebra over F_q has two eliminations, one per job.  Ranks come
-from :func:`subset_ranks`, one stacked rank-only pass that ranks every
-subset of a matrix's node column groups (a single matrix is its one-node
-case).  Pivot columns, inverses and linpoly's Moore system need the reduced
-form and run through one Gauss-Jordan elimination.  Both work on int64
-numpy arrays where no product can overflow and on Python ints otherwise, so
-they are exact for every q.  A field element is inverted as a^(q^m - 2).
+Linear algebra over F_q has two eliminations, one per job.  The ranks of
+every subset of a matrix's node column groups come from
+:func:`subset_ranks`, one stacked rank-only pass.  The rank of one matrix,
+its pivot columns, its inverse and linpoly's Moore system come from one
+Gauss-Jordan elimination to the reduced form, which is faster on a single
+matrix.  Both work on int64 numpy arrays where no product can overflow and
+on Python ints otherwise, so they are exact for every q.  A field element
+is inverted as a^(q^m - 2).
 """
 
 from __future__ import annotations
@@ -448,9 +449,9 @@ def _row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
     Returns the reduced matrix and its pivot columns: column c is a pivot
     exactly when it is independent of the columns before it.  This is the
-    elimination for the jobs that need the reduced form: pivot columns,
-    the inverse and the F_q form of the Moore system.  Ranks come from
-    :func:`subset_ranks`, which needs no reduced form.
+    elimination of a single matrix: rank, pivot columns, the inverse and
+    the F_q form of the Moore system.  The ranks of many column subsets
+    come from :func:`subset_ranks`.
     """
     a = _residues(matrix, q)
     rows, cols = a.shape
@@ -559,11 +560,8 @@ def _eliminate(residue: np.ndarray, width: int, q: int):
 
 
 def rank_mod_q(matrix: np.ndarray, q: int) -> int:
-    """Rank of an integer matrix over F_q: the one-node case of
-    :func:`subset_ranks`, a single elimination step over all the columns
-    with no subsets to keep."""
-    a = _residues(matrix, q)
-    return int(_eliminate(a[None], a.shape[1], q)[0][0])
+    """Rank of an integer matrix over F_q."""
+    return len(_row_reduce(matrix, q)[1])
 
 
 def pivot_columns(matrix: np.ndarray, q: int) -> list[int]:

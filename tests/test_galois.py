@@ -491,13 +491,20 @@ def test_elimination_is_exact_where_products_overflow_int64():
     """Past (q-1)^2 >= 2^63 the residue products would wrap in int64 and a
     rank-1 matrix would read as rank 2.  Elimination then runs over Python
     ints: rank, inverse, interpolation and a code build are exact for every
-    q that field() accepts, on both sides of the int64 limit."""
+    q that field() accepts, on both sides of the int64 limit.  At the
+    largest prime below it, q = 3037000493, a, b = q-2, q-3 make the
+    elimination products (q-3)(q-2) reach within about 5q of 2^63."""
     from lmbr import GabidulinCode, MbrCode, all_symbol_code, interpolate
 
-    for q in (1099511627689, 3037000493):   # primes, accepted by field(q, 1)
-        a, b = 123456789012 % q, 987654321098 % q
-        assert rank_mod_q(np.array([[1, a], [b, a * b % q]]), q) == 1
-        assert rank_mod_q(np.array([[1, a], [b, (a * b + 1) % q]]), q) == 2
+    # Primes accepted by field(q, 1), with entries a, b of each.
+    for q, a, b in ((1099511627689, 123456789012, 987654321098),
+                    (3037000493, 3037000491, 3037000490)):
+        singular = np.array([[1, a], [b, a * b % q]])
+        regular = np.array([[1, a], [b, (a * b + 1) % q]])
+        assert rank_mod_q(singular, q) == 1
+        assert rank_mod_q(regular, q) == 2
+        assert subset_ranks(singular, 1, q)[1].tolist() == [0, 1, 1, 1]
+        assert subset_ranks(regular, 1, q)[1].tolist() == [0, 1, 1, 2]
         inv = inv_mod_q(np.array([[1, a], [b, 1]]), q)
         det_inv = pow(1 - a * b, -1, q)
         assert [[int(v) for v in row] for row in inv] == [
@@ -514,6 +521,19 @@ def test_elimination_is_exact_where_products_overflow_int64():
         shards = code.encode(message)
         assert list(code.decode(shards[1:])) == message
         assert code.measure_dmin().value == 2 == code.dmin_bound
+
+
+def test_elimination_difference_of_two_near_maximal_products():
+    """At q = 3037000493 the singular matrix [[q-20, q-1], [q-1, y]] with
+    20y = 17q - 1 clears its second column by (q-1)(q-1) - (q-20)y, two
+    products each within about 2^33 of 2^63: exact only if the difference
+    is taken before any sum can pass 2^63."""
+    q = 3037000493
+    y = (17 * q - 1) // 20
+    matrix = np.array([[q - 20, q - 1], [q - 1, y]])
+    assert rank_mod_q(matrix, q) == 1
+    assert pivot_columns(matrix, q) == [0]
+    assert subset_ranks(matrix, 1, q)[1].tolist() == [0, 1, 1, 1]
 
 
 @pytest.mark.parametrize("q,m", [(3, 6), (7, 10), (3037000493, 1)])
@@ -603,7 +623,7 @@ def test_elimination_matches_sympy(q):
 def node_matrices(draw):
     """A matrix over F_q split into nodes of equal width, with zero rows,
     zero columns, all-zero nodes and repeated entries among the draws."""
-    q = draw(st.sampled_from([2, 3, 7, 65521, 1099511627689]))
+    q = draw(st.sampled_from([2, 3, 7, 65521, 3037000493, 1099511627689]))
     rows = draw(st.integers(0, 4))
     width = draw(st.integers(1, 3))
     nodes = draw(st.integers(0, 5))

@@ -16,25 +16,26 @@ global nodes).  The decoder therefore works from ANY surviving scalars:
 it pairs each one with its Gamma column and interpolates, succeeding
 exactly when the available columns span rank >= K over the base field.
 
-:func:`LrcCode.measure_dmin` certifies the minimum distance by exhausting
-erasure patterns against that same rank criterion (with the witness pattern
-re-validated through an actual decode attempt), refusing rather than
-sampling when the pattern count exceeds its cap.  No pattern needs its own
-elimination.  The outer points are the power basis, so Theta is the first J
-unit columns and has full column rank (checked on every call); the rank of
-any set of Gamma columns is then the rank of the same columns of G.  G is
-block-diagonal, so that rank is the sum of one table lookup per group (the
-rank of the group's surviving local-generator columns) plus alpha per
-surviving global node.  One node-by-node :func:`~lmbr.galois.subset_ranks`
-pass over the local generator fills the table, up front: every survivor
-set the enumeration can meet before its cap refuses.
-:func:`LrcCode.ura_report` sums the same per-group table, filled for every
-subset.  Both still visit every pattern or subset; the table replaces only
-the per-pattern elimination.
+:func:`LrcCode.measure_dmin` and :func:`LrcCode.ura_report` certify the
+minimum distance and uniform rank accumulation against that same rank
+criterion, exactly over every erasure pattern or column subset, without
+visiting them one by one.  The outer points are the power basis, so Theta
+is the first J unit columns and has full column rank (checked on every
+call); the rank of any set of Gamma columns is then the rank of the same
+columns of G.  G is block-diagonal, so that rank is the sum of one rank per
+group (that of the group's surviving local-generator columns) plus alpha
+per surviving global node.  One node-by-node
+:func:`~lmbr.galois.subset_ranks` pass over the local generator fills a
+table of the group ranks.  The least rank over all patterns of one size is
+then the min-plus convolution of the per-group minima by node count, one
+copy per group.  Only the distance level itself is enumerated, to find its
+witness, which an actual decode attempt re-validates.  Levels whose pattern
+count exceeds the cap are refused rather than sampled.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
@@ -78,26 +79,45 @@ class DminResult:
     patterns_checked: int
 
 
-#: Subsets per vectorised enumeration step; bounds one step's memory.
+#: Subsets in the first and in the largest vectorised enumeration step: a
+#: witness near the start of its level costs one small step, and the
+#: largest step bounds memory.
+_FIRST_BLOCK = 64
 _BLOCK = 1 << 14
 
 
 def _subset_blocks(n: int, size: int):
     """Every ``size``-subset of range(n), in ``combinations`` order.
 
-    Yields blocks of at most ``_BLOCK`` subsets as pairs: the node indices
-    (subsets x size) and 0/1 membership rows (subsets x n).
+    Yields blocks of subsets, ``_FIRST_BLOCK`` of them first and doubling
+    up to ``_BLOCK``, as pairs: the node indices (subsets x size) and 0/1
+    membership rows (subsets x n).
     """
     subsets = combinations(range(n), size)
+    block = _FIRST_BLOCK
     while True:
         chosen = np.fromiter(
-            chain.from_iterable(islice(subsets, _BLOCK)), dtype=np.int64
+            chain.from_iterable(islice(subsets, block)), dtype=np.int64
         ).reshape(-1, size)
         if not len(chosen):
             return
         rows = np.zeros((len(chosen), n), dtype=np.int64)
         np.put_along_axis(rows, chosen, 1, axis=1)
         yield chosen, rows
+        block = min(2 * block, _BLOCK)
+
+
+def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Min-plus convolution: entry k is the least a[i] + b[k - i]."""
+    out = np.full(len(a) + len(b) - 1, np.iinfo(np.int64).max)
+    for i, value in enumerate(b):
+        np.minimum(out[i:i + len(a)], a + value, out=out[i:i + len(a)])
+    return out
+
+
+def _nodes(mask: int) -> list[int]:
+    """The nodes of a bitmask, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 class GroupRankTable:
@@ -123,14 +143,22 @@ class GroupRankTable:
             )
         self._alpha = local.alpha
         self._n_local = n_local
-        #: Filled masks, ascending, and the rank of each.
+        #: Filled masks, ascending, the rank of each and its node count.
         self.keys, self.group_ranks = subset_ranks(
             local.generator_matrix(), local.alpha, local.q, max_lost)
+        self.sizes = sum(self.keys >> node & 1 for node in range(n_local))
         self._span = code.groups * n_local
         # Row i holds bit (i mod n_local) in the column of node i's group.
         self._weights = np.zeros((self._span, code.groups), dtype=np.int64)
         for i in range(self._span):
             self._weights[i, i // n_local] = 1 << (i % n_local)
+
+    def size_minima(self) -> np.ndarray:
+        """Least rank among the filled masks of each node count 0..n_local;
+        a count with no filled mask holds the int64 maximum."""
+        minima = np.full(self._n_local + 1, np.iinfo(np.int64).max)
+        np.minimum.at(minima, self.sizes, self.group_ranks)
+        return minima
 
     def masks(self, rows: np.ndarray) -> np.ndarray:
         """Per-group node masks (rows x groups) of 0/1 node rows."""
@@ -138,11 +166,6 @@ class GroupRankTable:
 
     def index(self, masks: np.ndarray) -> np.ndarray:
         """Position of each group mask among :attr:`keys`."""
-        # Every mask filled: keys[i] == i.  Indexing directly instead of by
-        # searchsorted takes about a quarter off a Fano ura_report and a
-        # fifth off its measure_dmin (p50, 2-core x86 container).
-        if len(self.keys) == 1 << self._n_local:
-            return masks
         at = np.searchsorted(self.keys, masks)
         found = self.keys[np.minimum(at, len(self.keys) - 1)] == masks
         if not found.all():
@@ -399,22 +422,29 @@ class LrcCode:
     # -- exhaustive certification ---------------------------------------------------
 
     def measure_dmin(self, pattern_cap: int = 10 ** 6) -> DminResult:
-        """Measure the minimum distance by brute-force erasure enumeration.
+        """Measure the minimum distance: the least number of erased nodes
+        that leaves survivors of rank below K.
 
-        Walks erasure counts e = 1, 2, ... and checks every C(n, e) pattern
-        for decodability; the first count with an undecodable pattern is the
-        distance, and the witness is the first such pattern in
-        ``combinations`` order.  The enumeration is exhaustive; only the
-        rank of each pattern's survivors comes from a :class:`GroupRankTable`
-        instead of its own elimination.  That is exact because the outer
-        points are independent over F_q (checked here: rank(Theta) = J), so
-        the survivors' expanded columns have the rank of the same columns
-        of the block-diagonal mixed generator.  Levels whose pattern count
-        exceeds ``pattern_cap`` are refused (no sampling), and so is every
-        level after the first refused one; the table is filled for the
-        group masks that lack at most as many nodes as the last level
-        within the cap.  The witness pattern is re-validated against the
-        real decoder before being returned.
+        The answer is exact over every erasure pattern, and no pattern below
+        the distance is visited.  The survivors' rank comes from a
+        :class:`GroupRankTable`, which is exact because the outer points are
+        independent over F_q (checked here: rank(Theta) = J): the survivors'
+        expanded columns have the rank of the same columns of the
+        block-diagonal mixed generator, the sum of the groups' ranks plus
+        alpha per surviving global node.  The least rank with e nodes
+        erased is therefore the min-plus convolution, over the groups, of
+        the table's least rank per number of a group's nodes lost, with
+        the global nodes' alpha each.  The distance d is the first e whose
+        least rank is below K.  Its witness is the first undecodable
+        pattern of d erasures in ``combinations`` order, found by
+        enumerating that level alone, and re-validated against the real
+        decoder before being returned.  ``patterns_checked`` counts the
+        patterns of the levels below d, all of them certified decodable.
+
+        Levels whose pattern count exceeds ``pattern_cap`` are refused (no
+        sampling), and so is every level after the first refused one; the
+        table is filled for the group masks that lack at most as many nodes
+        as the last level within the cap.
         """
         if rank_mod_q(self.theta, self.local.q) != self.outer.length:
             raise AssertionError(
@@ -426,23 +456,29 @@ class LrcCode:
         while last < n and comb(n, last + 1) <= pattern_cap:
             last += 1
         table = GroupRankTable(self, max_lost=last)
-        checked = 0
-        for erased in range(1, n + 1):
-            count = comb(n, erased)
-            if count > pattern_cap:
-                raise PatternCapError(
-                    f"C({n},{erased}) = {count} erasure patterns exceed the "
-                    f"cap {pattern_cap}; refusing to sample"
-                )
-            for patterns, rows in _subset_blocks(n, erased):
-                failing = np.flatnonzero(table.ranks(1 - rows) < self.file_dim)
-                if failing.size:
-                    witness = tuple(int(i) for i in patterns[failing[0]])
-                    self._assert_undecodable(witness)
-                    return DminResult(value=erased, witness=witness,
-                                      patterns_checked=checked)
-            checked += count
-        raise AssertionError("full erasure is always undecodable; unreachable")
+        # Least group rank by nodes lost, 0..min(last, n_local) of them.
+        by_lost = table.size_minima()[::-1][: min(last, self.local.n_nodes) + 1]
+        lowest = self.alpha * np.arange(self.global_nodes, -1, -1)
+        for _ in range(self.groups):
+            lowest = _min_plus(lowest, by_lost)[: last + 1]
+        failing = np.flatnonzero(lowest[1:] < self.file_dim)
+        if not failing.size:
+            erased = last + 1
+            raise PatternCapError(
+                f"C({n},{erased}) = {comb(n, erased)} erasure patterns exceed "
+                f"the cap {pattern_cap}; refusing to sample"
+            )
+        erased = int(failing[0]) + 1
+        for patterns, rows in _subset_blocks(n, erased):
+            failing = np.flatnonzero(table.ranks(1 - rows) < self.file_dim)
+            if failing.size:
+                witness = tuple(int(i) for i in patterns[failing[0]])
+                self._assert_undecodable(witness)
+                return DminResult(
+                    value=erased, witness=witness,
+                    patterns_checked=sum(comb(n, e) for e in range(1, erased)))
+        raise AssertionError(
+            f"least rank {lowest[erased]} at {erased} erasures has no pattern")
 
     def _assert_undecodable(self, pattern):
         survivors = sorted(set(range(self.n_nodes)) - set(pattern))
@@ -468,18 +504,35 @@ class LrcCode:
         these say the profile governs exactly how rank accumulates, which is
         what the distance bound consumes.
 
-        Every subset is still enumerated, size by size in ``combinations``
-        order.  Its measured rank is the sum of its groups' entries in a
-        :class:`GroupRankTable`, which is exact for the same reason the
-        ranks add: the bank's generator is block-diagonal, so a column
-        subset's rank is the sum of its per-group ranks.  The table itself
-        is filled by elimination, for every group mask, and assumes nothing
-        about the profile; the expected sum looks up the claimed prefix sum
-        at each mask's node count.
+        Both conditions are certified over every subset, and no subset is
+        enumerated.  A :class:`GroupRankTable`, filled by elimination for
+        every group mask and assuming nothing about the profile, gives each
+        group mask's measured rank; a subset's rank is the sum of its
+        groups' entries, because the bank's generator is block-diagonal.
+        Let s* be the least node count of a group mask whose rank differs
+        from the claimed prefix sum.  A subset of fewer than s* columns
+        matches, since each of its group parts does, and so does a subset
+        of s* columns that spans two groups.  The first subset that fails,
+        in ``combinations`` order, is therefore the first such mask of
+        group 0.  The least rank over the subsets of each size is the
+        min-plus convolution of the table's least rank per node count, one
+        copy per group, and is compared with the periodic sum at every
+        size below s* (at every size when there is no s*), in order.  On a
+        pass ``subsets_checked`` is 2^(groups * n_local), the subsets
+        certified; none of them is visited.
+
+        Entries of the claimed profile must be integers (``operator.index``,
+        so numpy integers pass) between 0 and alpha.
         """
         if claimed_profile is None:
             claimed_profile = list(self.local.profile())
-        claimed = [int(v) for v in claimed_profile]
+        try:
+            claimed = [operator.index(v) for v in claimed_profile]
+        except TypeError:
+            raise ParameterError(
+                f"claimed profile entries must be integers, got "
+                f"{claimed_profile!r}"
+            ) from None
         n_local = self.local.n_nodes
         if len(claimed) != n_local:
             raise ParameterError(
@@ -506,34 +559,32 @@ class LrcCode:
             return (s // n_local) * period_total + prefix[s % n_local]
 
         table = GroupRankTable(self)
-        sizes = sum(table.keys >> node & 1 for node in range(n_local))
-        claimed_ranks = np.array(prefix, dtype=np.int64)[sizes]
+        wrong = np.flatnonzero(
+            table.group_ranks != np.array(prefix, dtype=np.int64)[table.sizes])
+        first_wrong = int(table.sizes[wrong].min()) if wrong.size else None
+        per_group = lowest = table.size_minima()
+        for _ in range(self.groups - 1):
+            lowest = _min_plus(lowest, per_group)
         witness = None
         for size in range(1, cols + 1):
-            minimum = None
-            for chosen, rows in _subset_blocks(cols, size):
-                at = table.index(table.masks(rows))
-                measured = table.group_ranks[at].sum(axis=1)
-                expected = claimed_ranks[at].sum(axis=1)
-                wrong = np.flatnonzero(measured != expected)
-                if wrong.size and witness is None:
-                    first = wrong[0]
-                    witness = {
-                        "kind": "block-rank",
-                        "subset": [int(i) for i in chosen[first]],
-                        "measured": int(measured[first]),
-                        "expected": int(expected[first]),
-                    }
-                low = int(measured.min())
-                minimum = low if minimum is None else min(minimum, low)
-            if witness is None and minimum != periodic(size):
+            if size == first_wrong:
+                nodes, at = min(
+                    (_nodes(int(table.keys[i])), i)
+                    for i in wrong[table.sizes[wrong] == size])
+                witness = {
+                    "kind": "block-rank",
+                    "subset": nodes,
+                    "measured": int(table.group_ranks[at]),
+                    "expected": prefix[size],
+                }
+                break
+            if lowest[size] != periodic(size):
                 witness = {
                     "kind": "size-minimum",
                     "size": size,
-                    "measured": minimum,
+                    "measured": int(lowest[size]),
                     "expected": periodic(size),
                 }
-            if witness is not None:
                 break
         return {
             "mode": "ura",

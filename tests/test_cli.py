@@ -341,6 +341,8 @@ def test_verify_repair_all_negative_control_exit1(monkeypatch, capsys):
 
 MBR_STRIPES_ARGS = ["--construction", "info-local", "--q", "3", "--t", "2",
                     "--delta", "1", "--K", "5", "--m", "8"]
+CERTIFY_ARGS = ["--construction", "all-symbol", "--q", "3", "--t", "5",
+                "--K", "6", "--m", "15"]
 
 #: stdout, stderr and exit code of verify runs, frozen byte for byte.
 FROZEN_VERIFY = [
@@ -389,6 +391,17 @@ FROZEN_VERIFY = [
         '{"kind": "block-rank", "subset": [0, 1], "measured": 3, '
         '"expected": 4}}\n', "", id="C1-ura-claim-2,2,0"),
     pytest.param(
+        FR_ARGS + ["--mode", "ura", "--claim-profile", "3,1,1,0,0,0,0"], 1,
+        '{"mode": "ura", "claimed": [3, 1, 1, 0, 0, 0, 0], "measured": '
+        '"mismatch", "columns": 14, "subsets_checked": null, "pass": false, '
+        '"witness": {"kind": "block-rank", "subset": [0, 1], "measured": 5, '
+        '"expected": 4}}\n', "", id="fano-ura-claim-3,1,1,0,0,0,0"),
+    pytest.param(
+        CERTIFY_ARGS + ["--mode", "dmin"], 0,
+        '{"mode": "dmin", "claimed": 11, "measured": 11, "patterns_checked": '
+        '30826, "pass": true, "witness": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, '
+        '10]}\n', "", id="certify-dmin"),
+    pytest.param(
         DESK_ARGS + ["--mode", "dmin", "--pattern-cap", "3"], 2, "",
         '{"error": "PatternCapError", "detail": "C(6,1) = 6 erasure '
         'patterns exceed the cap 3; refusing to sample"}\n',
@@ -408,8 +421,9 @@ FROZEN_VERIFY = [
 @pytest.mark.parametrize("argv,rc,out,err", FROZEN_VERIFY)
 def test_verify_output_is_frozen(argv, rc, out, err, capsys):
     """verify --mode dmin and --mode ura on C1, C2, Fano and mbr-stripes,
-    a claimed-profile negative control and cap refusals print exactly the
-    recorded bytes and exit with the recorded code."""
+    --mode dmin on the certify configuration, claimed-profile negative
+    controls and cap refusals print exactly the recorded bytes and exit
+    with the recorded code."""
     assert main(["verify", *argv]) == rc
     assert capsys.readouterr() == (out, err)
 

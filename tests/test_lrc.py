@@ -257,6 +257,12 @@ def fano_code():
     return all_symbol_code(2, FrCode(fano_plane(), 5, 7), 10)
 
 
+def certify_code():
+    """The benchmark's certify configuration: all-symbol (3,2,2), q=3, t=5,
+    K=6, m=15."""
+    return all_symbol_code(5, MbrCode(3, 2, 2, 3), 6, ext_degree=15)
+
+
 def bank_423():
     return all_symbol_code(3, MbrCode(4, 2, 3, 5), 12)
 
@@ -358,8 +364,8 @@ def test_certifiers_match_per_pattern_reference(build, claims):
 @st.composite
 def small_codes(draw):
     """Composed codes small enough for the per-pattern references: MBR
-    banks of at most two groups of two to four nodes, or one Fano group,
-    each with or without a global node."""
+    banks of up to three groups of two or three nodes or up to two groups
+    of four, or one Fano group, each with or without a global node."""
     globals_ = draw(st.integers(0, 1))
     if draw(st.booleans()):
         local = FrCode(fano_plane(), draw(st.integers(1, 5)),
@@ -371,7 +377,7 @@ def small_codes(draw):
         r = draw(st.integers(1, d))
         q = draw(st.sampled_from([p for p in (3, 5, 7) if p >= n_local]))
         local = MbrCode(n_local, r, d, q)
-        groups = draw(st.integers(1, 2))
+        groups = draw(st.integers(1, 3 if n_local <= 3 else 2))
     outer_len = groups * local.k_message + globals_ * local.alpha
     assume(local.q ** outer_len <= SIZE_BUDGET)
     file_dim = draw(st.integers(1, groups * local.k_message))
@@ -427,6 +433,42 @@ def test_fano_certification_makes_no_elimination_per_mask(monkeypatch):
     assert calls["measure_dmin"] <= 1 and calls["ura_report"] <= 1
 
 
+def test_certifiers_enumerate_only_the_distance_level(monkeypatch):
+    """On Fano and the certify configuration, ura_report enumerates no
+    subset, and measure_dmin only patterns of d_min erasures: one first
+    block, since the witness is the level's first pattern.  Each of two
+    successive calls runs its own subset_ranks pass: no table is kept."""
+    enumerated = Counter()
+    passes = Counter()
+    real_blocks, real_ranks = lrc._subset_blocks, lrc.subset_ranks
+
+    def blocks(n, size):
+        for chosen, rows in real_blocks(n, size):
+            enumerated[size] += len(chosen)
+            yield chosen, rows
+
+    def ranks(*args, **kwargs):
+        passes["subset_ranks"] += 1
+        return real_ranks(*args, **kwargs)
+
+    monkeypatch.setattr(lrc, "_subset_blocks", blocks)
+    monkeypatch.setattr(lrc, "subset_ranks", ranks)
+    for code in (fano_code(), certify_code()):
+        n = code.n_nodes
+        for _ in range(2):
+            enumerated.clear()
+            passes.clear()
+            assert code.ura_report()["pass"] is True
+            assert enumerated == Counter() and passes["subset_ranks"] == 1
+            result = code.measure_dmin()
+            assert result.value == code.dmin_bound
+            assert result.witness == tuple(range(result.value))
+            assert list(enumerated) == [result.value]
+            assert enumerated[result.value] == min(lrc._FIRST_BLOCK,
+                                                   comb(n, result.value))
+            assert passes["subset_ranks"] == 2
+
+
 def test_dmin_fills_only_the_masks_below_the_first_refused_level(monkeypatch):
     """A 23-node group under a cap of 2000: levels 1..3 fit and level 4
     refuses, so the table holds the 1 + 23 + 253 + 1771 = 2048 masks that
@@ -455,7 +497,7 @@ def test_certify_configuration_within_budget():
     K=6, m=15, n=15): d_min 11 equals the bound and URA passes over all
     2^15 column subsets, both certified within 5 s."""
     started = time.perf_counter()
-    code = all_symbol_code(5, MbrCode(3, 2, 2, 3), 6, ext_degree=15)
+    code = certify_code()
     result = code.measure_dmin()
     assert result.value == 11 == code.dmin_bound
     report = code.ura_report()
@@ -650,6 +692,18 @@ def test_ura_report_refuses_entries_outside_zero_to_alpha(claim):
     overflow the int64 prefix-sum table."""
     with pytest.raises(ParameterError, match="0..alpha=2"):
         desk_c1().ura_report(claimed_profile=claim)
+
+
+def test_ura_report_refuses_non_integral_entries():
+    """A claimed 2.9 used to be truncated to 2, and the claim then passed;
+    numpy integers are still integers."""
+    with pytest.raises(ParameterError, match="must be integers"):
+        desk_c1().ura_report(claimed_profile=[2.9, 1, 0])
+    with pytest.raises(ParameterError, match="must be integers"):
+        desk_c1().ura_report(claimed_profile=[2.0, 1, 0])
+    report = desk_c1().ura_report(claimed_profile=np.array([2, 1, 0]))
+    assert report["pass"] is True and report["claimed_profile"] == [2, 1, 0]
+    assert all(type(v) is int for v in report["claimed_profile"])
 
 
 def test_ura_report_cap():

@@ -28,16 +28,15 @@ per surviving global node.  One node-by-node
 :func:`~lmbr.galois.subset_ranks` pass over the local generator fills a
 table of the group ranks.  The least rank over all patterns of one size is
 then the min-plus convolution of the per-group minima by node count, one
-copy per group.  Only the distance level itself is enumerated, to find its
-witness, which an actual decode attempt re-validates.  Levels whose pattern
-count exceeds the cap are refused rather than sampled.
+copy per group, and the witnesses are read off the same table: no pattern
+is visited.  A decode attempt re-validates the d_min witness.  Levels whose
+pattern count exceeds the cap are refused rather than sampled.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -79,34 +78,6 @@ class DminResult:
     patterns_checked: int
 
 
-#: Subsets in the first and in the largest vectorised enumeration step: a
-#: witness near the start of its level costs one small step, and the
-#: largest step bounds memory.
-_FIRST_BLOCK = 64
-_BLOCK = 1 << 14
-
-
-def _subset_blocks(n: int, size: int):
-    """Every ``size``-subset of range(n), in ``combinations`` order.
-
-    Yields blocks of subsets, ``_FIRST_BLOCK`` of them first and doubling
-    up to ``_BLOCK``, as pairs: the node indices (subsets x size) and 0/1
-    membership rows (subsets x n).
-    """
-    subsets = combinations(range(n), size)
-    block = _FIRST_BLOCK
-    while True:
-        chosen = np.fromiter(
-            chain.from_iterable(islice(subsets, block)), dtype=np.int64
-        ).reshape(-1, size)
-        if not len(chosen):
-            return
-        rows = np.zeros((len(chosen), n), dtype=np.int64)
-        np.put_along_axis(rows, chosen, 1, axis=1)
-        yield chosen, rows
-        block = min(2 * block, _BLOCK)
-
-
 def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Min-plus convolution: entry k is the least a[i] + b[k - i]."""
     out = np.full(len(a) + len(b) - 1, np.iinfo(np.int64).max)
@@ -120,8 +91,54 @@ def _nodes(mask: int) -> list[int]:
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
+def _combinations_first(masks: np.ndarray, width: int) -> int:
+    """Position of the mask whose nodes come first in ``combinations``
+    order, the largest with node 0 read as the high bit: at the first node
+    where two node sets differ, the set that has it comes first."""
+    high_first = sum((masks >> node & 1) << (width - 1 - node)
+                     for node in range(width))
+    return int(np.argmax(high_first))
+
+
+def _first_undecodable(keys, ranks, n_local, groups, global_nodes, alpha,
+                       file_dim, last):
+    """The first pattern of 1..last erasures, by size and then in
+    ``combinations`` order, whose survivors have rank below ``file_dim``:
+    (size, pattern), or None.
+
+    There are ``groups`` groups of ``n_local`` nodes, whose surviving
+    ``keys`` (every mask that lacks at most ``last`` nodes) have ``ranks``,
+    then ``global_nodes`` nodes of rank ``alpha``.  rest[g][e], the least
+    rank of groups g.. and the global nodes with e of their nodes erased,
+    is a min-plus convolution; the size is the first e with rest[0][e]
+    below ``file_dim``.  Each group in turn loses the first, by
+    :func:`_combinations_first`, of its masks that keep the running total
+    plus rest[g + 1] at the erasures left below ``file_dim`` (the later
+    erasures lie past the group); the first global nodes take the rest.
+    """
+    lost = n_local - sum(keys >> node & 1 for node in range(n_local))
+    by_lost = np.full(n_local + 1, np.iinfo(np.int64).max)
+    np.minimum.at(by_lost, lost, ranks)
+    rest = [alpha * np.arange(global_nodes, -1, -1)]
+    for _ in range(groups):
+        rest.insert(0, _min_plus(rest[0], by_lost[: last + 1])[: last + 1])
+    failing = np.flatnonzero(rest[0][1:] < file_dim)
+    if not failing.size:
+        return None
+    erased = left = int(failing[0]) + 1
+    total, pattern, full = 0, [], (1 << n_local) - 1
+    for group, after in enumerate(rest[1:]):
+        fits = np.flatnonzero((lost <= left) & (left - lost < len(after)))
+        fits = fits[total + ranks[fits] + after[left - lost[fits]] < file_dim]
+        at = fits[_combinations_first(full ^ keys[fits], n_local)]
+        pattern += [group * n_local + j for j in _nodes(int(full ^ keys[at]))]
+        total, left = total + ranks[at], left - lost[at]
+    first_global = groups * n_local
+    return erased, (*pattern, *range(first_global, first_global + left))
+
+
 class GroupRankTable:
-    """Rank over F_q of any set of a code's stored columns, by lookups.
+    """Rank over F_q of the stored columns of every node set of one group.
 
     The mixed generator is block-diagonal: one copy of the local generator
     per group plus identity columns for the global nodes, each block on its
@@ -130,8 +147,8 @@ class GroupRankTable:
     set is keyed by a bitmask (bit j for its j-th node).  The table is
     filled when it is built, by one :func:`~lmbr.galois.subset_ranks` pass
     over the local generator: every mask, or with ``max_lost`` every mask
-    that lacks at most that many of the group's nodes.  Lookups are array
-    operations on the sorted keys, and a mask the table lacks is refused.
+    that lacks at most that many of the group's nodes.  The certifiers read
+    their minima and witnesses off these arrays; no mask is looked up.
     """
 
     def __init__(self, code: "LrcCode", max_lost: int | None = None):
@@ -141,49 +158,10 @@ class GroupRankTable:
             raise ParameterError(
                 f"group masks fit n_local <= 63 nodes, got {n_local}"
             )
-        self._alpha = local.alpha
-        self._n_local = n_local
         #: Filled masks, ascending, the rank of each and its node count.
         self.keys, self.group_ranks = subset_ranks(
             local.generator_matrix(), local.alpha, local.q, max_lost)
         self.sizes = sum(self.keys >> node & 1 for node in range(n_local))
-        self._span = code.groups * n_local
-        # Row i holds bit (i mod n_local) in the column of node i's group.
-        self._weights = np.zeros((self._span, code.groups), dtype=np.int64)
-        for i in range(self._span):
-            self._weights[i, i // n_local] = 1 << (i % n_local)
-
-    def size_minima(self) -> np.ndarray:
-        """Least rank among the filled masks of each node count 0..n_local;
-        a count with no filled mask holds the int64 maximum."""
-        minima = np.full(self._n_local + 1, np.iinfo(np.int64).max)
-        np.minimum.at(minima, self.sizes, self.group_ranks)
-        return minima
-
-    def masks(self, rows: np.ndarray) -> np.ndarray:
-        """Per-group node masks (rows x groups) of 0/1 node rows."""
-        return rows[:, : self._span] @ self._weights
-
-    def index(self, masks: np.ndarray) -> np.ndarray:
-        """Position of each group mask among :attr:`keys`."""
-        at = np.searchsorted(self.keys, masks)
-        found = self.keys[np.minimum(at, len(self.keys) - 1)] == masks
-        if not found.all():
-            raise ParameterError(
-                f"group mask {int(masks[~found][0])} is not in the table")
-        return at
-
-    def lookup(self, masks: np.ndarray) -> np.ndarray:
-        """Rank of each group mask's local-generator columns."""
-        return self.group_ranks[self.index(masks)]
-
-    def ranks(self, rows: np.ndarray) -> np.ndarray:
-        """Rank of the stored columns of each 0/1 node row.
-
-        Rows may cover all n nodes or only the local ones.
-        """
-        return (self.lookup(self.masks(rows)).sum(axis=1)
-                + self._alpha * rows[:, self._span:].sum(axis=1))
 
 
 class LrcCode:
@@ -425,21 +403,16 @@ class LrcCode:
         """Measure the minimum distance: the least number of erased nodes
         that leaves survivors of rank below K.
 
-        The answer is exact over every erasure pattern, and no pattern below
-        the distance is visited.  The survivors' rank comes from a
-        :class:`GroupRankTable`, which is exact because the outer points are
-        independent over F_q (checked here: rank(Theta) = J): the survivors'
-        expanded columns have the rank of the same columns of the
-        block-diagonal mixed generator, the sum of the groups' ranks plus
-        alpha per surviving global node.  The least rank with e nodes
-        erased is therefore the min-plus convolution, over the groups, of
-        the table's least rank per number of a group's nodes lost, with
-        the global nodes' alpha each.  The distance d is the first e whose
-        least rank is below K.  Its witness is the first undecodable
-        pattern of d erasures in ``combinations`` order, found by
-        enumerating that level alone, and re-validated against the real
-        decoder before being returned.  ``patterns_checked`` counts the
-        patterns of the levels below d, all of them certified decodable.
+        The answer is exact over every erasure pattern, and no pattern is
+        visited.  The survivors' rank comes from a :class:`GroupRankTable`,
+        which is exact because the outer points are independent over F_q
+        (checked here: rank(Theta) = J): the survivors' expanded columns
+        have the rank of the same columns of the block-diagonal mixed
+        generator.  :func:`_first_undecodable` reads the distance d and its
+        witness, the first undecodable pattern of d erasures in
+        ``combinations`` order, off the table, and the real decoder
+        re-validates the witness.  ``patterns_checked`` counts the patterns
+        of the levels below d, all of them certified decodable.
 
         Levels whose pattern count exceeds ``pattern_cap`` are refused (no
         sampling), and so is every level after the first refused one; the
@@ -456,36 +429,28 @@ class LrcCode:
         while last < n and comb(n, last + 1) <= pattern_cap:
             last += 1
         table = GroupRankTable(self, max_lost=last)
-        # Least group rank by nodes lost, 0..min(last, n_local) of them.
-        by_lost = table.size_minima()[::-1][: min(last, self.local.n_nodes) + 1]
-        lowest = self.alpha * np.arange(self.global_nodes, -1, -1)
-        for _ in range(self.groups):
-            lowest = _min_plus(lowest, by_lost)[: last + 1]
-        failing = np.flatnonzero(lowest[1:] < self.file_dim)
-        if not failing.size:
+        found = _first_undecodable(
+            table.keys, table.group_ranks, self.local.n_nodes, self.groups,
+            self.global_nodes, self.alpha, self.file_dim, last)
+        if found is None:
             erased = last + 1
             raise PatternCapError(
                 f"C({n},{erased}) = {comb(n, erased)} erasure patterns exceed "
                 f"the cap {pattern_cap}; refusing to sample"
             )
-        erased = int(failing[0]) + 1
-        for patterns, rows in _subset_blocks(n, erased):
-            failing = np.flatnonzero(table.ranks(1 - rows) < self.file_dim)
-            if failing.size:
-                witness = tuple(int(i) for i in patterns[failing[0]])
-                self._assert_undecodable(witness)
-                return DminResult(
-                    value=erased, witness=witness,
-                    patterns_checked=sum(comb(n, e) for e in range(1, erased)))
-        raise AssertionError(
-            f"least rank {lowest[erased]} at {erased} erasures has no pattern")
+        erased, witness = found
+        self._assert_undecodable(witness)
+        return DminResult(
+            value=erased, witness=witness,
+            patterns_checked=sum(comb(n, e) for e in range(1, erased)))
 
     def _assert_undecodable(self, pattern):
+        # The decoder refuses on the survivors' points before it reads a
+        # value, so zero payloads get the decision that real shards would.
+        zero = (self.field.zero(),) * self.alpha
         survivors = sorted(set(range(self.n_nodes)) - set(pattern))
-        message = [self.field.one() for _ in range(self.file_dim)]
-        shards = {s.index: s for s in self.encode(message)}
         try:
-            self.decode(shards[i] for i in survivors)
+            self.decode(Shard(i, self.role_of(i), zero) for i in survivors)
         except InsufficientRankError:
             return
         raise AssertionError(
@@ -562,18 +527,18 @@ class LrcCode:
         wrong = np.flatnonzero(
             table.group_ranks != np.array(prefix, dtype=np.int64)[table.sizes])
         first_wrong = int(table.sizes[wrong].min()) if wrong.size else None
-        per_group = lowest = table.size_minima()
+        per_group = lowest = np.full(n_local + 1, np.iinfo(np.int64).max)
+        np.minimum.at(per_group, table.sizes, table.group_ranks)
         for _ in range(self.groups - 1):
             lowest = _min_plus(lowest, per_group)
         witness = None
         for size in range(1, cols + 1):
             if size == first_wrong:
-                nodes, at = min(
-                    (_nodes(int(table.keys[i])), i)
-                    for i in wrong[table.sizes[wrong] == size])
+                at = wrong[table.sizes[wrong] == size]
+                at = at[_combinations_first(table.keys[at], n_local)]
                 witness = {
                     "kind": "block-rank",
-                    "subset": nodes,
+                    "subset": _nodes(int(table.keys[at])),
                     "measured": int(table.group_ranks[at]),
                     "expected": prefix[size],
                 }

@@ -343,6 +343,11 @@ MBR_STRIPES_ARGS = ["--construction", "info-local", "--q", "3", "--t", "2",
                     "--delta", "1", "--K", "5", "--m", "8"]
 CERTIFY_ARGS = ["--construction", "all-symbol", "--q", "3", "--t", "5",
                 "--K", "6", "--m", "15"]
+#: Info-local (3,2,2) over F_3, three groups and one global node, K=4: the
+#: d_min witness erases two whole groups and the global node.
+THREE_GROUP_ARGS = ["--construction", "info-local", "--q", "3", "--t", "3",
+                    "--nl", "3", "--r", "2", "--d", "2", "--delta", "1",
+                    "--K", "4"]
 
 #: stdout, stderr and exit code of verify runs, frozen byte for byte.
 FROZEN_VERIFY = [
@@ -415,15 +420,32 @@ FROZEN_VERIFY = [
         '{"error": "PatternCapError", "detail": "C(14,2) = 91 erasure '
         'patterns exceed the cap 20; refusing to sample"}\n',
         id="fano-dmin-cap-20"),
+    pytest.param(
+        THREE_GROUP_ARGS + ["--mode", "dmin"], 0,
+        '{"mode": "dmin", "claimed": 7, "measured": 7, "patterns_checked": '
+        '847, "pass": true, "witness": [0, 1, 2, 3, 4, 5, 9]}\n', "",
+        id="three-group-dmin"),
+    pytest.param(
+        THREE_GROUP_ARGS + ["--mode", "dmin", "--pattern-cap", "100"], 2, "",
+        '{"error": "PatternCapError", "detail": "C(10,3) = 120 erasure '
+        'patterns exceed the cap 100; refusing to sample"}\n',
+        id="three-group-dmin-cap-100"),
+    pytest.param(
+        ["--construction", "all-symbol", "--q", "67", "--nl", "64", "--r",
+         "1", "--d", "1", "--t", "1", "--K", "1", "--m", "1", "--mode",
+         "dmin"], 2, "",
+        '{"error": "ParameterError", "detail": "group masks fit n_local <= '
+        '63 nodes, got 64"}\n', id="n-local-64-dmin"),
 ]
 
 
 @pytest.mark.parametrize("argv,rc,out,err", FROZEN_VERIFY)
 def test_verify_output_is_frozen(argv, rc, out, err, capsys):
     """verify --mode dmin and --mode ura on C1, C2, Fano and mbr-stripes,
-    --mode dmin on the certify configuration, claimed-profile negative
-    controls and cap refusals print exactly the recorded bytes and exit
-    with the recorded code."""
+    --mode dmin on the certify and three-group configurations,
+    claimed-profile negative controls, cap refusals and a 64-node group's
+    refusal print exactly the recorded bytes and exit with the recorded
+    code."""
     assert main(["verify", *argv]) == rc
     assert capsys.readouterr() == (out, err)
 

@@ -326,6 +326,24 @@ def reference_ura(code, claimed):
             "pass": witness is None, "witness": witness}
 
 
+def table_rank(code, rank_of, survivors):
+    """Rank of the survivors' stored columns by the group rank table
+    ``rank_of`` (group mask -> rank): the sum of each group's entry plus
+    alpha per surviving global node."""
+    n_local = code.local.n_nodes
+    masks = [0] * code.groups
+    for i in survivors:
+        if i < code.groups * n_local:
+            masks[i // n_local] |= 1 << i % n_local
+    globals_ = sum(1 for i in survivors if i >= code.groups * n_local)
+    return sum(rank_of[mask] for mask in masks) + code.alpha * globals_
+
+
+def rank_lookup(code):
+    table = GroupRankTable(code)
+    return dict(zip(table.keys.tolist(), table.group_ranks.tolist()))
+
+
 @pytest.mark.parametrize("build", [desk_c1, desk_c2, mbr_stripes_code,
                                    fano_code])
 def test_rank_table_matches_elimination_on_every_survivor_set(build):
@@ -333,13 +351,10 @@ def test_rank_table_matches_elimination_on_every_survivor_set(build):
     elimination on the expanded columns gives, and decodable agrees."""
     code = build()
     n = code.n_nodes
-    table = GroupRankTable(code)
+    rank_of = rank_lookup(code)
     for size in range(n + 1):
-        subsets = list(combinations(range(n), size))
-        rows = np.zeros((len(subsets), n), dtype=np.int64)
-        for row, survivors in zip(rows, subsets):
-            row[list(survivors)] = 1
-        for survivors, got in zip(subsets, table.ranks(rows)):
+        for survivors in combinations(range(n), size):
+            got = table_rank(code, rank_of, survivors)
             want = expanded_rank(code, survivors)
             assert got == want, survivors
             assert code.decodable(survivors) == (want >= code.file_dim)
@@ -433,40 +448,93 @@ def test_fano_certification_makes_no_elimination_per_mask(monkeypatch):
     assert calls["measure_dmin"] <= 1 and calls["ura_report"] <= 1
 
 
-def test_certifiers_enumerate_only_the_distance_level(monkeypatch):
-    """On Fano and the certify configuration, ura_report enumerates no
-    subset, and measure_dmin only patterns of d_min erasures: one first
-    block, since the witness is the level's first pattern.  Each of two
-    successive calls runs its own subset_ranks pass: no table is kept."""
-    enumerated = Counter()
+def test_certifiers_enumerate_nothing(monkeypatch):
+    """On Fano and the certify configuration, each certifier reads its
+    answer and witness off one table: each of two successive calls runs
+    its own subset_ranks pass (no table is kept), and the d_min witness is
+    the first pattern of its level."""
     passes = Counter()
-    real_blocks, real_ranks = lrc._subset_blocks, lrc.subset_ranks
-
-    def blocks(n, size):
-        for chosen, rows in real_blocks(n, size):
-            enumerated[size] += len(chosen)
-            yield chosen, rows
+    real_ranks = lrc.subset_ranks
 
     def ranks(*args, **kwargs):
         passes["subset_ranks"] += 1
         return real_ranks(*args, **kwargs)
 
-    monkeypatch.setattr(lrc, "_subset_blocks", blocks)
     monkeypatch.setattr(lrc, "subset_ranks", ranks)
     for code in (fano_code(), certify_code()):
-        n = code.n_nodes
         for _ in range(2):
-            enumerated.clear()
             passes.clear()
             assert code.ura_report()["pass"] is True
-            assert enumerated == Counter() and passes["subset_ranks"] == 1
+            assert passes["subset_ranks"] == 1
             result = code.measure_dmin()
             assert result.value == code.dmin_bound
             assert result.witness == tuple(range(result.value))
-            assert list(enumerated) == [result.value]
-            assert enumerated[result.value] == min(lrc._FIRST_BLOCK,
-                                                   comb(n, result.value))
             assert passes["subset_ranks"] == 2
+
+
+def brute_first_undecodable(rank_of, n_local, groups, global_nodes, alpha,
+                            file_dim, last):
+    """Reference: scan the patterns of 1..last erasures in combinations
+    order, summing each group's table entry and alpha per surviving global
+    node, for the first whose rank is below file_dim."""
+    local = groups * n_local
+    for erased in range(1, last + 1):
+        for pattern in combinations(range(local + global_nodes), erased):
+            survivors = [(g, j) for g in range(groups) for j in range(n_local)
+                         if g * n_local + j not in pattern]
+            rank = alpha * (global_nodes - sum(i >= local for i in pattern))
+            rank += sum(rank_of[sum(1 << j for h, j in survivors if h == g)]
+                        for g in range(groups))
+            if rank < file_dim:
+                return erased, pattern
+    return None
+
+
+@st.composite
+def synthetic_tables(draw):
+    """Group rank tables with arbitrary, not necessarily monotone, ranks
+    (rank 0 for the empty mask), kept as measure_dmin fills them: every
+    mask that lacks at most ``last`` of the group's nodes."""
+    n_local = draw(st.integers(1, 4), label="n_local")
+    groups = draw(st.integers(1, 3), label="groups")
+    global_nodes = draw(st.integers(0, 2), label="global nodes")
+    alpha = draw(st.integers(1, 3), label="alpha")
+    ranks = [0] + draw(st.lists(st.integers(0, 6), min_size=2 ** n_local - 1,
+                                max_size=2 ** n_local - 1), label="ranks")
+    last = draw(st.integers(0, groups * n_local + global_nodes), label="last")
+    file_dim = draw(st.integers(1, groups * max(ranks)
+                                + global_nodes * alpha + 1), label="K")
+    rank_of = {mask: rank for mask, rank in enumerate(ranks)
+               if n_local - bin(mask).count("1") <= last}
+    return rank_of, n_local, groups, global_nodes, alpha, file_dim, last
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=synthetic_tables())
+def test_witness_read_off_the_table_is_the_first_undecodable_pattern(case):
+    """The distance and witness read off a group rank table, group by
+    group, equal a brute-force combinations scan, on tables whose ranks
+    make the order of the masks within a group matter."""
+    rank_of, *shape = case
+    keys = np.array(list(rank_of), dtype=np.int64)
+    ranks = np.array(list(rank_of.values()), dtype=np.int64)
+    assert (lrc._first_undecodable(keys, ranks, *shape)
+            == brute_first_undecodable(rank_of, *shape))
+
+
+def test_dmin_witness_is_revalidated_by_the_decoder(monkeypatch):
+    """A table that understates every rank yields the witness (0,), whose
+    survivors decode: measure_dmin raises instead of returning it."""
+    real = lrc.subset_ranks
+
+    def understated(*args, **kwargs):
+        keys, ranks = real(*args, **kwargs)
+        return keys, np.zeros_like(ranks)
+
+    monkeypatch.setattr(lrc, "subset_ranks", understated)
+    with pytest.raises(AssertionError, match=r"^rank test and decoder "
+                       r"disagree on pattern \(0,\)$"):
+        desk_c1().measure_dmin()
 
 
 def test_dmin_fills_only_the_masks_below_the_first_refused_level(monkeypatch):
@@ -525,19 +593,20 @@ def test_all_symbol_locality():
     """Erasing delta-1 nodes of a group leaves survivors that still span its
     k_local outer symbols; erasing delta nodes does not."""
     code = desk_c1()
-    table = GroupRankTable(code)
+    rank_of = rank_lookup(code)
     n_local, k_local = code.local.n_local, code.local.k_message
     delta = n_local - code.local.r + 1
     assert delta == 2
-    full = (1 << n_local) - 1
     for erased in range(delta + 1):
         for pattern in combinations(range(n_local), erased):
-            mask = full & ~sum(1 << i for i in pattern)
-            ranks = table.lookup(np.full((1, code.groups), mask))
-            if erased < delta:
-                assert (ranks == k_local).all(), pattern
-            else:
-                assert (ranks < k_local).all(), pattern
+            for group in range(code.groups):
+                survivors = [i for i in code.group_members(group)
+                             if i % n_local not in pattern]
+                rank = table_rank(code, rank_of, survivors)
+                if erased < delta:
+                    assert rank == k_local, pattern
+                else:
+                    assert rank < k_local, pattern
 
 
 def test_repair_local_path_exhaustive():

@@ -32,6 +32,8 @@ from itertools import combinations
 from math import comb
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import BoundContext
 from .errors import (
     ConfigMismatchError,
@@ -44,6 +46,7 @@ from .errors import (
     ShardFormatError,
 )
 from .frlocal import FrCode, fano_plane, load_design
+from .galois import FieldElement
 from .lrc import LrcCode, Shard, all_symbol_code, info_locality_code
 from .mbr import MbrCode
 
@@ -234,14 +237,11 @@ def read_message(path: Path, code: LrcCode) -> list:
             raise ShardFormatError(
                 f"hex message decodes to {len(raw)} bytes, expected {expected}"
             )
-    m = code.field.m
-    try:
-        return [
-            code.field.from_bytes(raw[i * 2 * m:(i + 1) * 2 * m])
-            for i in range(code.file_dim)
-        ]
-    except ParameterError as exc:
-        raise ShardFormatError(f"bad message symbol: {exc}")
+    coeffs = np.frombuffer(raw, "<u2").reshape(code.file_dim, code.field.m)
+    if (coeffs >= code.field.q).any():
+        raise ShardFormatError(
+            "bad message symbol: coefficient out of range for the field")
+    return [FieldElement(code.field, tuple(row)) for row in coeffs.tolist()]
 
 
 def write_message(path: Path, message) -> None:

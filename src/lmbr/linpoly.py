@@ -130,18 +130,9 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
         raise ParameterError(
             f"q-degree bound {max_q_degree} must stay below m={fld.m}"
         )
-    if len(points) < needed:
-        raise InsufficientRankError(
-            f"need at least {needed} evaluations, got {len(points)}"
-        )
     q, m = fld.q, fld.m
     columns = coeff_columns(points)
-    chosen = pivot_columns(columns, q)[:needed]
-    if len(chosen) < needed:
-        raise InsufficientRankError(
-            f"evaluation points have rank {len(chosen)} over the base field, "
-            f"need {needed}"
-        )
+    chosen = independent_points(columns, needed, q)
     # Moore system over F_q: the unknowns are the coefficient vectors of
     # u_0..u_t, and block (j, i) is the matrix of multiplication by p_j^(q^i).
     powers = [columns[:, chosen]]       # powers[i]: the points to the q^i
@@ -159,8 +150,35 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
                                 reduced[:, n].reshape(needed, m).tolist()])
     for idx, (p, v) in enumerate(zip(points, values)):
         if idx not in chosen and poly.evaluate(p) != v:
-            raise InconsistentDataError(
-                f"surplus evaluation at index {idx} contradicts the "
-                "interpolated polynomial (corrupt symbol?)"
-            )
+            raise surplus_mismatch(idx)
     return poly
+
+
+def independent_points(columns: np.ndarray, needed: int, q: int) -> list[int]:
+    """The points a Moore system is solved on: the first ``needed`` of the
+    points' coefficient columns that are independent over F_q of the
+    columns before them.
+
+    Raises :class:`InsufficientRankError` when there are fewer than
+    ``needed`` columns or their rank falls short.
+    """
+    if columns.shape[1] < needed:
+        raise InsufficientRankError(
+            f"need at least {needed} evaluations, got {columns.shape[1]}"
+        )
+    chosen = pivot_columns(columns, q)[:needed]
+    if len(chosen) < needed:
+        raise InsufficientRankError(
+            f"evaluation points have rank {len(chosen)} over the base field, "
+            f"need {needed}"
+        )
+    return chosen
+
+
+def surplus_mismatch(index: int) -> InconsistentDataError:
+    """The error for a surplus evaluation, ``index``-th in input order,
+    that contradicts the polynomial recovered from the chosen points."""
+    return InconsistentDataError(
+        f"surplus evaluation at index {index} contradicts the "
+        "interpolated polynomial (corrupt symbol?)"
+    )

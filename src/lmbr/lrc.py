@@ -1,7 +1,7 @@
 """Two-stage locally repairable codes: rank-metric pre-code over a bank of
 identical local codes.
 
-Encoding first spreads the K message symbols over J = groups * k_local
+The code first spreads the K message symbols over J = groups * k_local
 (+ globals * alpha) evaluations of a linearized polynomial, then applies the
 block-diagonal mixed generator G (one copy of the local generator,
 regenerating or fractional-repetition, per group's slice of evaluations);
@@ -15,6 +15,14 @@ where G is the block-diagonal local generator (plus identity columns for
 global nodes).  The decoder therefore works from ANY surviving scalars:
 it pairs each one with its Gamma column and interpolates, succeeding
 exactly when the available columns span rank >= K over the base field.
+
+The whole two-stage code is therefore one F_q-linear map, and
+:attr:`LrcCode.generator` compiles it, on first use, into a
+(K m) x (n alpha m) F_q matrix.  Encoding is one product with it.  A
+node rebuilt on the decode path is one solve: the K scalars the
+interpolating decoder would choose are inverted once per helper set (the
+inverse is cached), and one more product checks the surplus scalars and
+yields the lost node.  Reads still interpolate.
 
 :func:`LrcCode.measure_dmin` and :func:`LrcCode.ura_report` certify the
 minimum distance and uniform rank accumulation against that same rank
@@ -35,6 +43,7 @@ pattern count exceeds the cap are refused rather than sampled.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from math import comb
@@ -50,9 +59,10 @@ from .errors import (
     RepairError,
 )
 from .frlocal import FrCode
-from .galois import (FieldElement, apply_int_matrix, field, rank_mod_q,
-                     subset_ranks)
+from .galois import (FieldElement, _matmul_mod_q, field, inv_mod_q,
+                     rank_mod_q, subset_ranks)
 from .gabidulin import GabidulinCode
+from .linpoly import independent_points, surplus_mismatch
 from .mbr import MbrCode
 
 
@@ -84,6 +94,13 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i, value in enumerate(b):
         np.minimum(out[i:i + len(a)], a + value, out=out[i:i + len(a)])
     return out
+
+
+def _blocks(indices: Sequence[int], width: int) -> np.ndarray:
+    """Positions of the blocks ``indices`` of ``width`` consecutive entries
+    each, in order: a node's stored scalars, or a scalar's generator
+    columns."""
+    return (np.asarray(indices)[:, None] * width + np.arange(width)).reshape(-1)
 
 
 def _nodes(mask: int) -> list[int]:
@@ -213,6 +230,8 @@ class LrcCode:
         self.dmin_bound = self.bound_ctx.optimal_dmin(file_dim)
         #: Number of shards that guarantees decodability.
         self.decode_threshold = self.n_nodes - self.dmin_bound + 1
+        # Decode-path repair solvers by helper shard indices, oldest first.
+        self._solvers: dict[tuple[int, ...], tuple] = {}
 
     def _build_mixed_generator(self) -> np.ndarray:
         local_gen = self.local.generator_matrix()
@@ -227,6 +246,31 @@ class LrcCode:
         base_col = self.groups * width
         for i in range(self.global_nodes * self.alpha):
             g[base_row + i, base_col + i] = 1
+        return g
+
+    @functools.cached_property
+    def generator(self) -> np.ndarray:
+        """The composed code as one (K m) x (n alpha m) F_q matrix, built
+        on first use and read-only.
+
+        Row i*m + k is the message with u_i = x^k, and column c*m + r is
+        coefficient r of stored scalar c, so a message's stored scalars are
+        its coefficient row times this matrix, mod q.  That message stores
+        f(gamma_c) = x^k gamma_c^(q^i) at scalar c, so row block i is
+        M(x^k) F^i Gamma: the matrices of multiplication by x^k (windows of
+        the field's table), the Frobenius matrix F to the i-th power and
+        the expanded points, which are Theta times the mixed generator.
+        """
+        fld, q, k = self.field, self.local.q, self.file_dim
+        m, scalars = fld.m, self.expanded.shape[1]
+        powers = [self.expanded]            # powers[i]: Gamma to the q^i
+        for _ in range(k - 1):
+            powers.append(_matmul_mod_q(fld._frob, powers[-1], q))
+        blocks = _matmul_mod_q(np.reshape(fld._basis_mul, (m * m, m)),
+                               np.concatenate(powers, axis=1), q)
+        g = (blocks.reshape(m, m, k, scalars).transpose(2, 0, 3, 1)
+             .reshape(k * m, scalars * m).astype(np.int64))
+        g.flags.writeable = False
         return g
 
     # -- placement helpers -------------------------------------------------------
@@ -247,18 +291,36 @@ class LrcCode:
     # -- encode / decode ------------------------------------------------------------
 
     def encode(self, message: Sequence[FieldElement]) -> list[Shard]:
-        """Evaluate the pre-code, then apply the mixed generator.
+        """Store a message: its coefficient row times :attr:`generator`.
 
-        One F_q product computes every stored scalar: each group's local
-        encoding and the verbatim global nodes are blocks of the same
-        matrix.
+        One F_q product computes every stored scalar, the pre-code's
+        evaluations, each group's local encoding and the verbatim global
+        nodes at once.  The product is split into one shard per node.
         """
-        evaluations = self.outer.encode(message)
-        stored = apply_int_matrix(self.mixed_generator.T, evaluations,
-                                  self.field)
-        a = self.alpha
-        return [Shard(i, self.role_of(i), tuple(stored[i * a:(i + 1) * a]))
-                for i in range(self.n_nodes)]
+        message = list(message)
+        if len(message) != self.file_dim:
+            raise ParameterError(
+                f"message length {len(message)} != code dimension "
+                f"{self.file_dim}"
+            )
+        for u in message:
+            self.field._require_same(u.field)
+        row = np.array([u.coeffs for u in message], dtype=np.int64)
+        stored = _matmul_mod_q(row.reshape(1, -1), self.generator,
+                               self.local.q)
+        nodes = stored.reshape(self.n_nodes, self.alpha, -1).tolist()
+        return [Shard(i, self.role_of(i), self._elements(node))
+                for i, node in enumerate(nodes)]
+
+    def _elements(self, rows: list[list[int]]) -> tuple[FieldElement, ...]:
+        """Field elements from rows of coefficients, already reduced."""
+        return tuple(FieldElement(self.field, tuple(row)) for row in rows)
+
+    def _check_fits(self, shard: Shard) -> None:
+        if not 0 <= shard.index < self.n_nodes or len(shard.payload) != self.alpha:
+            raise ParameterError(
+                f"shard {shard.index} with {len(shard.payload)} symbols does "
+                f"not fit n={self.n_nodes} nodes of alpha={self.alpha}")
 
     def decode(self, shards: Iterable[Shard]) -> tuple[FieldElement, ...]:
         """Recover the message from any shard subset of sufficient rank.
@@ -273,10 +335,7 @@ class LrcCode:
         """
         pairs = []
         for shard in shards:
-            if not 0 <= shard.index < self.n_nodes or len(shard.payload) != self.alpha:
-                raise ParameterError(
-                    f"shard {shard.index} with {len(shard.payload)} symbols does "
-                    f"not fit n={self.n_nodes} nodes of alpha={self.alpha}")
+            self._check_fits(shard)
             base = shard.index * self.alpha
             for c, value in enumerate(shard.payload):
                 pairs.append((self.gamma[base + c], value))
@@ -299,9 +358,12 @@ class LrcCode:
         Local nodes are regenerated inside their group (d helper symbols for
         the regenerating layer, alpha verbatim copies for the repetition
         layer).  Global nodes, and local nodes whose group is too degraded,
-        fall back to decoding the message from ``decode_threshold`` shards
-        and re-encoding.  Returns the replacement shard (bit-identical to
-        the lost one) and a metrics record of what moved.
+        fall back to the decode path: the first ``decode_threshold``
+        available shards pin down the message through a cached solver, and
+        the lost node is rebuilt from it, with the checks and errors of
+        :meth:`decode` followed by :meth:`encode`.  Returns the replacement
+        shard (bit-identical to the lost one) and a metrics record of what
+        moved.
         """
         if failed in available:
             raise ParameterError("failed node listed among available shards")
@@ -382,13 +444,31 @@ class LrcCode:
         return Shard(failed, role, tuple(vec)), metrics
 
     def _repair_by_decode(self, failed, available, local_failure):
+        """Solve for the message's coordinates X from the helpers' chosen
+        scalars, check every helper scalar against X times the generator,
+        and read the failed node's scalars off the same product."""
         use = sorted(available)[: self.decode_threshold]
-        message = self.decode(available[i] for i in use)
-        a = self.alpha
-        columns = self.mixed_generator[:, failed * a:(failed + 1) * a]
-        payload = apply_int_matrix(columns.T, self.outer.encode(message),
-                                   self.field)
-        shard = Shard(failed, self.role_of(failed), tuple(payload))
+        shards = [available[i] for i in use]
+        for shard in shards:
+            self._check_fits(shard)
+        if not shards:
+            raise InsufficientRankError("no evaluations supplied")
+        values = [v for shard in shards for v in shard.payload]
+        for v in values:
+            self.field._require_same(v.field)
+        nodes = [s.index for s in shards]
+        chosen, inverse = self._solver(tuple(nodes))
+        q, m = self.local.q, self.field.m
+        seen = np.array([v.coeffs for v in values], dtype=np.int64)
+        coords = _matmul_mod_q(seen[chosen].reshape(1, -1), inverse, q)
+        columns = _blocks(_blocks([*nodes, failed], self.alpha), m)
+        stored = _matmul_mod_q(coords, self.generator[:, columns],
+                               q).reshape(-1, m)
+        wrong = np.flatnonzero((stored[:len(values)] != seen).any(axis=1))
+        if wrong.size:
+            raise surplus_mismatch(int(wrong[0]))
+        payload = self._elements(stored[len(values):].tolist())
+        shard = Shard(failed, self.role_of(failed), payload)
         return shard, {
             "path": "decode-reencode",
             "helpers": [int(i) for i in use],
@@ -396,6 +476,24 @@ class LrcCode:
             "downloaded_symbols": len(use) * self.alpha,
             "local_path_error": local_failure,
         }
+
+    def _solver(self, indices: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
+        """For decoding from the shards ``indices``, in this order: the
+        positions of the K scalars the decoder chooses among theirs, and
+        the inverse of the generator's square block at those scalars'
+        columns.  Built on a miss; the n_nodes newest are kept."""
+        solver = self._solvers.get(indices)
+        if solver is None:
+            q = self.local.q
+            scalars = _blocks(indices, self.alpha)
+            chosen = independent_points(self.expanded[:, scalars],
+                                        self.file_dim, q)
+            block = self.generator[:, _blocks(scalars[chosen], self.field.m)]
+            solver = chosen, inv_mod_q(block, q)
+            if len(self._solvers) >= self.n_nodes:
+                self._solvers.pop(next(iter(self._solvers)), None)
+            self._solvers[indices] = solver
+        return solver
 
     # -- exhaustive certification ---------------------------------------------------
 

@@ -195,6 +195,25 @@ def test_encode_size_mismatch_exit3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_encode_out_of_range_coefficient_exit3(tmp_path, capsys):
+    """A coefficient q or above, here the last one of the last symbol, is
+    refused with the message-symbol error record; q - 1 there encodes."""
+    code = SimConfig().build()
+    msg_path = tmp_path / "msg.bin"
+    size = code.file_dim * code.field.m
+    for last, rc in ((code.field.q, 3), (code.field.q - 1, 0)):
+        msg_path.write_bytes(b"\x00\x00" * (size - 1)
+                             + last.to_bytes(2, "little"))
+        assert main(["encode", *DESK_ARGS, "--in", str(msg_path),
+                     "--out-dir", str(tmp_path / "s")]) == rc
+        if rc:
+            assert error_record(capsys) == {
+                "error": "ShardFormatError",
+                "detail": "bad message symbol: coefficient out of range for "
+                          "the field"}
+    capsys.readouterr()
+
+
 def test_decode_with_erasures(tmp_path, capsys):
     cfg = SimConfig()
     msg_path = tmp_path / "msg.bin"
@@ -390,6 +409,18 @@ FROZEN_VERIFY = [
         '"all-subsets-match", "columns": 6, "subsets_checked": 64, '
         '"pass": true, "witness": null}\n', "", id="mbr-stripes-ura"),
     pytest.param(
+        DESK_ARGS + ["--mode", "repair-all"], 0,
+        '{"mode": "repair-all", "cases": 6, "pass": true, "witness": '
+        'null}\n', "", id="C1-repair-all"),
+    pytest.param(
+        C2_ARGS + ["--mode", "repair-all"], 0,
+        '{"mode": "repair-all", "cases": 22, "pass": true, "witness": '
+        'null}\n', "", id="C2-repair-all"),
+    pytest.param(
+        MBR_STRIPES_ARGS + ["--mode", "repair-all"], 0,
+        '{"mode": "repair-all", "cases": 22, "pass": true, "witness": '
+        'null}\n', "", id="mbr-stripes-repair-all"),
+    pytest.param(
         DESK_ARGS + ["--mode", "ura", "--claim-profile", "2,2,0"], 1,
         '{"mode": "ura", "claimed": [2, 2, 0], "measured": "mismatch", '
         '"columns": 6, "subsets_checked": null, "pass": false, "witness": '
@@ -442,7 +473,8 @@ FROZEN_VERIFY = [
 @pytest.mark.parametrize("argv,rc,out,err", FROZEN_VERIFY)
 def test_verify_output_is_frozen(argv, rc, out, err, capsys):
     """verify --mode dmin and --mode ura on C1, C2, Fano and mbr-stripes,
-    --mode dmin on the certify and three-group configurations,
+    --mode repair-all on C1, C2 and mbr-stripes, --mode dmin on the
+    certify and three-group configurations,
     claimed-profile negative controls, cap refusals and a 64-node group's
     refusal print exactly the recorded bytes and exit with the recorded
     code."""

@@ -26,9 +26,10 @@ from lmbr import (
     field,
     info_locality_code,
 )
-from lmbr import lrc
-from lmbr.cli import SimConfig
-from lmbr.galois import SIZE_BUDGET, FieldElement, pivot_columns, rank_mod_q
+from lmbr import galois, gabidulin, linpoly, lrc
+from lmbr.cli import SimConfig, main
+from lmbr.galois import (SIZE_BUDGET, FieldElement, apply_int_matrix,
+                         pivot_columns, rank_mod_q)
 from lmbr.linpoly import LinearizedPoly
 from lmbr.lrc import DminResult, GroupRankTable, Shard
 
@@ -654,6 +655,226 @@ def test_data_path_makes_no_field_element_arithmetic(build, monkeypatch):
     assert calls == Counter()
     code.field.one() * code.field.one() + code.field.one()
     assert calls == Counter({"__mul__": 1, "__add__": 1})
+
+
+def reference_encode(code, message):
+    """The readable reference encoder: evaluate the Gabidulin pre-code,
+    then apply the mixed generator to the evaluations."""
+    evaluations = code.outer.encode(message)
+    stored = apply_int_matrix(code.mixed_generator.T, evaluations, code.field)
+    a = code.alpha
+    return [Shard(i, code.role_of(i), tuple(stored[i * a:(i + 1) * a]))
+            for i in range(code.n_nodes)]
+
+
+def assert_generator_matches_reference(code, seed):
+    """Row i*m + k of the generator is the reference encoding of the unit
+    message u_i = x^k, and encode equals the reference on random
+    messages."""
+    fld, m = code.field, code.field.m
+    assert code.generator.shape == (code.file_dim * m, code.n_nodes * code.alpha * m)
+    for i in range(code.file_dim):
+        for k in range(m):
+            unit = [fld.zero()] * code.file_dim
+            unit[i] = fld.element(np.eye(m, dtype=int)[k])
+            row = [c for shard in reference_encode(code, unit)
+                   for v in shard.payload for c in v.coeffs]
+            assert code.generator[i * m + k].tolist() == row, (i, k)
+    for trial in range(3):
+        message = random_message(code, seed + trial)
+        assert code.encode(message) == reference_encode(code, message)
+
+
+@pytest.mark.parametrize("build", [desk_c1, desk_c2, fano_code,
+                                   mbr_stripes_code, certify_code])
+def test_generator_matches_reference_encoder(build):
+    assert_generator_matches_reference(build(), 30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=small_codes(), seed=st.integers(0, 2 ** 16))
+def test_generator_matches_reference_encoder_on_drawn_codes(code, seed):
+    assert_generator_matches_reference(code, seed)
+
+
+def test_generator_is_built_on_first_use():
+    """Building a code compiles nothing; the generator is built once and
+    is read-only."""
+    code = mbr_stripes_code()
+    assert "generator" not in vars(code)
+    code.encode(random_message(code, 0))
+    assert code.generator is code.generator
+    assert not code.generator.flags.writeable
+
+
+def outcome(call):
+    """A call's result, or the class and text of what it raised."""
+    try:
+        return call()
+    except (InconsistentDataError, InsufficientRankError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_repair(code, failed, helpers):
+    """Decode the helpers' message, then re-encode the failed node with the
+    reference encoder."""
+    return reference_encode(code, code.decode(helpers))[failed].payload
+
+
+def compiled_repair(code, failed, helpers):
+    shard, _ = code._repair_by_decode(
+        failed, {s.index: s for s in helpers}, "local path skipped")
+    return shard.payload
+
+
+def flipped(code, shard, pos, c):
+    """The shard with coefficient c of its symbol at pos raised by one."""
+    coeffs = list(shard.payload[pos].coeffs)
+    coeffs[c] = (coeffs[c] + 1) % code.field.q
+    payload = list(shard.payload)
+    payload[pos] = code.field.element(coeffs)
+    return Shard(shard.index, shard.role, tuple(payload))
+
+
+def repair_cases(code, per_node):
+    """(failed node, helper set) pairs over the helper sets of the decode
+    threshold's size or one less: every set and every node outside it, or
+    with ``per_node`` that many seeded sets of each size per failed node."""
+    rng = random.Random(46)
+    for failed in range(code.n_nodes):
+        others = [i for i in range(code.n_nodes) if i != failed]
+        for size in (code.decode_threshold - 1, code.decode_threshold):
+            sets = list(combinations(others, size))
+            if per_node is not None:
+                sets = rng.sample(sets, per_node)
+            yield from ((failed, helper_set) for helper_set in sets)
+
+
+@pytest.mark.parametrize("build,per_node", [
+    (desk_c1, None), (desk_c2, None), (mbr_stripes_code, None),
+    # All 14 x 2,002 Fano cases would take about ten minutes on a 2-core
+    # container, mostly in reference decodes of about 12 ms each.
+    (fano_code, 3),
+])
+def test_decode_path_repair_matches_decode_and_reencode(build, per_node):
+    """The compiled decode-path repair rebuilds what decode and the
+    reference encoder rebuild, or raises the same error class and text,
+    for every failed node and every helper set of the decode threshold's
+    size or one less (on Fano, three seeded sets of each size per failed
+    node).  A coefficient flipped in one helper (a seeded choice per case)
+    gives the same outcome on both paths, an InconsistentDataError naming
+    the same index included."""
+    code = build()
+    shards = code.encode(random_message(code, 40))
+    rng = random.Random(41)
+    outcomes = Counter()
+    for failed, helper_set in repair_cases(code, per_node):
+        helpers = [shards[i] for i in helper_set]
+        victim = rng.randrange(len(helpers))
+        corrupt = list(helpers)
+        corrupt[victim] = flipped(code, helpers[victim],
+                                  rng.randrange(code.alpha),
+                                  rng.randrange(code.field.m))
+        for supplied in (helpers, corrupt):
+            want = outcome(lambda: reference_repair(code, failed, supplied))
+            got = outcome(lambda: compiled_repair(code, failed, supplied))
+            assert got == want, (failed, helper_set)
+            outcomes[want[0] if isinstance(want[0], type) else "rebuilt"] += 1
+    assert all(outcomes[kind] for kind in ("rebuilt", InconsistentDataError,
+                                           InsufficientRankError))
+
+
+def test_decode_path_repair_keeps_the_decode_errors():
+    """Rank-short helpers make repair raise the RepairError that wraps
+    decode's own error, and a corrupt helper the decoder's
+    InconsistentDataError; a shard that does not fit the code is refused
+    as decode refuses it."""
+    code = desk_c2()
+    shards = code.encode(random_message(code, 42))
+    short = {i: shards[i] for i in (3, 4, 5)}          # one group: rank 3
+    decode_error = outcome(lambda: code.decode(short.values()))
+    assert decode_error[0] is InsufficientRankError
+    with pytest.raises(RepairError) as err:
+        code.repair(6, short)
+    assert str(err.value) == (
+        "no repair path: local path failed (global nodes have no in-group "
+        f"path); decode path failed ({decode_error[1]})")
+    with pytest.raises(RepairError, match=r"decode path failed \(no "
+                       r"evaluations supplied\)$"):
+        code.repair(6, {})
+    available = {i: shards[i] for i in range(6)}
+    available[0] = flipped(code, shards[0], 0, 0)
+    with pytest.raises(InconsistentDataError) as got:
+        code.repair(6, available)
+    with pytest.raises(InconsistentDataError) as want:
+        code.decode(available[i] for i in range(4))
+    assert str(got.value) == str(want.value)
+    for bad in (Shard(9, shards[1].role, shards[1].payload),
+                Shard(1, shards[1].role, shards[1].payload[:1])):
+        with pytest.raises(ParameterError) as got:
+            code.repair(6, {**available, 1: bad})
+        with pytest.raises(ParameterError) as want:
+            code.decode([bad])
+        assert str(got.value) == str(want.value)
+
+
+def test_repeated_decode_path_repair_reuses_its_solver(monkeypatch):
+    """A second decode-path repair of the same node from the same helpers
+    makes no elimination and no interpolation."""
+    code = mbr_stripes_code()
+    shards = code.encode(random_message(code, 43))
+    available = {s.index: s for s in shards[:-1]}
+    first = code.repair(6, available)
+    calls = Counter()
+    for owner, name in ((galois, "_row_reduce"), (linpoly, "interpolate"),
+                        (gabidulin, "interpolate")):
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    assert code.repair(6, available) == first
+    assert first[0] == shards[-1]
+    assert calls == Counter()
+
+
+def test_solver_cache_holds_at_most_n_nodes(monkeypatch, capsys):
+    """verify --mode repair-all on C2 rebuilds the global node from 15
+    helper sets and the full set; the cache keeps the last n_nodes."""
+    built = []
+    real = SimConfig.build
+
+    def build(self):
+        built.append(real(self))
+        return built[-1]
+
+    monkeypatch.setattr(SimConfig, "build", build)
+    assert main(["verify", "--construction", "info-local", "--q", "3",
+                 "--t", "2", "--nl", "3", "--r", "2", "--d", "2",
+                 "--delta", "1", "--K", "5", "--mode", "repair-all"]) == 0
+    capsys.readouterr()
+    code, = built
+    assert len(code._solvers) == code.n_nodes
+
+
+def test_compiled_paths_exact_past_int64():
+    """Over F_q with q = 1099511627689 (m = 1, so every scalar is one
+    residue), one product of two residues passes 2^63: encode and the
+    decode-path repair take the Python-int products and equal the
+    reference exactly."""
+    q = 1099511627689
+    assert (q - 1) ** 2 > 2 ** 63
+    code = all_symbol_code(1, MbrCode(3, 1, 1, q), 1)
+    assert (code.field.m, code.n_nodes, code.decode_threshold) == (1, 3, 1)
+    assert_generator_matches_reference(code, 44)
+    top = [code.field.element([q - 1])]
+    for message in (top, random_message(code, 45)):
+        shards = code.encode(message)
+        assert shards == reference_encode(code, message)
+        for failed in range(code.n_nodes):
+            for helper in set(range(code.n_nodes)) - {failed}:
+                assert (compiled_repair(code, failed, [shards[helper]])
+                        == reference_repair(code, failed, [shards[helper]])
+                        == shards[failed].payload)
 
 
 def test_repair_falls_back_when_group_degraded():

@@ -138,21 +138,26 @@ class SimConfig:
 # Shard file serialization.
 # ---------------------------------------------------------------------------
 
+def _pack_coeffs(elements) -> bytes:
+    """The elements' coefficients, in order, as uint16 LE in one call."""
+    coeffs = [c for e in elements for c in e.coeffs]
+    return struct.pack(f"<{len(coeffs)}H", *coeffs)
+
+
 def serialize_shard(shard: Shard, q: int, m: int, digest: bytes) -> bytes:
     role_tag = 1 if shard.is_global else 0
     alpha = len(shard.payload)
     head = _HEADER.pack(
         MAGIC, FORMAT_VERSION, digest, q, m, shard.index, role_tag, alpha
     )
-    body = b"".join(e.to_bytes() for e in shard.payload)
-    return head + body
+    return head + _pack_coeffs(shard.payload)
 
 
 def parse_shard(data: bytes, code: LrcCode, digest: bytes) -> Shard:
     if len(data) < _HEADER.size:
         raise ShardFormatError("shard file shorter than its header")
-    magic, version, got_digest, q, m, index, role_tag, alpha = _HEADER.unpack(
-        data[: _HEADER.size]
+    magic, version, got_digest, q, m, index, role_tag, alpha = (
+        _HEADER.unpack_from(data)
     )
     if magic != MAGIC:
         raise ShardFormatError(f"bad magic {magic!r}")
@@ -170,22 +175,24 @@ def parse_shard(data: bytes, code: LrcCode, digest: bytes) -> Shard:
         )
     if alpha != code.alpha:
         raise ShardFormatError(f"alpha {alpha} != code alpha {code.alpha}")
-    body = data[_HEADER.size:]
-    if len(body) != alpha * m * 2:
+    size = alpha * m
+    if len(data) - _HEADER.size != 2 * size:
         raise ShardFormatError(
-            f"payload is {len(body)} bytes, expected {alpha * m * 2}"
+            f"payload is {len(data) - _HEADER.size} bytes, expected {2 * size}"
         )
     if index >= code.n_nodes:
         raise ShardFormatError(
             f"node index {index} out of range for n={code.n_nodes}"
         )
-    try:
-        payload = tuple(
-            code.field.from_bytes(body[i * 2 * m:(i + 1) * 2 * m])
-            for i in range(alpha)
+    # The whole payload in one unpack, range-checked once (alpha, m >= 1).
+    coeffs = struct.unpack_from(f"<{size}H", data, _HEADER.size)
+    if max(coeffs) >= q:
+        raise ShardFormatError(
+            "bad payload symbol: coefficient out of range for the field"
         )
-    except ParameterError as exc:
-        raise ShardFormatError(f"bad payload symbol: {exc}")
+    field = code.field
+    payload = tuple(FieldElement(field, coeffs[i:i + m])
+                    for i in range(0, size, m))
     role = code.role_of(index)
     if (role[0] == "global") != bool(role_tag):
         raise ShardFormatError(
@@ -245,7 +252,7 @@ def read_message(path: Path, code: LrcCode) -> list:
 
 
 def write_message(path: Path, message) -> None:
-    path.write_bytes(b"".join(e.to_bytes() for e in message))
+    path.write_bytes(_pack_coeffs(message))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ is inverted as a^(q^m - 2).
 from __future__ import annotations
 
 import functools
+import struct
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -258,7 +259,7 @@ class FieldElement:
 
     def to_bytes(self) -> bytes:
         """m coefficients, constant term first, each as uint16 LE."""
-        return b"".join(c.to_bytes(2, "little") for c in self.coeffs)
+        return struct.pack(f"<{len(self.coeffs)}H", *self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -369,18 +370,6 @@ class ExtField:
             digits.append(value % self.q)
             value //= self.q
         return FieldElement(self, tuple(digits))
-
-    def from_bytes(self, data: bytes) -> FieldElement:
-        if len(data) != 2 * self.m:
-            raise ParameterError(
-                f"element encoding needs {2 * self.m} bytes, got {len(data)}"
-            )
-        coeffs = tuple(
-            int.from_bytes(data[2 * i: 2 * i + 2], "little") for i in range(self.m)
-        )
-        if any(c >= self.q for c in coeffs):
-            raise ParameterError("coefficient out of range for the field")
-        return FieldElement(self, coeffs)
 
     def elements(self) -> Iterator[FieldElement]:
         """All q^m elements, in base-q counting order."""

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 import tempfile
@@ -15,18 +16,20 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lmbr
 from lmbr import (
     ConfigMismatchError,
+    FieldElement,
     LrcCode,
     ParameterError,
     Shard,
     ShardFormatError,
     field,
 )
+from lmbr import cli
 from lmbr.cli import (
     CONSTRUCTIONS,
     SimConfig,
@@ -821,21 +824,97 @@ def shard_blob(index, role_tag, payload):
     return bytes(head) + payload
 
 
+def reference_parse_shard(data, code, digest):
+    """The per-coefficient parse: one ``int.from_bytes`` per coefficient and
+    a range check per symbol, with every check in parse_shard's order.  It
+    is the reference for the one-call unpack."""
+    if len(data) < 24:
+        raise ShardFormatError("shard file shorter than its header")
+    magic, version, got_digest, q, m, index, role_tag, alpha = struct.unpack(
+        "<4sB8sIHHBH", data[:24])
+    if magic != b"LMBR":
+        raise ShardFormatError(f"bad magic {magic!r}")
+    if version != 1:
+        raise ShardFormatError(f"unsupported format version {version}")
+    if got_digest != digest:
+        raise ConfigMismatchError(
+            "shard was produced by a different configuration "
+            f"(digest {got_digest.hex()} != {digest.hex()})")
+    if q != code.local.q or m != code.field.m:
+        raise ConfigMismatchError(
+            f"shard field GF({q}^{m}) != code field "
+            f"GF({code.local.q}^{code.field.m})")
+    if alpha != code.alpha:
+        raise ShardFormatError(f"alpha {alpha} != code alpha {code.alpha}")
+    body = data[24:]
+    if len(body) != alpha * m * 2:
+        raise ShardFormatError(
+            f"payload is {len(body)} bytes, expected {alpha * m * 2}")
+    if index >= code.n_nodes:
+        raise ShardFormatError(
+            f"node index {index} out of range for n={code.n_nodes}")
+    payload = []
+    for i in range(alpha):
+        symbol = body[i * 2 * m:(i + 1) * 2 * m]
+        coeffs = tuple(int.from_bytes(symbol[2 * j:2 * j + 2], "little")
+                       for j in range(m))
+        if any(c >= code.field.q for c in coeffs):
+            raise ShardFormatError(
+                "bad payload symbol: coefficient out of range for the field")
+        payload.append(FieldElement(code.field, coeffs))
+    role = code.role_of(index)
+    if (role[0] == "global") != bool(role_tag):
+        raise ShardFormatError(
+            f"role tag {role_tag} contradicts node index {index}")
+    return Shard(index, role, tuple(payload))
+
+
+def parse_outcome(parse, blob):
+    """The parsed shard, or the refusal's class and text."""
+    try:
+        return parse(blob, C2_CODE, C2_DIGEST)
+    except (ShardFormatError, ConfigMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+#: C2 payloads of the right size whose coefficients straddle q = 3.
+_NEAR_Q_PAYLOAD = st.lists(st.integers(0, 4), min_size=16,
+                           max_size=16).map(lambda c: struct.pack("<16H", *c))
+#: Node 6 is C2's global node: a local role tag contradicts it, and the
+#: first coefficient is out of range too.
+BAD_COEFF_AND_ROLE = dict(index=6, role_tag=0,
+                          payload=b"\xff\xff" + bytes(30))
+
+
 @settings(max_examples=300, deadline=None)
-@given(index=st.integers(0, 0xFFFF), role_tag=st.integers(0, 0xFF),
+@given(index=st.one_of(st.integers(0, 0xFFFF),
+                      st.integers(0, C2_CODE.n_nodes)),
+       role_tag=st.integers(0, 0xFF),
        payload=st.one_of(st.binary(min_size=32, max_size=32),
-                         st.binary(max_size=48)))
+                         st.binary(max_size=48), _NEAR_Q_PAYLOAD))
+@example(**BAD_COEFF_AND_ROLE)
 def test_parse_shard_outcomes_on_arbitrary_index_and_payload(index, role_tag,
                                                               payload):
     """Behind a valid header, any index, role tag and payload parse to a
-    shard or are refused as a format error; nothing else escapes."""
-    try:
-        shard = parse_shard(shard_blob(index, role_tag, payload), C2_CODE,
-                            C2_DIGEST)
-    except (ShardFormatError, ConfigMismatchError):
+    shard or are refused as a format error; nothing else escapes.  The
+    outcome, shard or error class and text, is the per-coefficient
+    reference's."""
+    blob = shard_blob(index, role_tag, payload)
+    shard = parse_outcome(parse_shard, blob)
+    assert shard == parse_outcome(reference_parse_shard, blob)
+    if not isinstance(shard, Shard):
         return
-    assert isinstance(shard, Shard)
     assert shard.index == index < C2_CODE.n_nodes
+    assert all(type(c) is int for e in shard.payload for c in e.coeffs)
+
+
+def test_payload_range_is_checked_before_the_role_tag():
+    assert parse_outcome(parse_shard, shard_blob(**BAD_COEFF_AND_ROLE)) == (
+        ShardFormatError,
+        "bad payload symbol: coefficient out of range for the field")
+    fixed = dict(BAD_COEFF_AND_ROLE, payload=bytes(32))
+    assert parse_outcome(parse_shard, shard_blob(**fixed)) == (
+        ShardFormatError, "role tag 0 contradicts node index 6")
 
 
 def test_out_of_range_coefficient_or_index_exit3(tmp_path, capsys):
@@ -871,6 +950,90 @@ def test_q_beyond_uint16_coefficients_refused_exit2(tmp_path, capsys):
     SimConfig(q=65521)                    # the largest prime that fits
     with pytest.raises(ParameterError):
         SimConfig(q=65537)
+
+
+Q_MAX_ARGS = ["--construction", "all-symbol", "--q", "65521", "--t", "1",
+              "--nl", "2", "--r", "1", "--d", "1", "--K", "1"]
+
+
+def test_largest_uint16_coefficient_round_trips_and_above_is_refused(
+        tmp_path, capsys):
+    """Over q = 65521 the coefficient 65520 comes back bit-exactly through
+    the message and shard files, and each of 65521..65535 is refused with
+    exit 3 from either file."""
+    cfg = SimConfig(construction="all-symbol", q=65521, t=1, n_l=2, r=1,
+                    d=1, file_dim=1)
+    code = cfg.build()
+    digest = cfg.digest(code)
+    top = code.field.element([65520])
+    msg_path = tmp_path / "msg.bin"
+    cli.write_message(msg_path, [top])
+    assert msg_path.read_bytes() == b"\xf0\xff"
+    assert cli.read_message(msg_path, code) == [top]
+    for shard in code.encode([top]):
+        assert shard.payload == (top,)
+        blob = serialize_shard(shard, cfg.q, code.field.m, digest)
+        assert blob[24:] == b"\xf0\xff"
+        assert parse_shard(blob, code, digest) == shard
+    shard_dir = tmp_path / "shards"
+    out_path = tmp_path / "out.bin"
+    decode = ["decode", *Q_MAX_ARGS, "--shard-dir", str(shard_dir),
+              "--out", str(out_path)]
+    assert main(["encode", *Q_MAX_ARGS, "--in", str(msg_path),
+                 "--out-dir", str(shard_dir)]) == 0
+    assert main(decode) == 0
+    assert out_path.read_bytes() == b"\xf0\xff"
+    capsys.readouterr()
+    target = shard_dir / "shard_0000.lmbr"
+    blob = target.read_bytes()
+    for value in range(65521, 1 << 16):
+        coeff = struct.pack("<H", value)
+        msg_path.write_bytes(coeff)
+        assert main(["encode", *Q_MAX_ARGS, "--in", str(msg_path),
+                     "--out-dir", str(tmp_path / "refused")]) == 3
+        assert error_record(capsys) == {
+            "error": "ShardFormatError",
+            "detail": "bad message symbol: coefficient out of range for "
+                      "the field"}
+        target.write_bytes(blob[:-2] + coeff)
+        assert main(decode) == 3
+        assert error_record(capsys) == {
+            "error": "ShardFormatError",
+            "detail": "bad payload symbol: coefficient out of range for "
+                      "the field"}
+    assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SHARD_HASHES))
+def test_file_writers_make_no_per_element_to_bytes(name, tmp_path,
+                                                    monkeypatch):
+    """serialize_shard and write_message pack every coefficient in one
+    call: not one FieldElement.to_bytes, and the same bytes as the
+    per-element encoding."""
+    config, _ = FROZEN_SHARD_HASHES[name]
+    cfg = SimConfig(**config)
+    code = cfg.build()
+    digest = cfg.digest(code)
+    rng = random.Random(5)
+    message = [code.field.random_element(rng) for _ in range(code.file_dim)]
+    shards = code.encode(message)
+    per_element = FieldElement.to_bytes
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return per_element(self)
+
+    monkeypatch.setattr(FieldElement, "to_bytes", counted)
+    for shard in shards:
+        blob = serialize_shard(shard, cfg.q, code.field.m, digest)
+        assert blob[24:] == b"".join(per_element(e) for e in shard.payload)
+    cli.write_message(tmp_path / "msg.bin", message)
+    assert (tmp_path / "msg.bin").read_bytes() == b"".join(
+        per_element(e) for e in message)
+    assert calls == []
+    message[0].to_bytes()
+    assert calls == [message[0]]
 
 
 def _flag_value(ints):

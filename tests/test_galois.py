@@ -2,6 +2,7 @@
 elimination (rank, inverse, pivot columns)."""
 
 import random
+import struct
 import time
 from itertools import product
 
@@ -442,11 +443,15 @@ def test_int_scalar_action_is_char_p_repeated_addition():
 
 
 def test_serialization_round_trip():
+    """to_bytes is the m coefficients as uint16 LE, constant term first:
+    the per-coefficient encoding, and it unpacks back to the element."""
     F = field(7, 3)
     rng = random.Random(1)
     for _ in range(20):
         a = F.random_element(rng)
-        assert F.from_bytes(a.to_bytes()) == a
+        assert a.to_bytes() == b"".join(c.to_bytes(2, "little")
+                                        for c in a.coeffs)
+        assert F.element(struct.unpack("<3H", a.to_bytes())) == a
         assert F.from_int(a.to_int()) == a
 
 

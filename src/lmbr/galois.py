@@ -16,8 +16,9 @@ Each field derives its arithmetic from two int64 arrays: the table T of
 x^n mod the modulus for n < 2m-1, whose windows of m rows are the matrices
 of multiplication by x^i, and by which a product's convolution is folded
 back; and the one Frobenius matrix F (column j is (x^q)^j), since a -> a^q
-is F_q-linear.  The Moore system and each linearized polynomial's matrix
-(:mod:`lmbr.linpoly`) take every q-power from this F.
+is F_q-linear.  Every q-power comes from this F: each linearized
+polynomial's matrix (:mod:`lmbr.linpoly`) and :meth:`ExtField.moore`, the
+Moore map that is both the code's generator and interpolation's system.
 
 Fields are interned: :func:`field` returns one shared, immutable instance
 per (q, m), so elements of equal fields always compare against the same
@@ -26,7 +27,7 @@ modulus.  All operations are pure and safe for concurrent use.
 Linear algebra over F_q has two eliminations, one per job.  The ranks of
 every subset of a matrix's node column groups come from
 :func:`subset_ranks`, one stacked rank-only pass.  The rank of one matrix,
-its pivot columns, its inverse and linpoly's Moore system come from one
+its pivot columns and a solve A X = B (:func:`solve_mod_q`) come from one
 Gauss-Jordan elimination to the reduced form, which is faster on a single
 matrix.  Both work on int64 numpy arrays where no product can overflow and
 on Python ints otherwise, so they are exact for every q.  A field element
@@ -341,6 +342,20 @@ class ExtField:
         matrices, exactly in int64 (a sum of m products below (q-1)^2)."""
         return np.lib.stride_tricks.sliding_window_view(self._table, self.m, axis=0)
 
+    def moore(self, columns: np.ndarray, k: int) -> np.ndarray:
+        """The Moore map (u_0..u_{k-1}) -> sum_i u_i p^(q^i) at the points
+        with these m x N coefficient columns, as a (k m) x (N m) F_q matrix:
+        row i*m + j, column c*m + r is coefficient r of x^j p_c^(q^i).  Exact
+        for every q: q-powers by F, products by x^j by the table's windows."""
+        q, m = self.q, self.m
+        powers = [columns]                  # powers[i]: the points to the q^i
+        for _ in range(k - 1):
+            powers.append(_matmul_mod_q(self._frob, powers[-1], q))
+        blocks = _matmul_mod_q(np.reshape(self._basis_mul, (m * m, m)),
+                               np.concatenate(powers, axis=1), q)
+        return (blocks.reshape(m, m, k, -1).transpose(2, 0, 3, 1)
+                .reshape(k * m, -1).astype(np.int64))
+
     # -- public API -----------------------------------------------------------
 
     def element(self, coeffs: Iterable[int]) -> FieldElement:
@@ -438,9 +453,8 @@ def _row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
     Returns the reduced matrix and its pivot columns: column c is a pivot
     exactly when it is independent of the columns before it.  This is the
-    elimination of a single matrix: rank, pivot columns, the inverse and
-    the F_q form of the Moore system.  The ranks of many column subsets
-    come from :func:`subset_ranks`.
+    elimination of a single matrix: rank, pivot columns and solves.  The
+    ranks of many column subsets come from :func:`subset_ranks`.
     """
     a = _residues(matrix, q)
     rows, cols = a.shape
@@ -559,18 +573,22 @@ def pivot_columns(matrix: np.ndarray, q: int) -> list[int]:
     return _row_reduce(matrix, q)[1]
 
 
-def inv_mod_q(matrix: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of a square integer matrix over F_q, by reducing [A | I]."""
+def solve_mod_q(matrix: np.ndarray, rhs: np.ndarray, q: int) -> np.ndarray:
+    """The X with A X = B over F_q for a square nonsingular integer matrix
+    A, by reducing [A | B]."""
     a = np.asarray(matrix)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ParameterError("matrix must be square")
-    reduced, pivots = _row_reduce(
-        np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), q
-    )
+    reduced, pivots = _row_reduce(np.concatenate([a, rhs], axis=1), q)
     if pivots != list(range(n)):
         raise ParameterError("matrix is singular over F_q")
     return reduced[:, n:]
+
+
+def inv_mod_q(matrix: np.ndarray, q: int) -> np.ndarray:
+    """Inverse of a square integer matrix over F_q: A X = I."""
+    return solve_mod_q(matrix, np.eye(np.shape(matrix)[0], dtype=np.int64), q)
 
 
 def rank_over_base(elements: Sequence[FieldElement]) -> int:

@@ -14,10 +14,10 @@ and F the field's Frobenius matrix, so each evaluation is one product mod q.
 
 :func:`interpolate` recovers the unique polynomial from such evaluations.
 It solves the Moore system on the first points, in the order given, that are
-F_q-independent of the points before them.  The system is solved over F_q:
-each F_{q^m} unknown becomes its m coefficients, each Moore entry the m x m
-matrix of multiplication by it, and the ((t+1) m)-square system goes through
-the toolkit's one elimination routine.  Surplus evaluations are never
+F_q-independent of the points before them.  Over F_q each F_{q^m} unknown
+becomes its m coefficients, the system is the field's Moore map at those
+points (:meth:`~lmbr.galois.ExtField.moore`), transposed, and
+:func:`~lmbr.galois.solve_mod_q` solves it.  Surplus evaluations are never
 ignored: they are checked against the recovered polynomial so that
 corrupted symbols surface as :class:`~lmbr.errors.InconsistentDataError`
 instead of silently decoding.
@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InconsistentDataError, InsufficientRankError, ParameterError
-from .galois import (ExtField, FieldElement, _matmul_mod_q, _row_reduce,
-                     coeff_columns, pivot_columns)
+from .galois import (ExtField, FieldElement, _matmul_mod_q, coeff_columns,
+                     pivot_columns, solve_mod_q)
 
 
 class LinearizedPoly:
@@ -119,7 +119,7 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
             f"got {len(points)} points but {len(values)} values"
         )
     if not points:
-        raise InsufficientRankError("no evaluations supplied")
+        raise no_evaluations()
     fld = points[0].field
     for v in values:
         fld._require_same(v.field)
@@ -130,24 +130,14 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
         raise ParameterError(
             f"q-degree bound {max_q_degree} must stay below m={fld.m}"
         )
-    q, m = fld.q, fld.m
     columns = coeff_columns(points)
-    chosen = independent_points(columns, needed, q)
-    # Moore system over F_q: the unknowns are the coefficient vectors of
-    # u_0..u_t, and block (j, i) is the matrix of multiplication by p_j^(q^i).
-    powers = [columns[:, chosen]]       # powers[i]: the points to the q^i
-    for _ in range(max_q_degree):
-        powers.append(fld._frob @ powers[-1] % q)
-    blocks = np.tensordot(np.stack(powers).transpose(2, 0, 1),
-                          fld._basis_mul, axes=1) % q
-    n = needed * m
-    moore = blocks.transpose(0, 2, 1, 3).reshape(n, n)
-    rhs = coeff_columns([values[j] for j in chosen]).T.reshape(n, 1)
-    reduced, pivots = _row_reduce(np.concatenate([moore, rhs], axis=1), q)
-    # Independent points give a nonsingular Moore matrix.
-    assert pivots == list(range(n)), "Moore matrix of independent points is singular"
+    chosen = independent_points(columns, needed, fld.q)
+    # The unknowns are the coefficients of u_0..u_t, the equations those of
+    # the chosen values; independent points make the system nonsingular.
+    rhs = coeff_columns([values[j] for j in chosen]).T.reshape(-1, 1)
+    solution = solve_mod_q(fld.moore(columns[:, chosen], needed).T, rhs, fld.q)
     poly = LinearizedPoly(fld, [FieldElement(fld, tuple(u)) for u in
-                                reduced[:, n].reshape(needed, m).tolist()])
+                                solution.reshape(needed, fld.m).tolist()])
     for idx, (p, v) in enumerate(zip(points, values)):
         if idx not in chosen and poly.evaluate(p) != v:
             raise surplus_mismatch(idx)
@@ -173,6 +163,11 @@ def independent_points(columns: np.ndarray, needed: int, q: int) -> list[int]:
             f"need {needed}"
         )
     return chosen
+
+
+def no_evaluations() -> InsufficientRankError:
+    """The error for a decode given no evaluations at all."""
+    return InsufficientRankError("no evaluations supplied")
 
 
 def surplus_mismatch(index: int) -> InconsistentDataError:

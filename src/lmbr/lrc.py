@@ -17,12 +17,12 @@ it pairs each one with its Gamma column and interpolates, succeeding
 exactly when the available columns span rank >= K over the base field.
 
 The whole two-stage code is therefore one F_q-linear map, and
-:attr:`LrcCode.generator` compiles it, on first use, into a
-(K m) x (n alpha m) F_q matrix.  Encoding is one product with it.  A
-node rebuilt on the decode path is one solve: the K scalars the
-interpolating decoder would choose are inverted once per helper set (the
-inverse is cached), and one more product checks the surplus scalars and
-yields the lost node.  Reads still interpolate.
+:attr:`LrcCode.generator` compiles it, on first use, into the field's
+Moore map at the expanded points: a (K m) x (n alpha m) F_q matrix.
+Encoding is one product with it.  A node rebuilt on the decode path is one
+solve: the K scalars the interpolating decoder would choose are inverted
+once per helper set (the inverse is cached), and one more product checks
+the surplus scalars and yields the lost node.  Reads still interpolate.
 
 :func:`LrcCode.measure_dmin` and :func:`LrcCode.ura_report` certify the
 minimum distance and uniform rank accumulation against that same rank
@@ -62,7 +62,7 @@ from .frlocal import FrCode
 from .galois import (FieldElement, _matmul_mod_q, field, inv_mod_q,
                      rank_mod_q, subset_ranks)
 from .gabidulin import GabidulinCode
-from .linpoly import independent_points, surplus_mismatch
+from .linpoly import independent_points, no_evaluations, surplus_mismatch
 from .mbr import MbrCode
 
 
@@ -96,11 +96,12 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(indices: Sequence[int], width: int) -> np.ndarray:
+def _blocks(indices: Iterable[int], width: int) -> np.ndarray:
     """Positions of the blocks ``indices`` of ``width`` consecutive entries
     each, in order: a node's stored scalars, or a scalar's generator
     columns."""
-    return (np.asarray(indices)[:, None] * width + np.arange(width)).reshape(-1)
+    return (np.fromiter(indices, dtype=np.int64)[:, None] * width
+            + np.arange(width)).reshape(-1)
 
 
 def _nodes(mask: int) -> list[int]:
@@ -251,25 +252,12 @@ class LrcCode:
     @functools.cached_property
     def generator(self) -> np.ndarray:
         """The composed code as one (K m) x (n alpha m) F_q matrix, built
-        on first use and read-only.
-
-        Row i*m + k is the message with u_i = x^k, and column c*m + r is
-        coefficient r of stored scalar c, so a message's stored scalars are
-        its coefficient row times this matrix, mod q.  That message stores
-        f(gamma_c) = x^k gamma_c^(q^i) at scalar c, so row block i is
-        M(x^k) F^i Gamma: the matrices of multiplication by x^k (windows of
-        the field's table), the Frobenius matrix F to the i-th power and
-        the expanded points, which are Theta times the mixed generator.
+        on first use and read-only: the field's Moore map at the expanded
+        points gamma_c.  Row i*m + k is the message with u_i = x^k, and
+        column c*m + r is coefficient r of stored scalar c, so a message's
+        stored scalars are its coefficient row times this matrix, mod q.
         """
-        fld, q, k = self.field, self.local.q, self.file_dim
-        m, scalars = fld.m, self.expanded.shape[1]
-        powers = [self.expanded]            # powers[i]: Gamma to the q^i
-        for _ in range(k - 1):
-            powers.append(_matmul_mod_q(fld._frob, powers[-1], q))
-        blocks = _matmul_mod_q(np.reshape(fld._basis_mul, (m * m, m)),
-                               np.concatenate(powers, axis=1), q)
-        g = (blocks.reshape(m, m, k, scalars).transpose(2, 0, 3, 1)
-             .reshape(k * m, scalars * m).astype(np.int64))
+        g = self.field.moore(self.expanded, self.file_dim)
         g.flags.writeable = False
         return g
 
@@ -341,12 +329,9 @@ class LrcCode:
                 pairs.append((self.gamma[base + c], value))
         return self.outer.decode_erasures(pairs)
 
-    def decodable(self, surviving: Sequence[int]) -> bool:
+    def decodable(self, surviving: Iterable[int]) -> bool:
         """Rank test: do these nodes' scalar columns span the message?"""
-        cols = np.concatenate(
-            [np.arange(i * self.alpha, (i + 1) * self.alpha) for i in surviving]
-        ) if surviving else np.zeros(0, dtype=int)
-        sub = self.expanded[:, cols]
+        sub = self.expanded[:, _blocks(surviving, self.alpha)]
         return rank_mod_q(sub, self.local.q) >= self.file_dim
 
     # -- repair ------------------------------------------------------------------------
@@ -452,7 +437,7 @@ class LrcCode:
         for shard in shards:
             self._check_fits(shard)
         if not shards:
-            raise InsufficientRankError("no evaluations supplied")
+            raise no_evaluations()
         values = [v for shard in shards for v in shard.payload]
         for v in values:
             self.field._require_same(v.field)

@@ -21,6 +21,7 @@ from lmbr.galois import (
     inv_mod_q,
     pivot_columns,
     rank_mod_q,
+    solve_mod_q,
     subset_ranks,
 )
 
@@ -490,6 +491,68 @@ def test_inv_mod_q_round_trip():
         inv = inv_mod_q(mat, q)
         assert ((mat @ inv) % q == np.eye(4, dtype=np.int64)).all()
         found += 1
+
+
+@pytest.mark.parametrize("q", [2, 7, 65521, 3037000493])
+def test_solve_mod_q_satisfies_the_system(q):
+    """On random nonsingular A and right-hand sides of 0 to 3 columns,
+    A X = B over F_q; the check multiplies in Python ints."""
+    rng = random.Random(q)
+    solved = 0
+    while solved < 10:
+        n, width = rng.randint(1, 6), rng.randint(0, 3)
+        a = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+        b = np.array([rng.randrange(q) for _ in range(n * width)],
+                     dtype=np.int64).reshape(n, width)
+        if rank_mod_q(a, q) < n:
+            continue
+        x = solve_mod_q(a, b, q)
+        assert x.shape == (n, width)
+        assert (a.astype(object).dot(x.astype(object)) % q == b).all()
+        solved += 1
+
+
+def test_solve_mod_q_refuses_as_inv_mod_q_does():
+    """A singular A raises inv_mod_q's ParameterError, whether or not B
+    lies in its column space, and so does a non-square A."""
+    for q in (7, 3037000493):
+        singular = np.array([[1, 2], [2, 4]])
+        with pytest.raises(ParameterError) as want:
+            inv_mod_q(singular, q)
+        assert str(want.value) == "matrix is singular over F_q"
+        for rhs in ([[1], [2]], [[1], [0]], np.zeros((2, 0), dtype=np.int64)):
+            with pytest.raises(ParameterError) as got:
+                solve_mod_q(singular, np.array(rhs, dtype=np.int64), q)
+            assert str(got.value) == str(want.value)
+        wide = np.array([[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ParameterError) as want:
+            inv_mod_q(wide, q)
+        with pytest.raises(ParameterError) as got:
+            solve_mod_q(wide, np.eye(2, dtype=np.int64), q)
+        assert str(got.value) == str(want.value) == "matrix must be square"
+
+
+@pytest.mark.parametrize("q,m", [(3, 8), (7, 10), (65521, 2),
+                                 (1099511627689, 1)])
+def test_moore_matches_field_element_reference(q, m):
+    """Entry (i*m + j, c*m + r) of the Moore map is coefficient r of
+    x^j p_c^(q^i), computed with FieldElement powers and products, for
+    k = 1, k = m and no points at all."""
+    fld = field(q, m)
+    rng = random.Random(q)
+    points = [fld.zero(), fld.one(), *(fld.random_element(rng) for _ in range(3))]
+    columns = galois.coeff_columns(points)
+    basis = fld.polynomial_basis(m)
+    for k in sorted({1, m}):
+        got = fld.moore(columns, k)
+        assert got.shape == (k * m, len(points) * m) and got.dtype == np.int64
+        for i in range(k):
+            for c, p in enumerate(points):
+                power = p ** (q ** i)
+                for j, xj in enumerate(basis):
+                    assert (got[i * m + j, c * m:(c + 1) * m].tolist()
+                            == list((xj * power).coeffs)), (i, j, c)
+        assert fld.moore(columns[:, :0], k).shape == (k * m, 0)
 
 
 def test_elimination_is_exact_where_products_overflow_int64():

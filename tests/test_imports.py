@@ -88,3 +88,36 @@ def test_orphaned_private_is_reported():
            "        return 2\n")
     user = "from lib import _used\ny = _used(Box()._method())\n"
     assert orphaned_privates([lib, user]) == ["_orphan", "_unused_method"]
+
+
+#: The field's Frobenius matrix and its table windows: the Moore map's layout.
+FIELD_INTERNALS = {"_frob", "_basis_mul"}
+
+
+def field_internal_readers(source: str) -> set[str]:
+    """Top-level definitions of a module that read the field's Frobenius
+    matrix or its table windows (``<module>`` for other statements)."""
+    return {getattr(stmt, "name", "<module>") for stmt in ast.parse(source).body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and node.attr in FIELD_INTERNALS}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "galois.py"],
+                         ids=lambda p: p.name)
+def test_moore_layout_stays_in_galois(path):
+    """Outside galois only a linearized polynomial's own matrix reads the
+    field's internals; every Moore matrix comes from ExtField.moore."""
+    allowed = {"linpoly.py": {"LinearizedPoly"}}.get(path.name, set())
+    assert field_internal_readers(path.read_text()) <= allowed
+
+
+def test_field_internal_reader_is_reported():
+    source = ("class Poly:\n"
+              "    def power(self, f):\n"
+              "        return f._frob\n"
+              "def solve(f):\n"
+              "    return f._basis_mul\n"
+              "def order(f):\n"
+              "    return f.q\n"
+              "TABLE = field._basis_mul\n")
+    assert field_internal_readers(source) == {"Poly", "solve", "<module>"}

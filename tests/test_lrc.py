@@ -590,6 +590,21 @@ def test_gamma_commutation_with_generator():
                 assert f.evaluate(gamma) == value
 
 
+@pytest.mark.parametrize("build", [desk_c2, fano_code])
+def test_decodable_takes_any_collection_of_node_indices(build):
+    """A list, a tuple, a numpy array or a set of surviving nodes, empty
+    or not, gets the rank test's answer on the expanded columns."""
+    code = build()
+    assert lrc._blocks([], 2).dtype == np.int64
+    rng = random.Random(11)
+    for size in range(code.n_nodes + 1):
+        nodes = sorted(rng.sample(range(code.n_nodes), size))
+        cols = [i * code.alpha + c for i in nodes for c in range(code.alpha)]
+        want = rank_mod_q(code.expanded[:, cols], code.local.q) >= code.file_dim
+        for given in (nodes, tuple(nodes), np.array(nodes), set(nodes)):
+            assert code.decodable(given) is want, (size, type(given))
+
+
 def test_all_symbol_locality():
     """Erasing delta-1 nodes of a group leaves survivors that still span its
     k_local outer symbols; erasing delta nodes does not."""

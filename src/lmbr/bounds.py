@@ -16,7 +16,9 @@ separate routine so the two can be cross-checked rather than trusted.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .errors import ParameterError
@@ -27,15 +29,15 @@ from .mbr import RankProfile
 class BoundContext:
     """Length-n code assembled from local codes with the given profile.
 
-    n = groups * n_local + extra.  The caller gives ``extra``, the number of
-    columns outside the local groups (the global nodes of an
-    information-locality layout), each of which accumulates a full a_1 of
-    fresh rank; it cannot be told from n, since extra may reach n_local.
+    n = groups * n_local + extra, where n_local = len(profile) and the local
+    dimension k_local is the profile's sum; both are read off the profile.
+    The caller gives ``extra``, the number of columns outside the local
+    groups (the global nodes of an information-locality layout), each of
+    which accumulates a full a_1 of fresh rank; it cannot be told from n,
+    since extra may reach n_local.
     """
 
     n: int
-    n_local: int
-    k_local: int
     profile: RankProfile
     extra: int = 0
 
@@ -51,15 +53,6 @@ class BoundContext:
                 f"n_local, got n={self.n}, extra={self.extra}, "
                 f"n_local={self.n_local}"
             )
-        if len(self.profile) != self.n_local:
-            raise ParameterError(
-                f"profile length {len(self.profile)} != n_local {self.n_local}"
-            )
-        if self.profile.total != self.k_local:
-            raise ParameterError(
-                f"profile sums to {self.profile.total}, expected k_local="
-                f"{self.k_local}"
-            )
         if self.k_local < 1:
             raise ParameterError("local dimension must be positive")
 
@@ -67,9 +60,15 @@ class BoundContext:
     def for_local_code(cls, local, n: int, extra: int = 0) -> "BoundContext":
         """Context for copies of ``local`` plus ``extra`` further columns,
         n columns in all."""
-        prof = local.profile()
-        return cls(n=n, n_local=len(prof), k_local=prof.total, profile=prof,
-                   extra=extra)
+        return cls(n=n, profile=local.profile(), extra=extra)
+
+    @property
+    def n_local(self) -> int:
+        return len(self.profile)
+
+    @property
+    def k_local(self) -> int:
+        return self.profile.total
 
     @property
     def groups(self) -> int:
@@ -97,45 +96,28 @@ class BoundContext:
                 return full * self.n_local + s
         raise AssertionError("profile sums to k_local; unreachable")
 
-    # -- accumulated capacity including the extra columns -----------------------
+    # -- the bounds --------------------------------------------------------------
 
-    def _capacity(self) -> int:
-        return self.groups * self.k_local + self.extra * self.profile.values[0]
-
-    def _min_rank(self, s: int) -> int:
-        """Smallest rank any s thick columns of the assembly can have.
+    def _least_ranks(self) -> list[int]:
+        """least[s] for s = 0..n: the smallest rank any s thick columns of
+        the assembly can have.
 
         Within the ``groups`` full periods this is the periodic P(s); each
         column beyond them contributes a_1 of fresh rank (those columns hold
         untouched pre-code symbols, so they never overlap a local group).
         """
-        local_cols = self.groups * self.n_local
-        if s <= local_cols:
-            return self.partial_sum(s)
-        if s > self.n:
-            raise ParameterError(f"column count {s} exceeds n={self.n}")
-        return self.groups * self.k_local + (s - local_cols) * self.profile.values[0]
-
-    def _min_columns_for(self, v: int) -> int:
-        """Inverse of :meth:`_min_rank`: columns guaranteeing rank >= v."""
-        base = self.groups * self.k_local
-        if v <= base:
-            return self.p_inv(v)
-        a1 = self.profile.values[0]
-        if a1 == 0 or v > self._capacity():
-            raise ParameterError(f"rank target {v} exceeds capacity {self._capacity()}")
-        deficit = v - base
-        return self.groups * self.n_local + -(-deficit // a1)
-
-    # -- the bounds --------------------------------------------------------------
+        steps = ([*self.profile] * self.groups
+                 + [self.profile.values[0]] * self.extra)
+        return list(accumulate(steps, initial=0))
 
     def optimal_dmin(self, file_dim: int) -> int:
         """Largest minimum distance for the given file size: n - P_inv(K) + 1."""
-        if not 1 <= file_dim <= self._capacity():
+        least = self._least_ranks()
+        if not 1 <= file_dim <= least[-1]:
             raise ParameterError(
-                f"file size must satisfy 1 <= K <= {self._capacity()}, got {file_dim}"
+                f"file size must satisfy 1 <= K <= {least[-1]}, got {file_dim}"
             )
-        return self.n - self._min_columns_for(file_dim) + 1
+        return self.n - bisect_left(least, file_dim) + 1
 
     def max_file_size(self, dmin: int) -> int:
         """Largest file size supporting the given minimum distance: P(n-d+1).
@@ -147,7 +129,7 @@ class BoundContext:
             raise ParameterError(
                 f"distance must satisfy 1 <= dmin <= n={self.n}, got {dmin}"
             )
-        return self._min_rank(self.n - dmin + 1)
+        return self._least_ranks()[self.n - dmin + 1]
 
     def p_inv_closed_form(self, v: int) -> int:
         """Direct-form P_inv for regenerating-code profiles.

@@ -373,8 +373,8 @@ def _verify_repair_all(cfg: SimConfig, code: LrcCode) -> dict:
                 i for i in code.group_members(role[1]) if i != failed
             ]
             for helper_set in combinations(survivors, code.local.d):
-                shard, metrics = code.repair(failed, available,
-                                             helpers=list(helper_set))
+                shard, metrics = code.repair(
+                    failed, {h: available[h] for h in helper_set})
                 check(failed, shard, metrics,
                       expect_symbols=code.local.d * code.local.beta)
         elif role[0] == "local":

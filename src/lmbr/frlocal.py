@@ -57,18 +57,22 @@ class Design:
     """A verified t-(n_points, block_size, index) block design.
 
     Construct through :func:`verify_design` (or the loaders below), which
-    checks the covering condition exhaustively.
+    checks the covering condition exhaustively, including that every block
+    has the same size; ``block_size`` is read off the first block.
     """
 
     strength: int
     n_points: int
-    block_size: int
     index: int
     blocks: tuple[tuple[int, ...], ...]
 
     @property
     def b(self) -> int:
         return len(self.blocks)
+
+    @property
+    def block_size(self) -> int:
+        return len(self.blocks[0])
 
     def lambda_s(self, s: int) -> int:
         """Number of blocks through any s fixed points (0 <= s <= strength).
@@ -142,7 +146,6 @@ def verify_design(n_points: int, blocks: Sequence[Sequence[int]],
     return Design(
         strength=strength,
         n_points=n_points,
-        block_size=block_size,
         index=index,
         blocks=tuple(norm_blocks),
     )
@@ -309,6 +312,9 @@ class FrCode:
         if not 0 <= failed < self.design.n_points:
             raise ParameterError(f"failed index {failed} out of range")
         survivors = sorted(available)
+        for h in survivors:
+            if not 0 <= h < self.design.n_points:
+                raise ParameterError(f"helper index {h} out of range")
         values = []
         assignment: dict[int, int] = {}
         for sym in self.node_symbols[failed]:

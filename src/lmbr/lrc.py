@@ -336,8 +336,8 @@ class LrcCode:
 
     # -- repair ------------------------------------------------------------------------
 
-    def repair(self, failed: int, available: Mapping[int, Shard],
-               helpers: Sequence[int] | None = None) -> tuple[Shard, dict]:
+    def repair(self, failed: int,
+               available: Mapping[int, Shard]) -> tuple[Shard, dict]:
         """Rebuild a failed node, preferring the in-group repair path.
 
         Local nodes are regenerated inside their group (d helper symbols for
@@ -349,32 +349,27 @@ class LrcCode:
         :meth:`decode` followed by :meth:`encode`.  Returns the replacement
         shard (bit-identical to the lost one) and a metrics record of what
         moved.
+
+        Repair reads only the shards it is given, so a caller picks the
+        helpers by passing just those shards: the regenerating layer uses
+        the first d surviving group members among them.  Each shard must be
+        given under its own index, fit the code and hold symbols of the
+        code's field, or :class:`ParameterError` is raised before either
+        path runs.
         """
         if failed in available:
             raise ParameterError("failed node listed among available shards")
+        for index, shard in available.items():
+            self._check_fits(shard)
+            if index != shard.index:
+                raise ParameterError(
+                    f"shard {shard.index} is given as node {index}")
+            for v in shard.payload:
+                self.field._require_same(v.field)
         role = self.role_of(failed)
-        if helpers is not None:
-            # Explicit helper choices are caller contracts, not conditions to
-            # fall back on: validate before attempting anything.
-            if role[0] != "local" or not isinstance(self.local, MbrCode):
-                raise ParameterError(
-                    "explicit helpers apply to the regenerating local path only"
-                )
-            members = set(self.group_members(role[1]))
-            if len(set(helpers)) != self.local.d:
-                raise ParameterError(
-                    f"explicit helper set must have exactly d={self.local.d} "
-                    "distinct members"
-                )
-            bad = [h for h in helpers
-                   if h == failed or h not in members or h not in available]
-            if bad:
-                raise ParameterError(
-                    f"helpers {bad} are not surviving members of the group"
-                )
         if role[0] == "local":
             try:
-                return self._repair_local(failed, role, available, helpers)
+                return self._repair_local(failed, role, available)
             except RepairError as exc:
                 local_failure = str(exc)
         else:
@@ -387,14 +382,14 @@ class LrcCode:
                 f"decode path failed ({exc})"
             )
 
-    def _repair_local(self, failed, role, available, helpers):
+    def _repair_local(self, failed, role, available):
         _, grp, pos = role
         members = self.group_members(grp)
         survivors = [i for i in members if i in available and i != failed]
         offset = grp * self.local.n_nodes
         if isinstance(self.local, MbrCode):
             d = self.local.d
-            chosen = list(helpers) if helpers is not None else survivors[:d]
+            chosen = survivors[:d]
             if len(chosen) < d:
                 raise RepairError(
                     f"group {grp} has {len(survivors)} survivors, repair "
@@ -434,19 +429,14 @@ class LrcCode:
         and read the failed node's scalars off the same product."""
         use = sorted(available)[: self.decode_threshold]
         shards = [available[i] for i in use]
-        for shard in shards:
-            self._check_fits(shard)
         if not shards:
             raise no_evaluations()
         values = [v for shard in shards for v in shard.payload]
-        for v in values:
-            self.field._require_same(v.field)
-        nodes = [s.index for s in shards]
-        chosen, inverse = self._solver(tuple(nodes))
+        chosen, inverse = self._solver(tuple(use))
         q, m = self.local.q, self.field.m
         seen = np.array([v.coeffs for v in values], dtype=np.int64)
         coords = _matmul_mod_q(seen[chosen].reshape(1, -1), inverse, q)
-        columns = _blocks(_blocks([*nodes, failed], self.alpha), m)
+        columns = _blocks(_blocks([*use, failed], self.alpha), m)
         stored = _matmul_mod_q(coords, self.generator[:, columns],
                                q).reshape(-1, m)
         wrong = np.flatnonzero((stored[:len(values)] != seen).any(axis=1))

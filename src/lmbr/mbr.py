@@ -162,6 +162,9 @@ class MbrCode:
             )
         if len(set(indices)) != len(indices):
             raise ParameterError("duplicate helper index")
+        for i in indices:
+            if not 0 <= i < self.n_local:
+                raise ParameterError(f"helper index {i} out of range")
         if failed in indices:
             raise ParameterError("helper set must not contain the failed node")
         if not 0 <= failed < self.n_local:

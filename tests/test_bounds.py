@@ -1,5 +1,6 @@
 """Partial sums, their inverse, the distance bound, and file-size bounds."""
 
+import dataclasses
 from itertools import combinations
 from math import comb
 
@@ -17,10 +18,10 @@ from lmbr import (
 )
 from lmbr.galois import rank_mod_q
 
-DESK = BoundContext(n=6, n_local=3, k_local=3, profile=RankProfile((2, 1, 0)))
-DESK7 = BoundContext(n=7, n_local=3, k_local=3, profile=RankProfile((2, 1, 0)),
+DESK = BoundContext(n=6, profile=RankProfile((2, 1, 0)))
+DESK7 = BoundContext(n=7, profile=RankProfile((2, 1, 0)),
                      extra=1)
-BIG = BoundContext(n=10, n_local=5, k_local=9, profile=RankProfile((4, 3, 2, 0, 0)))
+BIG = BoundContext(n=10, profile=RankProfile((4, 3, 2, 0, 0)))
 
 
 def naive_partial_sum(profile, s):
@@ -106,6 +107,76 @@ def test_max_file_size_frozen_examples():
     assert BIG.max_file_size(10) == 4
 
 
+#: (n, profile, extra, optimal_dmin(K) for K = 1.., max_file_size(d) for
+#: d = 1..n), recorded from the earlier capacity / min-rank / min-columns
+#: implementation: DESK, DESK7, the extra=3 context, then the Fano profile
+#: (K_FR = 5) and the (5,3,4) MBR profile (BIG's) over two groups with
+#: 0..4 extra columns.
+FROZEN_BOUNDS = [
+    (6, (2, 1, 0), 0,
+     [6, 6, 5, 3, 3, 2],
+     [6, 6, 5, 3, 3, 2]),
+    (7, (2, 1, 0), 1,
+     [7, 7, 6, 4, 4, 3, 1, 1],
+     [8, 6, 6, 5, 3, 3, 2]),
+    (9, (2, 1, 0), 3,
+     [9, 9, 8, 6, 6, 5, 3, 3, 2, 2, 1, 1],
+     [12, 10, 8, 6, 6, 5, 3, 3, 2]),
+    (14, (3, 2, 0, 0, 0, 0, 0), 0,
+     [14, 14, 14, 13, 13, 7, 7, 7, 6, 6],
+     [10, 10, 10, 10, 10, 10, 8, 5, 5, 5, 5, 5, 5, 3]),
+    (15, (3, 2, 0, 0, 0, 0, 0), 1,
+     [15, 15, 15, 14, 14, 8, 8, 8, 7, 7, 1, 1, 1],
+     [13, 10, 10, 10, 10, 10, 10, 8, 5, 5, 5, 5, 5, 5, 3]),
+    (16, (3, 2, 0, 0, 0, 0, 0), 2,
+     [16, 16, 16, 15, 15, 9, 9, 9, 8, 8, 2, 2, 2, 1, 1, 1],
+     [16, 13, 10, 10, 10, 10, 10, 10, 8, 5, 5, 5, 5, 5, 5, 3]),
+    (17, (3, 2, 0, 0, 0, 0, 0), 3,
+     [17, 17, 17, 16, 16, 10, 10, 10, 9, 9, 3, 3, 3, 2, 2, 2, 1, 1, 1],
+     [19, 16, 13, 10, 10, 10, 10, 10, 10, 8, 5, 5, 5, 5, 5, 5, 3]),
+    (18, (3, 2, 0, 0, 0, 0, 0), 4,
+     [18, 18, 18, 17, 17, 11, 11, 11, 10, 10, 4, 4, 4, 3, 3, 3, 2, 2, 2, 1,
+      1, 1],
+     [22, 19, 16, 13, 10, 10, 10, 10, 10, 10, 8, 5, 5, 5, 5, 5, 5, 3]),
+    (10, (4, 3, 2, 0, 0), 0,
+     [10, 10, 10, 10, 9, 9, 9, 8, 8, 5, 5, 5, 5, 4, 4, 4, 3, 3],
+     [18, 18, 18, 16, 13, 9, 9, 9, 7, 4]),
+    (11, (4, 3, 2, 0, 0), 1,
+     [11, 11, 11, 11, 10, 10, 10, 9, 9, 6, 6, 6, 6, 5, 5, 5, 4, 4, 1, 1, 1,
+      1],
+     [22, 18, 18, 18, 16, 13, 9, 9, 9, 7, 4]),
+    (12, (4, 3, 2, 0, 0), 2,
+     [12, 12, 12, 12, 11, 11, 11, 10, 10, 7, 7, 7, 7, 6, 6, 6, 5, 5, 2, 2, 2,
+      2, 1, 1, 1, 1],
+     [26, 22, 18, 18, 18, 16, 13, 9, 9, 9, 7, 4]),
+    (13, (4, 3, 2, 0, 0), 3,
+     [13, 13, 13, 13, 12, 12, 12, 11, 11, 8, 8, 8, 8, 7, 7, 7, 6, 6, 3, 3, 3,
+      3, 2, 2, 2, 2, 1, 1, 1, 1],
+     [30, 26, 22, 18, 18, 18, 16, 13, 9, 9, 9, 7, 4]),
+    (14, (4, 3, 2, 0, 0), 4,
+     [14, 14, 14, 14, 13, 13, 13, 12, 12, 9, 9, 9, 9, 8, 8, 8, 7, 7, 4, 4, 4,
+      4, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1],
+     [34, 30, 26, 22, 18, 18, 18, 16, 13, 9, 9, 9, 7, 4]),
+]
+
+
+@pytest.mark.parametrize("n,profile,extra,dmin,max_file", FROZEN_BOUNDS)
+def test_bounds_frozen_for_every_K_and_d(n, profile, extra, dmin, max_file):
+    """Every K and every d, and the refusals just outside both ranges."""
+    ctx = BoundContext(n=n, profile=RankProfile(profile), extra=extra)
+    top = len(dmin)
+    assert [ctx.optimal_dmin(K) for K in range(1, top + 1)] == dmin
+    assert [ctx.max_file_size(d) for d in range(1, n + 1)] == max_file
+    for K in (0, top + 1):
+        with pytest.raises(ParameterError) as err:
+            ctx.optimal_dmin(K)
+        assert str(err.value) == f"file size must satisfy 1 <= K <= {top}, got {K}"
+    for d in (0, n + 1):
+        with pytest.raises(ParameterError) as err:
+            ctx.max_file_size(d)
+        assert str(err.value) == f"distance must satisfy 1 <= dmin <= n={n}, got {d}"
+
+
 def test_max_file_size_non_increasing():
     vals = [DESK.max_file_size(d) for d in range(1, 7)]
     assert vals == sorted(vals, reverse=True)
@@ -150,7 +221,7 @@ def test_closed_form_agrees_with_summation_everywhere(ctx):
 
 
 def test_closed_form_rejects_non_regenerating_profile():
-    ctx = BoundContext(n=6, n_local=3, k_local=4, profile=RankProfile((2, 2, 0)))
+    ctx = BoundContext(n=6, profile=RankProfile((2, 2, 0)))
     with pytest.raises(ParameterError):
         ctx.p_inv_closed_form(3)
 
@@ -183,24 +254,29 @@ def test_max_dim_trigger():
 def test_for_local_code_constructor():
     ctx = BoundContext.for_local_code(MbrCode(3, 2, 2, 3), 6)
     assert ctx == DESK
+    # n_local and k_local are read off the profile, not given.
+    assert [f.name for f in dataclasses.fields(BoundContext)] == \
+        ["n", "profile", "extra"]
+    assert (ctx.n_local, ctx.k_local, ctx.groups) == (3, 3, 2)
 
 
 def test_context_validation():
     with pytest.raises(ParameterError):
-        BoundContext(n=6, n_local=3, k_local=4, profile=RankProfile((2, 1, 0)))
-    with pytest.raises(ParameterError):
-        BoundContext(n=2, n_local=3, k_local=3, profile=RankProfile((2, 1, 0)))
-    with pytest.raises(ParameterError):
-        BoundContext(n=6, n_local=3, k_local=3, profile=RankProfile((2, 1)))
+        BoundContext(n=2, profile=RankProfile((2, 1, 0)))
+    with pytest.raises(ParameterError, match="n_local=0"):
+        BoundContext(n=6, profile=RankProfile(()))
+    with pytest.raises(ParameterError, match="local dimension must be positive"):
+        BoundContext(n=6, profile=RankProfile((0, 0, 0)))
+
 
 
 def test_extra_columns_are_given_and_leave_whole_groups():
     profile = RankProfile((2, 1, 0))
     for n, extra in ((7, 0), (6, 1), (6, -1), (6, 4)):
         with pytest.raises(ParameterError):
-            BoundContext(n=n, n_local=3, k_local=3, profile=profile,
+            BoundContext(n=n, profile=profile,
                          extra=extra)
-    ctx = BoundContext(n=9, n_local=3, k_local=3, profile=profile, extra=3)
+    ctx = BoundContext(n=9, profile=profile, extra=3)
     assert (ctx.groups, ctx.extra) == (2, 3)
     assert ctx.max_file_size(1) == 2 * 3 + 3 * 2
 
@@ -243,8 +319,6 @@ def contexts(draw):
     groups = draw(st.integers(min_value=1, max_value=3))
     return BoundContext(
         n=groups * n_local,
-        n_local=n_local,
-        k_local=sum(values),
         profile=RankProfile(tuple(values)),
     )
 

@@ -24,6 +24,7 @@ from lmbr import (
     ConfigMismatchError,
     FieldElement,
     LrcCode,
+    MbrCode,
     ParameterError,
     Shard,
     ShardFormatError,
@@ -361,6 +362,57 @@ def test_verify_repair_all_negative_control_exit1(monkeypatch, capsys):
     assert witness["metrics"]["helpers"] == [1, 2, 3, 4]
 
 
+def test_verify_repair_all_checks_every_mbr_helper_set(monkeypatch, capsys):
+    """repair-all checks the shard and the helpers of every regenerating
+    repair it makes: one that goes wrong whenever local helper 2 is used
+    makes it exit 1, and the witness names that node among its helpers."""
+    real = MbrCode.repair
+
+    def flawed(self, failed, helpers):
+        vec = real(self, failed, helpers)
+        if 2 in [i for i, _ in helpers]:
+            vec = (vec[0] + vec[0].field.one(),) + vec[1:]
+        return vec
+
+    monkeypatch.setattr(MbrCode, "repair", flawed)
+    rc, report = run(capsys, "verify", *DESK_ARGS, "--mode", "repair-all")
+    assert rc == 1
+    assert report["pass"] is False
+    metrics = report["witness"]["metrics"]
+    assert metrics["path"] == "local-regenerating"
+    assert 2 in metrics["helpers"]
+
+
+def test_verify_repair_all_repairs_from_each_mbr_helper_set(monkeypatch,
+                                                            capsys):
+    """With n_local = 4 and d = 2 each local node has three helper sets.
+    A regenerating repair that goes wrong on every set but the first d
+    survivors, the set a repair given every shard uses, passes such a
+    repair and fails repair-all, which gives it each set's shards alone."""
+    real = MbrCode.repair
+
+    def flawed(self, failed, helpers):
+        vec = real(self, failed, helpers)
+        first = [i for i in range(self.n_local) if i != failed][:self.d]
+        if [i for i, _ in helpers] != first:
+            vec = (vec[0] + vec[0].field.one(),) + vec[1:]
+        return vec
+
+    monkeypatch.setattr(MbrCode, "repair", flawed)
+    argv = ["--construction", "all-symbol", "--q", "5", "--t", "2", "--nl",
+            "4", "--r", "2", "--d", "2", "--K", "5"]
+    code = SimConfig(q=5, n_l=4, r=2, d=2, file_dim=5).build()
+    rng = random.Random(0)
+    shards = code.encode([code.field.random_element(rng)
+                          for _ in range(code.file_dim)])
+    shard, _ = code.repair(0, {s.index: s for s in shards[1:]})
+    assert shard == shards[0]
+    rc, report = run(capsys, "verify", *argv, "--mode", "repair-all")
+    assert rc == 1
+    assert report["witness"]["failed"] == 0
+    assert report["witness"]["metrics"]["helpers"] == [1, 3]
+
+
 MBR_STRIPES_ARGS = ["--construction", "info-local", "--q", "3", "--t", "2",
                     "--delta", "1", "--K", "5", "--m", "8"]
 CERTIFY_ARGS = ["--construction", "all-symbol", "--q", "3", "--t", "5",
@@ -424,6 +476,10 @@ FROZEN_VERIFY = [
         '{"mode": "repair-all", "cases": 22, "pass": true, "witness": '
         'null}\n', "", id="mbr-stripes-repair-all"),
     pytest.param(
+        FR_ARGS + ["--mode", "repair-all"], 0,
+        '{"mode": "repair-all", "cases": 14, "pass": true, "witness": '
+        'null}\n', "", id="fano-repair-all"),
+    pytest.param(
         DESK_ARGS + ["--mode", "ura", "--claim-profile", "2,2,0"], 1,
         '{"mode": "ura", "claimed": [2, 2, 0], "measured": "mismatch", '
         '"columns": 6, "subsets_checked": null, "pass": false, "witness": '
@@ -475,12 +531,11 @@ FROZEN_VERIFY = [
 
 @pytest.mark.parametrize("argv,rc,out,err", FROZEN_VERIFY)
 def test_verify_output_is_frozen(argv, rc, out, err, capsys):
-    """verify --mode dmin and --mode ura on C1, C2, Fano and mbr-stripes,
-    --mode repair-all on C1, C2 and mbr-stripes, --mode dmin on the
-    certify and three-group configurations,
-    claimed-profile negative controls, cap refusals and a 64-node group's
-    refusal print exactly the recorded bytes and exit with the recorded
-    code."""
+    """verify --mode dmin, --mode ura and --mode repair-all on C1, C2,
+    Fano and mbr-stripes, --mode dmin on the certify and three-group
+    configurations, claimed-profile negative controls, cap refusals and a
+    64-node group's refusal print exactly the recorded bytes and exit with
+    the recorded code."""
     assert main(["verify", *argv]) == rc
     assert capsys.readouterr() == (out, err)
 

@@ -1,5 +1,6 @@
 """Block designs and the fractional-repetition codes built on them."""
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -54,6 +55,8 @@ def test_fano_is_a_valid_2_7_3_1_design():
     design = fano_plane()
     assert (design.strength, design.n_points, design.block_size,
             design.index) == (2, 7, 3, 1)
+    # The block size is read off the blocks, not stored beside them.
+    assert "block_size" not in [f.name for f in dataclasses.fields(design)]
     assert design.b == 7
     for pair in combinations(range(1, 8), 2):
         assert count_blocks_through(design.blocks, pair) == 1
@@ -81,8 +84,10 @@ def test_malformed_blocks_rejected():
         verify_design(7, [(1, 2, 2)], 2, 1)
     with pytest.raises(DesignError):
         verify_design(7, [(1, 2, 9)], 2, 1)
-    with pytest.raises(DesignError):
+    with pytest.raises(DesignError) as err:
         verify_design(7, [(1, 2, 3), (1, 2)], 2, 1)
+    assert str(err.value) == "block (1, 2) has size 2, expected 3"
+    assert err.value.witness == (1, 2)
 
 
 def test_lambda_s_fano_frozen():
@@ -240,6 +245,21 @@ def test_fr_repair_symbol_extinct():
     available = {i: nodes[i] for i in range(3, 7)}
     with pytest.raises(RepairError):
         code.repair(0, available)
+
+
+def test_fr_repair_refuses_helper_index_outside_the_code():
+    """A helper index outside 0..n_points-1 names no node: refused with
+    the index, not read as the last node's symbols."""
+    code = FrCode(fano_plane(), 5, 7)
+    F = field(7, 10)
+    rng = random.Random(6)
+    nodes = code.encode([F.random_element(rng) for _ in range(5)])
+    for index in (-1, 7):
+        available = {i: nodes[i] for i in range(1, 7)}
+        available[index] = nodes[6]
+        with pytest.raises(ParameterError,
+                           match=rf"^helper index {index} out of range$"):
+            code.repair(0, available)
 
 
 def table_then_scan_helper(code, failed, sym, available):

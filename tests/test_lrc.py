@@ -904,19 +904,41 @@ def test_repair_falls_back_when_group_degraded():
     assert "local_path_error" in metrics
 
 
-def test_repair_explicit_helpers_validated():
+def test_repair_uses_exactly_the_given_shards():
     code = desk_c1()
     msg = random_message(code, 20)
     originals = {s.index: s for s in code.encode(msg)}
-    available = {i: s for i, s in originals.items() if i != 0}
-    shard, metrics = code.repair(0, available, helpers=[1, 2])
+    shard, metrics = code.repair(0, {i: originals[i] for i in (1, 2)})
     assert shard == originals[0] and metrics["helpers"] == [1, 2]
-    with pytest.raises(ParameterError):
-        code.repair(0, available, helpers=[1])          # wrong count
-    with pytest.raises(ParameterError):
-        code.repair(0, available, helpers=[1, 3])       # outside the group
-    with pytest.raises(ParameterError):
-        code.repair(0, available, helpers=[0, 1])       # includes the failure
+
+
+@pytest.mark.parametrize("build,failed", [(desk_c1, 0), (fano_code, 0),
+                                          (desk_c2, 6)],
+                         ids=["local-regenerating", "local-transfer",
+                              "decode-reencode"])
+def test_repair_checks_every_given_shard_first(build, failed):
+    """Before either path runs, repair refuses a shard given under another
+    node's index, a shard that does not fit the code and a symbol of
+    another field, on each repair path."""
+    code = build()
+    shards = code.encode(random_message(code, 21))
+    available = {s.index: s for s in shards if s.index != failed}
+    a, b = sorted(available)[:2]
+    swapped = {**available, a: shards[b], b: shards[a]}
+    short = Shard(a, shards[a].role, shards[a].payload[:-1])
+    foreign = field(code.field.q, code.field.m - 1).one()
+    alien = Shard(a, shards[a].role, (foreign, *shards[a].payload[1:]))
+    q, m = code.field.q, code.field.m
+    for given, text in (
+            (swapped, f"shard {b} is given as node {a}"),
+            ({**available, a: short},
+             f"shard {a} with {code.alpha - 1} symbols does not fit "
+             f"n={code.n_nodes} nodes of alpha={code.alpha}"),
+            ({**available, a: alien},
+             f"field mismatch: GF({q}^{m}) vs GF({q}^{m - 1})")):
+        with pytest.raises(ParameterError) as err:
+            code.repair(failed, given)
+        assert str(err.value) == text
 
 
 def test_repair_unrepairable_raises():

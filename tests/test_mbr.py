@@ -232,6 +232,20 @@ def test_repair_helper_count_enforced():
         code.repair(0, [(0, nodes[0][0]), (2, nodes[2][0])])  # helper == failed
 
 
+@pytest.mark.parametrize("index", [-1, 3])
+def test_repair_refuses_helper_index_outside_the_code(index):
+    """A helper index outside 0..n_local-1 names no row of Psi: refused
+    with the index, not read as Psi's last row or an IndexError."""
+    code = MbrCode(3, 2, 2, 3)
+    F, msg = make_message(code, 6, seed=5)
+    nodes = code.encode(msg)
+    helpers = [(1, code.helper_symbol(nodes[1], 0)),
+               (index, code.helper_symbol(nodes[2], 0))]
+    with pytest.raises(ParameterError,
+                       match=rf"^helper index {index} out of range$"):
+        code.repair(0, helpers)
+
+
 def test_profiles_frozen():
     assert tuple(MbrCode(3, 2, 2, 3).profile()) == (2, 1, 0)
     assert tuple(MbrCode(5, 3, 4, 7).profile()) == (4, 3, 2, 0, 0)

@@ -14,9 +14,11 @@ Reed-Solomon row of every stored symbol, node by node) through
 :func:`galois.apply_int_matrix`.
 
 The number of blocks through any s <= t fixed points depends only on s
-(lambda_s), so unions of few nodes have predictable size and the code
-accumulates rank uniformly once union sizes are capped at the message
-dimension.  That capped uniformity is verified exhaustively, never assumed.
+(lambda_s), and every lambda_s is checked on every s-subset of points, so
+by inclusion-exclusion every set of s <= t nodes has the same union size.
+Capped at the message dimension, those sizes are the code's rank profile;
+``lmbr verify --mode ura`` certifies that profile by the ranks of the
+generator itself.
 """
 
 from __future__ import annotations
@@ -28,17 +30,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DesignError,
-    ParameterError,
-    PatternCapError,
-    RepairError,
-)
+from .errors import DesignError, ParameterError, RepairError
 from .galois import FieldElement, apply_int_matrix, is_prime
 from .mbr import RankProfile
-
-#: Most node subsets :meth:`FrCode.profile` sweeps before refusing.
-PROFILE_SUBSET_CAP = 1 << 22
 
 #: The seven lines of the Fano plane over points 1..7 (a 2-(7,3,1) design).
 FANO_BLOCKS = (
@@ -91,8 +85,7 @@ class Design:
         if num % den:
             raise DesignError(f"lambda_{s} = {num}/{den} is not an integer")
         value = num // den
-        for subset in combinations(range(1, n + 1), s):
-            count = sum(1 for blk in self.blocks if set(subset) <= set(blk))
+        for subset, count in _coverage(self.blocks, n, s):
             if count != value:
                 raise DesignError(
                     f"direct count {count} for {subset} contradicts "
@@ -100,6 +93,14 @@ class Design:
                     witness=subset,
                 )
         return value
+
+
+def _coverage(blocks: Sequence[Sequence[int]], n_points: int, s: int):
+    """Yield each s-subset of the points 1..n_points, in ``combinations``
+    order, with the number of blocks that contain it."""
+    block_sets = [frozenset(blk) for blk in blocks]
+    for subset in combinations(range(1, n_points + 1), s):
+        yield subset, sum(1 for blk in block_sets if blk.issuperset(subset))
 
 
 def verify_design(n_points: int, blocks: Sequence[Sequence[int]],
@@ -136,8 +137,7 @@ def verify_design(n_points: int, blocks: Sequence[Sequence[int]],
         raise ParameterError(
             f"need t <= w < n, got t={strength}, w={block_size}, n={n_points}"
         )
-    for subset in combinations(range(1, n_points + 1), strength):
-        count = sum(1 for blk in norm_blocks if set(subset) <= set(blk))
+    for subset, count in _coverage(norm_blocks, n_points, strength):
         if count != index:
             raise DesignError(
                 f"point set {subset} lies in {count} blocks, expected {index}",
@@ -163,15 +163,12 @@ def infer_design(n_points: int, blocks: Sequence[Sequence[int]]) -> Design:
     w = sizes.pop()
     last_error = None
     for t in range(min(w, n_points - 1), 0, -1):
-        counts = set()
-        for subset in combinations(range(1, n_points + 1), t):
-            counts.add(sum(1 for blk in blocks if set(subset) <= set(blk)))
-            if len(counts) > 1:
-                break
-        if len(counts) == 1:
-            lam = counts.pop()
-            if lam >= 1:
-                return verify_design(n_points, blocks, t, lam)
+        # 1 <= t < n_points, so there is a first subset; the scan stops at
+        # the first count that differs from it.
+        counts = (count for _, count in _coverage(blocks, n_points, t))
+        lam = next(counts)
+        if all(count == lam for count in counts) and lam >= 1:
+            return verify_design(n_points, blocks, t, lam)
         last_error = f"coverage at strength {t} is not uniform"
     raise DesignError(last_error or "no uniform strength found")
 
@@ -250,7 +247,6 @@ class FrCode:
             [self.rs_matrix[list(syms)].T for syms in self.node_symbols], axis=1
         )
         self._generator.setflags(write=False)
-        self._profile: RankProfile | None = None
 
     # -- combinatorics -----------------------------------------------------------
 
@@ -333,46 +329,26 @@ class FrCode:
     # -- rank accumulation -------------------------------------------------------------
 
     def profile(self) -> RankProfile:
-        """Capped-union rank profile, verified exhaustively.
+        """Capped-union rank profile, read off the checked lambda_s.
 
         The rank any i nodes expose is min(|union of their symbol sets|,
-        k_message).  Increments are taken from the uniform union sizes up to
-        k_rec; the exhaustive sweep then confirms that the cap makes the
-        accumulation uniform for every subset of every size, and rejects the
-        design/message-size pair otherwise.
+        k_message).  For i <= k_rec <= strength every i-set of nodes has
+        union size uniform_union(i): inclusion-exclusion over lambda_1..
+        lambda_i, each checked on every subset of points by
+        :meth:`Design.lambda_s`.  Past k_rec every i-set contains a k_rec-set
+        whose union already reaches k_message.  ``lmbr verify --mode ura``
+        certifies the profile by the ranks of the generator itself.
         """
-        if self._profile is not None:
-            return self._profile
-        n = self.design.n_points
-        if 2 ** n > PROFILE_SUBSET_CAP:
-            raise PatternCapError(
-                f"2^{n} subsets exceed the cap {PROFILE_SUBSET_CAP}"
-            )
         values = []
         prev = 0
-        for i in range(1, n + 1):
+        for i in range(1, self.design.n_points + 1):
             if i <= self.k_rec:
                 cur = min(self.uniform_union(i), self.k_message)
             else:
                 cur = self.k_message
             values.append(cur - prev)
             prev = cur
-        predicted = [0]
-        for v in values:
-            predicted.append(predicted[-1] + v)
-        sets = [frozenset(s) for s in self.node_symbols]
-        for size in range(1, n + 1):
-            for subset in combinations(range(n), size):
-                union = frozenset().union(*(sets[i] for i in subset))
-                measured = min(len(union), self.k_message)
-                if measured != predicted[size]:
-                    raise DesignError(
-                        f"rank accumulation is not uniform: nodes {subset} "
-                        f"expose {measured}, expected {predicted[size]}",
-                        witness=subset,
-                    )
-        self._profile = RankProfile(tuple(values))
-        return self._profile
+        return RankProfile(tuple(values))
 
     def generator_matrix(self) -> np.ndarray:
         """k_message x (n_points * alpha) generator over F_q (read-only).

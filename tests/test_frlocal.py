@@ -1,6 +1,7 @@
 """Block designs and the fractional-repetition codes built on them."""
 
 import dataclasses
+import json
 import random
 from itertools import combinations
 
@@ -12,7 +13,7 @@ from lmbr import (
     InconsistentDataError,
     InsufficientRankError,
     ParameterError,
-    PatternCapError,
+    RankProfile,
     RepairError,
     Shard,
     all_symbol_code,
@@ -22,8 +23,9 @@ from lmbr import (
     load_design,
     verify_design,
 )
-from lmbr.frlocal import FANO_BLOCKS, PROFILE_SUBSET_CAP
-from lmbr.galois import rank_mod_q
+from lmbr.cli import main
+from lmbr.frlocal import FANO_BLOCKS
+from lmbr.galois import SIZE_BUDGET, rank_mod_q
 
 
 def count_blocks_through(blocks, points):
@@ -315,13 +317,102 @@ def test_fr_profile_frozen_and_capped_uniformity():
     assert tuple(FrCode(fano_plane(), 3, 7).profile()) == (3, 0, 0, 0, 0, 0, 0)
 
 
-def test_fr_profile_refuses_past_the_subset_cap():
-    """A 23-point design has 2^23 node subsets, past PROFILE_SUBSET_CAP."""
-    ring = verify_design(23, [(i, i % 23 + 1) for i in range(1, 24)],
+def reference_profile(code):
+    """The exhaustive capped-union sweep: every node subset's union, capped
+    at k_message, must expose the rank predicted from the uniform unions."""
+    n = code.design.n_points
+    values = []
+    prev = 0
+    for i in range(1, n + 1):
+        if i <= code.k_rec:
+            cur = min(code.uniform_union(i), code.k_message)
+        else:
+            cur = code.k_message
+        values.append(cur - prev)
+        prev = cur
+    predicted = [0]
+    for v in values:
+        predicted.append(predicted[-1] + v)
+    sets = [frozenset(s) for s in code.node_symbols]
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            union = frozenset().union(*(sets[i] for i in subset))
+            measured = min(len(union), code.k_message)
+            if measured != predicted[size]:
+                raise DesignError(
+                    f"rank accumulation is not uniform: nodes {subset} "
+                    f"expose {measured}, expected {predicted[size]}",
+                    witness=subset,
+                )
+    return RankProfile(tuple(values))
+
+
+def affine_plane_3():
+    """The twelve lines of AG(2,3), a 2-(9,3,1) design; point (x, y) of
+    Z_3^2 is 3x + y + 1."""
+    lines = [[(x, (a * x + c) % 3) for x in range(3)]
+             for a in range(3) for c in range(3)]
+    lines += [[(c, y) for y in range(3)] for c in range(3)]
+    return verify_design(9, [[3 * x + y + 1 for x, y in line] for line in lines],
+                         strength=2, index=1)
+
+
+def ring_design(n):
+    """The edges (i, i % n + 1) of an n-cycle: a 1-(n, 2, 2) design."""
+    return verify_design(n, [(i, i % n + 1) for i in range(1, n + 1)],
                          strength=1, index=2)
-    assert PROFILE_SUBSET_CAP < 2 ** ring.n_points
-    with pytest.raises(PatternCapError):
-        FrCode(ring, 2, 23).profile()
+
+
+#: (name, design, prime q >= b, every k_fr up to the largest union of
+#: strength-many nodes).
+FR_DESIGNS = [
+    ("fano", fano_plane(), 7, range(1, 6)),
+    ("complete-2-4-3-2",
+     verify_design(4, list(combinations(range(1, 5), 3)), 2, 2), 5, range(1, 5)),
+    ("ag23", affine_plane_3(), 13, range(1, 8)),
+] + [(f"ring{n}", ring_design(n), q, range(1, 3))
+     for n, q in zip(range(4, 13), (5, 5, 7, 7, 11, 11, 11, 11, 13))]
+
+
+@pytest.mark.parametrize("design,q,k_fr", [
+    pytest.param(design, q, k, id=f"{name}-k{k}")
+    for name, design, q, ks in FR_DESIGNS for k in ks
+])
+def test_fr_profile_matches_the_exhaustive_sweep(design, q, k_fr):
+    code = FrCode(design, k_fr, q)
+    assert tuple(code.profile()) == tuple(reference_profile(code))
+
+
+@pytest.mark.parametrize("design,q,k_fr,t", [
+    pytest.param(design, q, k, t, id=f"{name}-k{k}-t{t}")
+    for name, design, q, ks in FR_DESIGNS for k in ks for t in (1, 2)
+    # t = 2 where the 2^(2n) subsets fit the default cap and q^(2 k_fr)
+    # fits the field budget.
+    if t == 1 or (4 ** design.n_points <= 10 ** 6
+                  and q ** (2 * k) <= SIZE_BUDGET)
+])
+def test_fr_profile_passes_ura(design, q, k_fr, t):
+    """The rank certifier, working on the real generator, accepts the
+    profile as the default claim."""
+    code = all_symbol_code(t, FrCode(design, k_fr, q), t * k_fr)
+    report = code.ura_report()
+    assert report["pass"] is True and report["witness"] is None
+    assert report["claimed_profile"] == list(code.local.profile())
+
+
+def test_fr_profile_of_a_23_point_design(tmp_path, capsys):
+    """2^23 node subsets are no obstacle: the profile is read off the
+    design's lambda_s, and the CLI builds the code."""
+    ring = ring_design(23)
+    assert tuple(FrCode(ring, 2, 23).profile()) == (2,) + (0,) * 22
+    path = tmp_path / "ring23"
+    path.write_text("".join(f"{a} {b}\n" for a, b in ring.blocks))
+    rc = main(["make", "--construction", "fr-local", "--design-file", str(path),
+               "--kfr", "2", "--q", "23", "--t", "1", "--K", "2",
+               "--out-dir", str(tmp_path)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert (out["dmin_bound"], out["file_size_bound"]) == (23, 2)
 
 
 def test_fr_raw_unions_not_uniform_but_capped_ranks_are():

@@ -1,5 +1,5 @@
 """Every name a module imports is used by that module, and every private
-helper of the package is used somewhere in it."""
+helper and module-level constant of the package is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -58,14 +58,16 @@ def orphaned_privates(sources: list[str]) -> list[str]:
     refers to; a definition is not a reference to itself."""
     trees = [ast.parse(source) for source in sources]
     defined = set().union(*(private_definitions(tree) for tree in trees))
-    referenced = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    return sorted(defined - referenced)
+    return sorted(defined - read_names(trees))
+
+
+def read_names(trees: list[ast.AST]) -> set[str]:
+    """Every name, and every attribute name, that some node of the trees
+    reads (assignment targets are not reads)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
 
 
 def test_every_private_helper_is_referenced():
@@ -88,6 +90,47 @@ def test_orphaned_private_is_reported():
            "        return 2\n")
     user = "from lib import _used\ny = _used(Box()._method())\n"
     assert orphaned_privates([lib, user]) == ["_orphan", "_unused_method"]
+
+
+def module_constants(tree: ast.AST) -> set[str]:
+    """UPPER_CASE names bound by the module's own top-level assignments."""
+    targets = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets += stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets.append(stmt.target)
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and node.id.isupper()}
+
+
+def unread_constants(sources: list[str]) -> list[str]:
+    """Module constants that no name or attribute in any of the sources
+    reads; the assignment that binds a constant is not a read."""
+    trees = [ast.parse(source) for source in sources]
+    defined = set().union(*(module_constants(tree) for tree in trees))
+    return sorted(defined - read_names(trees))
+
+
+def test_every_constant_is_read():
+    sources = [path.read_text() for path in SOURCES]
+    assert any(module_constants(ast.parse(source)) for source in sources)
+    assert unread_constants(sources) == []
+
+
+def test_unread_constant_is_reported():
+    lib = ("CAP = 1 << 22\n"
+           "LIMIT: int = 5\n"
+           "USED = 3\n"
+           "_PRIVATE = 4\n"
+           "lower = 2\n"
+           "class Box:\n"
+           "    INNER = 1\n"
+           "def f():\n"
+           "    LOCAL = 7\n"
+           "    return USED + LOCAL\n")
+    user = "import lib\nx = lib._PRIVATE\n"
+    assert unread_constants([lib, user]) == ["CAP", "LIMIT"]
 
 
 #: The field's Frobenius matrix and its table windows: the Moore map's layout.

@@ -29,9 +29,14 @@ every subset of a matrix's node column groups come from
 :func:`subset_ranks`, one stacked rank-only pass.  The rank of one matrix,
 its pivot columns and a solve A X = B (:func:`solve_mod_q`) come from one
 Gauss-Jordan elimination to the reduced form, which is faster on a single
-matrix.  Both work on int64 numpy arrays where no product can overflow and
-on Python ints otherwise, so they are exact for every q.  A field element
-is inverted as a^(q^m - 2).
+matrix.  Both work on int64 numpy arrays where a product of two residues
+fits and on Python ints otherwise, so they are exact for every q.  The
+stacked pass reduces mod q at every step.  The Gauss-Jordan elimination
+delays it: a step subtracts at most (q-1)^2 from an entry, so an int64
+block is reduced after every 2^63 // (q-1)^2 steps (every step for
+q > 2^31 + 1; at q = 7 never before the end) and once at the end; Python
+ints are reduced at every step.  A field element is inverted as
+a^(q^m - 2).
 """
 
 from __future__ import annotations
@@ -437,9 +442,12 @@ def _exact_dtype(terms: int, peak: int, q: int):
     """int64 when a sum of ``terms`` products of an entry at most ``peak``
     with a residue mod q stays below 2^63; Python ints (object) otherwise.
     Every F_q product and elimination of this module follows this rule, so
-    each is exact for every q that :func:`field` accepts.  An elimination
-    step takes a difference of two products of residues, each in
-    [0, (q-1)^2], so it counts as one term."""
+    each is exact for every q that :func:`field` accepts.  Eliminations ask
+    for one product of two residues.  A step of :func:`subset_ranks` takes
+    a difference of two such products, each in [0, (q-1)^2], and reduces;
+    :func:`_row_reduce` subtracts them from entries that start in [0, q)
+    and reduces once 2^63 // (q-1)^2 have piled up, so neither leaves
+    int64."""
     return np.int64 if terms * peak * (q - 1) < 2 ** 63 else object
 
 
@@ -455,26 +463,39 @@ def _row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     exactly when it is independent of the columns before it.  This is the
     elimination of a single matrix: rank, pivot columns and solves.  The
     ranks of many column subsets come from :func:`subset_ranks`.
+
+    Reduction mod q is delayed (Dumas, Gautier and Pernet, ISSAC 2002).  A
+    step reduces the pivot column, which picks the lead and is the update's
+    multiplier, and the pivot row; the rest of the block takes the rank-one
+    update unreduced.  Entries start in [0, q) and an update subtracts a
+    product of two residues, at most (q-1)^2, so an int64 block stays exact
+    for 2^63 // (q-1)^2 updates: it is reduced after that many, and once at
+    the end.  Python ints are reduced at every step, which keeps them small.
     """
     a = _residues(matrix, q)
     rows, cols = a.shape
+    room = 2 ** 63 // (q - 1) ** 2 if a.dtype == np.int64 else 1
     pivots: list[int] = []
     for c in range(cols):
         r = len(pivots)
         if r == rows:
             break
-        # Any nonzero entry may serve as pivot: the reduced form is unique.
-        p = r + int(a[r:, c].argmax())
-        lead = int(a[p, c])
+        column = a[:, c] % q
+        # Any nonzero residue may serve as pivot: the reduced form is unique.
+        p = r + int(column[r:].argmax())
+        lead = int(column[p])
         if not lead:
             continue
         right = a[:, c:]                     # rows r.. are zero left of c
-        row = right[p] * pow(lead, q - 2, q) % q
+        row = right[p] % q * pow(lead, q - 2, q) % q
         right[p] = right[r]                  # swap rows r and p ...
-        right -= np.outer(right[:, 0], row)  # ... clear column c everywhere ...
+        column[p] = column[r]
+        right -= column[:, None] * row       # ... clear column c everywhere ...
         right[r] = row                       # ... and put the pivot row at r
-        right %= q
         pivots.append(c)
+        if len(pivots) % room == 0:          # one update per pivot so far
+            right %= q
+    a %= q
     return a, pivots
 
 

@@ -21,6 +21,7 @@ any extension F_{q^m}.  Encoding therefore applies the k_message x
 (n_local * alpha) generator over F_q, built once per code from the unit
 messages; helper symbols apply one row of Psi and repair applies the
 inverse of the helpers' rows, all through :func:`galois.apply_int_matrix`.
+That inverse is built on the first repair from each helper set and kept.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ class MbrCode:
         if rank_mod_q(self.psi, q) != d:
             raise AssertionError("Vandermonde matrix lost full column rank")
         self._generator = self._build_generator()
+        # Inverses of Psi_H by sorted helper indices: at most C(n_local, d).
+        self._repair_inverses: dict[tuple[int, ...], np.ndarray] = {}
 
     # -- message matrix packing ------------------------------------------------
 
@@ -170,10 +173,16 @@ class MbrCode:
         if not 0 <= failed < self.n_local:
             raise ParameterError(f"failed index {failed} out of range")
         fld = helpers[0][1].field
-        psi_h = self.psi[indices]                 # d x d, invertible
-        inv = inv_mod_q(psi_h, self.q)
+        key = tuple(sorted(indices))
+        inv = self._repair_inverses.get(key)
+        if inv is None:
+            inv = inv_mod_q(self.psi[list(key)], self.q)  # d x d, invertible
+            self._repair_inverses[key] = inv
+        # Psi_H is Psi_key with its rows permuted, so the inverse of Psi_H
+        # is the cached one with its columns permuted the same way.
+        inv_h = inv[:, [key.index(i) for i in indices]]
         symbols = [s for _, s in helpers]
-        return tuple(apply_int_matrix(inv, symbols, fld))
+        return tuple(apply_int_matrix(inv_h, symbols, fld))
 
     def profile(self) -> RankProfile:
         """Rank accumulation profile (alpha, alpha - beta, ..., 0, ...)."""

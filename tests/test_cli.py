@@ -628,6 +628,30 @@ def test_console_script_installed():
     assert json.loads(out.stdout)["dmin_bound"] == 3
 
 
+def test_python_dash_m_lmbr_keeps_the_exit_code_contract():
+    """``python -m lmbr`` runs the CLI from a source tree, without an
+    installed script: a pass exits 0 with its JSON on stdout, a refusal
+    exits 2 with the JSON error record on stderr."""
+    src = Path(lmbr.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "lmbr", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+
+    ok = run_module("bounds", *DESK_ARGS)
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["dmin_bound"] == 3
+    refused = run_module("bounds", *DESK_ARGS, "--q", "4")
+    assert refused.returncode == 2
+    assert refused.stdout == ""
+    assert json.loads(refused.stderr) == {
+        "error": "ParameterError",
+        "detail": "base field order must be prime, got q=4",
+    }
+
+
 def test_design_file_flag(tmp_path, capsys):
     from lmbr.frlocal import FANO_BLOCKS
     path = tmp_path / "design.txt"

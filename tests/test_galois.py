@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from lmbr import LinearizedPoly, ParameterError, field, galois, rank_over_base
 from lmbr.galois import (
     ExtField,
+    _residues,
     _row_reduce,
     apply_int_matrix,
     inv_mod_q,
@@ -685,6 +686,110 @@ def test_elimination_matches_sympy(q):
         invertible += 1
         assert np.array_equal(inv_mod_q(mat, q), _mod_q(ref_inv, q))
     assert singular >= 3 and invertible >= 1
+
+
+def reference_row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of an integer matrix over F_q (Gauss-Jordan).
+
+    Returns the reduced matrix and its pivot columns: column c is a pivot
+    exactly when it is independent of the columns before it.  This is the
+    elimination of a single matrix: rank, pivot columns and solves.  The
+    ranks of many column subsets come from :func:`subset_ranks`.
+    """
+    a = _residues(matrix, q)
+    rows, cols = a.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        # Any nonzero entry may serve as pivot: the reduced form is unique.
+        p = r + int(a[r:, c].argmax())
+        lead = int(a[p, c])
+        if not lead:
+            continue
+        right = a[:, c:]                     # rows r.. are zero left of c
+        row = right[p] * pow(lead, q - 2, q) % q
+        right[p] = right[r]                  # swap rows r and p ...
+        right -= np.outer(right[:, 0], row)  # ... clear column c everywhere ...
+        right[r] = row                       # ... and put the pivot row at r
+        right %= q
+        pivots.append(c)
+    return a, pivots
+
+
+def assert_reduces_as_reference(matrix, q):
+    reduced, pivots = _row_reduce(matrix, q)
+    want, want_pivots = reference_row_reduce(matrix, q)
+    assert pivots == want_pivots
+    assert reduced.dtype == want.dtype
+    assert np.array_equal(reduced, want)
+
+
+@st.composite
+def elimination_matrices(draw):
+    """Up to 12 x 24 over F_q, entries biased to 0, 1 and q-1, with zero
+    rows, zero columns and columns that combine earlier ones."""
+    q = draw(st.sampled_from([2, 3, 7, 65521, 3037000493, 1099511627689]))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 24))
+    entry = st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1)
+    matrix = [[0] * cols for _ in range(rows)]
+    for c in range(cols):
+        kind = draw(st.sampled_from(["free", "zero", "dependent"]))
+        if kind == "dependent" and c:
+            i, j = draw(st.integers(0, c - 1)), draw(st.integers(0, c - 1))
+            a, b = draw(entry), draw(entry)
+            for row in matrix:
+                row[c] = (a * row[i] + b * row[j]) % q
+        elif kind != "zero":
+            for row in matrix:
+                row[c] = draw(entry)
+    for r in draw(st.sets(st.integers(0, max(rows - 1, 0)))):
+        if r < rows:
+            matrix[r] = [0] * cols
+    return np.array(matrix, dtype=np.int64).reshape(rows, cols), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=elimination_matrices())
+def test_row_reduce_matches_per_pivot_reference(case):
+    """Delayed reduction gives the reference's reduced form, pivots and
+    dtype on both sides of the int64 limit."""
+    assert_reduces_as_reference(*case)
+
+
+@pytest.mark.parametrize("q", [3, 7])
+@pytest.mark.parametrize("rows,cols", [(40, 41), (40, 80), (100, 101), (100, 200)])
+def test_row_reduce_matches_reference_on_decode_sized_systems(rows, cols, q):
+    """The Moore-system shapes of the benchmark codes (40 x 41 over F_3,
+    100 x 101 over F_7) and their [A | I] doubles, full rank and not."""
+    rng = np.random.default_rng(rows * cols + q)
+    assert_reduces_as_reference(rng.integers(0, q, size=(rows, cols)), q)
+    rank = 2 * rows // 3
+    low = rng.integers(0, q, size=(rows, rank)) @ rng.integers(0, q, size=(rank, cols))
+    low[:, 0] = 0
+    assert_reduces_as_reference(low % q, q)
+
+
+def test_row_reduce_survives_two_near_maximal_updates_in_a_row():
+    """At q = 3037000493 one update subtracts up to (q-1)^2, within about
+    2^35.5 of 2^63, so two in a row would wrap int64.  Entry (2, 2) of
+    [[q-1, 0, 1], [0, q-1, 1], [q-1, q-1, z]] takes (q-1)^2 from each of the
+    first two pivots; the matrix is singular exactly at z = 2."""
+    q = 3037000493
+    assert 2 * (q - 1) ** 2 >= 2 ** 63 > (q - 1) ** 2
+    for z, rank in ((2, 2), (q - 1, 3)):
+        a = [[q - 1, 0, 1], [0, q - 1, 1], [q - 1, q - 1, z]]
+        b = [[5], [q - 2], [q - 1]]
+        matrix = np.array([ra + rb for ra, rb in zip(a, b)], dtype=np.int64)
+        assert_reduces_as_reference(matrix, q)
+        reduced, pivots = _row_reduce(matrix, q)
+        assert reduced.dtype == np.int64
+        assert [c for c in pivots if c < 3] == list(range(rank))
+        if rank == 3:
+            x = [int(v) for v in solve_mod_q(np.array(a), np.array(b), q)[:, 0]]
+            assert [sum(ra[j] * x[j] for j in range(3)) % q for ra in a] == [
+                rb[0] for rb in b]
 
 
 @st.composite

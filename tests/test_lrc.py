@@ -637,6 +637,37 @@ def test_repair_local_path_exhaustive():
         assert metrics["downloaded_symbols"] == 2  # d * beta = alpha
 
 
+@pytest.mark.parametrize("build", [desk_c1, desk_c2, mbr_stripes_code])
+def test_regenerating_repair_from_every_helper_set(build, monkeypatch):
+    """Every local node from every d-set of its group's survivors rebuilds
+    the written shard on the regenerating path; once each helper set has
+    been seen, repeating the repairs makes no elimination."""
+    code = build()
+    shards = {s.index: s for s in code.encode(random_message(code, 22))}
+    cases = []
+    for grp in range(code.groups):
+        members = set(code.group_members(grp))
+        for failed in members:
+            for helpers in combinations(sorted(members - {failed}), code.local.d):
+                lost = members - set(helpers)
+                cases.append((failed, {i: s for i, s in shards.items()
+                                       if i not in lost}))
+
+    def repair_all():
+        for failed, available in cases:
+            shard, metrics = code.repair(failed, available)
+            assert shard == shards[failed]
+            assert metrics["path"] == "local-regenerating"
+
+    repair_all()
+
+    def no_elimination(*args):
+        raise AssertionError("a repeated repair eliminated a matrix")
+
+    monkeypatch.setattr(galois, "_row_reduce", no_elimination)
+    repair_all()
+
+
 def test_repair_global_node_via_decode():
     code = desk_c2()
     msg = random_message(code, 10)

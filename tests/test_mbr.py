@@ -2,7 +2,10 @@
 and the uniform rank accumulation they provide."""
 
 import random
-from itertools import combinations
+import re
+from itertools import combinations, permutations
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +18,9 @@ from lmbr import (
     Shard,
     all_symbol_code,
     field,
+    galois,
 )
-from lmbr.galois import inv_mod_q, rank_mod_q
+from lmbr.galois import apply_int_matrix, inv_mod_q, rank_mod_q
 
 DESK_CODES = [
     (3, 2, 2, 3),   # alpha 2, k_message 3
@@ -207,17 +211,31 @@ def test_reconstruct_detects_corrupt_surplus():
 
 @pytest.mark.parametrize("params", DESK_CODES)
 def test_repair_exhaustive_all_helper_sets(params):
-    """Every failure, every admissible d-helper set: exact rebuild from
-    exactly d transmitted symbols."""
+    """Every failure, every admissible d-helper set in every order: exact
+    rebuild from exactly d transmitted symbols, equal to what the inverse
+    of Psi_H taken in that order gives.  Psi_H is inverted once per helper
+    set, so repeating every repair makes no elimination at all."""
     code = MbrCode(*params)
     F, msg = make_message(code, code.k_message, seed=4)
     nodes = code.encode(msg)
+    cases = []
     for failed in range(code.n_local):
         others = [i for i in range(code.n_local) if i != failed]
         for helpers in combinations(others, code.d):
-            symbols = [(h, code.helper_symbol(nodes[h], failed))
-                       for h in helpers]
-            assert len(symbols) == code.d * code.beta
+            for order in permutations(helpers):
+                cases.append((failed, [(h, code.helper_symbol(nodes[h], failed))
+                                       for h in order]))
+    with mock.patch.object(galois, "_row_reduce",
+                           wraps=galois._row_reduce) as eliminations:
+        rebuilt = [code.repair(failed, symbols) for failed, symbols in cases]
+    assert eliminations.call_count == comb(code.n_local, code.d)
+    for (failed, symbols), got in zip(cases, rebuilt):
+        assert len(symbols) == code.d * code.beta
+        assert got == nodes[failed]
+        inv = inv_mod_q(code.psi[[h for h, _ in symbols]], code.q)
+        assert got == tuple(apply_int_matrix(inv, [s for _, s in symbols], F))
+    with mock.patch.object(galois, "_row_reduce", side_effect=AssertionError):
+        for failed, symbols in cases:
             assert code.repair(failed, symbols) == nodes[failed]
 
 
@@ -230,6 +248,30 @@ def test_repair_helper_count_enforced():
         code.repair(0, one_sym)
     with pytest.raises(ParameterError):
         code.repair(0, [(0, nodes[0][0]), (2, nodes[2][0])])  # helper == failed
+
+
+def test_repair_error_texts_hold_with_a_kept_inverse():
+    """Each refusal keeps its text, before and after the inverse of the
+    helper set {1, 2} is kept."""
+    code = MbrCode(3, 2, 2, 3)
+    F, msg = make_message(code, 6, seed=5)
+    nodes = code.encode(msg)
+    sym = {h: code.helper_symbol(nodes[h], 0) for h in (1, 2)}
+    refusals = [
+        (0, [(1, sym[1])], "repair needs exactly d=2 helpers, got 1"),
+        (0, [(1, sym[1]), (1, sym[1])], "duplicate helper index"),
+        (0, [(1, sym[1]), (3, sym[2])], "helper index 3 out of range"),
+        (0, [(0, sym[1]), (2, sym[2])],
+         "helper set must not contain the failed node"),
+        (3, [(1, sym[1]), (2, sym[2])], "failed index 3 out of range"),
+        (0, [(1, sym[1]), (2, field(3, 2).one())],
+         "field mismatch: GF(3^6) vs GF(3^2)"),
+    ]
+    for _ in range(2):
+        for failed, helpers, text in refusals:
+            with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+                code.repair(failed, helpers)
+        assert code.repair(0, [(2, sym[2]), (1, sym[1])]) == nodes[0]
 
 
 @pytest.mark.parametrize("index", [-1, 3])

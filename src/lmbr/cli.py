@@ -194,7 +194,9 @@ def parse_shard(data: bytes, code: LrcCode, digest: bytes) -> Shard:
     payload = tuple(FieldElement(field, coeffs[i:i + m])
                     for i in range(0, size, m))
     role = code.role_of(index)
-    if (role[0] == "global") != bool(role_tag):
+    # The tag is exactly 0 or 1, as serialize_shard writes it: 2..255 are
+    # refused on every node.
+    if role_tag != (1 if role[0] == "global" else 0):
         raise ShardFormatError(
             f"role tag {role_tag} contradicts node index {index}"
         )

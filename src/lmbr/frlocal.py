@@ -300,7 +300,8 @@ class FrCode:
         """Copy each lost symbol from its lowest-index available holder.
 
         Returns the rebuilt vector and the symbol -> helper assignment;
-        exactly alpha symbols move and no arithmetic happens.  Raises
+        exactly alpha symbols move and no arithmetic happens.  Each
+        available payload must hold alpha symbols.  Raises
         :class:`RepairError` when some lost symbol has no available holder.
         """
         if failed in available:
@@ -311,6 +312,10 @@ class FrCode:
         for h in survivors:
             if not 0 <= h < self.design.n_points:
                 raise ParameterError(f"helper index {h} out of range")
+            if len(available[h]) != self.alpha:
+                raise ParameterError(
+                    f"helper {h} stores {len(available[h])} symbols, "
+                    f"expected alpha={self.alpha}")
         values = []
         assignment: dict[int, int] = {}
         for sym in self.node_symbols[failed]:

@@ -34,11 +34,15 @@ columns of G.  G is block-diagonal, so that rank is the sum of one rank per
 group (that of the group's surviving local-generator columns) plus alpha
 per surviving global node.  One node-by-node
 :func:`~lmbr.galois.subset_ranks` pass over the local generator fills a
-table of the group ranks.  The least rank over all patterns of one size is
-then the min-plus convolution of the per-group minima by node count, one
-copy per group, and the witnesses are read off the same table: no pattern
-is visited.  A decode attempt re-validates the d_min witness.  Levels whose
-pattern count exceeds the cap are refused rather than sampled.
+table of the group ranks.  For the distance, the least rank over all
+patterns of one size is the min-plus convolution of the per-group minima by
+node count, one copy per group, and the witness is read off the same
+table: no pattern is visited.  A decode attempt re-validates it.  For
+rank accumulation, every group mask's rank is compared with the claimed
+prefix sum for its node count, and that is the whole check: rank is
+submodular, so matching masks make the prefix sums concave, and the least
+rank of each size is then the periodic sum without being computed.  Levels
+whose pattern count exceeds the cap are refused rather than sampled.
 """
 
 from __future__ import annotations
@@ -537,12 +541,12 @@ class LrcCode:
         For every subset of the groups * n_local local thick columns the
         measured rank must equal the sum over groups of the claimed
         profile's prefix sums (the local generators sit on disjoint message
-        coordinates, so their ranks add), and for every subset size the
-        minimum over subsets must equal the periodic partial sum: together
-        these say the profile governs exactly how rank accumulates, which is
-        what the distance bound consumes.
+        coordinates, so their ranks add).  The least rank over the subsets
+        of each size then equals the periodic partial sum, so the profile
+        governs exactly how rank accumulates, which is what the distance
+        bound consumes.
 
-        Both conditions are certified over every subset, and no subset is
+        The condition is certified over every subset, and no subset is
         enumerated.  A :class:`GroupRankTable`, filled by elimination for
         every group mask and assuming nothing about the profile, gives each
         group mask's measured rank; a subset's rank is the sum of its
@@ -552,12 +556,14 @@ class LrcCode:
         matches, since each of its group parts does, and so does a subset
         of s* columns that spans two groups.  The first subset that fails,
         in ``combinations`` order, is therefore the first such mask of
-        group 0.  The least rank over the subsets of each size is the
-        min-plus convolution of the table's least rank per node count, one
-        copy per group, and is compared with the periodic sum at every
-        size below s* (at every size when there is no s*), in order.  On a
-        pass ``subsets_checked`` is 2^(groups * n_local), the subsets
-        certified; none of them is visited.
+        group 0, the ``block-rank`` witness.  The least rank per size needs
+        no check of its own: rank is submodular, so when every group mask
+        of fewer than s* nodes (of any count, when there is no s*) has its
+        prefix sum, the prefix sums are concave there, hence subadditive,
+        and the least rank over the subsets of each size below s* (of every
+        size) is the periodic sum.  On a pass ``subsets_checked`` is
+        2^(groups * n_local), the subsets certified; none of them is
+        visited.
 
         Entries of the claimed profile must be integers (``operator.index``,
         so numpy integers pass) between 0 and alpha.
@@ -591,39 +597,20 @@ class LrcCode:
         prefix = [0]
         for a in claimed:
             prefix.append(prefix[-1] + a)
-        period_total = prefix[-1]
-
-        def periodic(s: int) -> int:
-            return (s // n_local) * period_total + prefix[s % n_local]
-
         table = GroupRankTable(self)
         wrong = np.flatnonzero(
             table.group_ranks != np.array(prefix, dtype=np.int64)[table.sizes])
-        first_wrong = int(table.sizes[wrong].min()) if wrong.size else None
-        per_group = lowest = np.full(n_local + 1, np.iinfo(np.int64).max)
-        np.minimum.at(per_group, table.sizes, table.group_ranks)
-        for _ in range(self.groups - 1):
-            lowest = _min_plus(lowest, per_group)
         witness = None
-        for size in range(1, cols + 1):
-            if size == first_wrong:
-                at = wrong[table.sizes[wrong] == size]
-                at = at[_combinations_first(table.keys[at], n_local)]
-                witness = {
-                    "kind": "block-rank",
-                    "subset": _nodes(int(table.keys[at])),
-                    "measured": int(table.group_ranks[at]),
-                    "expected": prefix[size],
-                }
-                break
-            if lowest[size] != periodic(size):
-                witness = {
-                    "kind": "size-minimum",
-                    "size": size,
-                    "measured": int(lowest[size]),
-                    "expected": periodic(size),
-                }
-                break
+        if wrong.size:
+            size = int(table.sizes[wrong].min())
+            at = wrong[table.sizes[wrong] == size]
+            at = at[_combinations_first(table.keys[at], n_local)]
+            witness = {
+                "kind": "block-rank",
+                "subset": _nodes(int(table.keys[at])),
+                "measured": int(table.group_ranks[at]),
+                "expected": prefix[size],
+            }
         return {
             "mode": "ura",
             "columns": cols,

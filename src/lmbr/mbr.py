@@ -140,11 +140,16 @@ class MbrCode:
 
         This is the inner product of the helper's stored vector with the
         failed node's Vandermonde row: the helper computes it locally, so the
-        repair bandwidth is exactly one symbol per helper.
+        repair bandwidth is exactly one symbol per helper.  The stored
+        vector must hold alpha symbols.
         """
         if not 0 <= failed < self.n_local:
             raise ParameterError(f"failed index {failed} out of range")
         stored = tuple(stored)
+        if len(stored) != self.alpha:
+            raise ParameterError(
+                f"helper stores {len(stored)} symbols, expected "
+                f"alpha={self.alpha}")
         return apply_int_matrix(self.psi[failed:failed + 1], stored,
                                 stored[0].field)[0]
 

@@ -942,7 +942,7 @@ def reference_parse_shard(data, code, digest):
                 "bad payload symbol: coefficient out of range for the field")
         payload.append(FieldElement(code.field, coeffs))
     role = code.role_of(index)
-    if (role[0] == "global") != bool(role_tag):
+    if role_tag != (1 if role[0] == "global" else 0):
         raise ShardFormatError(
             f"role tag {role_tag} contradicts node index {index}")
     return Shard(index, role, tuple(payload))
@@ -996,6 +996,17 @@ def test_payload_range_is_checked_before_the_role_tag():
         ShardFormatError, "role tag 0 contradicts node index 6")
 
 
+@pytest.mark.parametrize("index,tag", [(0, 0), (6, 1)])
+@pytest.mark.parametrize("role_tag", [2, 255])
+def test_role_tags_past_one_are_refused(index, tag, role_tag):
+    """The role tag is a u8 that is 0 (local) or 1 (global): any other
+    value is refused, on C2's local node 0 and on its global node 6."""
+    assert isinstance(parse_outcome(parse_shard,
+                                    shard_blob(index, tag, bytes(32))), Shard)
+    assert parse_outcome(parse_shard, shard_blob(index, role_tag, bytes(32))) == (
+        ShardFormatError, f"role tag {role_tag} contradicts node index {index}")
+
+
 def test_out_of_range_coefficient_or_index_exit3(tmp_path, capsys):
     msg_path = tmp_path / "msg.bin"
     write_message(msg_path, SimConfig(), seed=14)
@@ -1012,6 +1023,10 @@ def test_out_of_range_coefficient_or_index_exit3(tmp_path, capsys):
     target.write_bytes(blob[:19] + (500).to_bytes(2, "little") + blob[21:])
     assert main(decode) == 3
     assert error_record(capsys)["error"] == "ShardFormatError"
+    target.write_bytes(blob[:21] + b"\x02" + blob[22:])   # role tag 2
+    assert main(decode) == 3
+    assert error_record(capsys)["detail"] == (
+        "role tag 2 contradicts node index 0")
 
 
 def test_q_beyond_uint16_coefficients_refused_exit2(tmp_path, capsys):

@@ -455,3 +455,19 @@ def test_fr_encode_matches_reference():
     for _ in range(5):
         msg = [F.random_element(rng) for _ in range(5)]
         assert code.encode(msg) == reference_encode(code, msg)
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_fr_repair_refuses_a_payload_that_is_not_alpha_long(length):
+    """Every available payload holds alpha = 3 symbols: a short or long
+    one is refused with the helper named, before anything is copied."""
+    code = FrCode(fano_plane(), 5, 7)
+    F = field(7, 10)
+    rng = random.Random(7)
+    nodes = code.encode([F.random_element(rng) for _ in range(5)])
+    available = {i: nodes[i] for i in range(1, 7)}
+    available[3] = (nodes[3] * 2)[:length]
+    with pytest.raises(ParameterError,
+                       match=rf"^helper 3 stores {length} symbols, "
+                             rf"expected alpha=3$"):
+        code.repair(0, available)

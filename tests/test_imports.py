@@ -1,7 +1,9 @@
-"""Every name a module imports is used by that module, and every private
-helper and module-level constant of the package is used somewhere in it."""
+"""Every name a module imports is used by that module, every private
+helper and module-level constant of the package is used somewhere in it,
+and every cross-reference in a docstring names something of the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -164,3 +166,101 @@ def test_field_internal_reader_is_reported():
               "    return f.q\n"
               "TABLE = field._basis_mul\n")
     assert field_internal_readers(source) == {"Poly", "solve", "<module>"}
+
+
+#: A Sphinx cross-reference: its role and its target, ``~`` dropped.
+CROSS_REFERENCE = re.compile(r":(?:func|class|meth|attr|mod):`~?([\w.]+)`")
+
+
+def bound_names(stmt: ast.stmt, package: bool) -> list[str]:
+    """Names a top-level or class-level statement defines or assigns; in
+    the package's ``__init__`` also the names it imports."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)]
+    if package and isinstance(stmt, ast.ImportFrom):
+        return [alias.asname or alias.name for alias in stmt.names]
+    return []
+
+
+def class_members(cls: ast.ClassDef) -> set[str]:
+    """A class's methods and class-level names, and the attributes its
+    methods assign on ``self``."""
+    members = {name for stmt in cls.body for name in bound_names(stmt, False)}
+    return members | {node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"}
+
+
+def package_names(sources: dict[str, str]) -> set[str]:
+    """Every target a docstring may name, keyed by module name (``__init__``
+    is the package): modules, their top-level names and their classes'
+    members, bare and qualified by class, module and ``lmbr``."""
+    names = {"lmbr"}
+    for module, source in sources.items():
+        package = module == "__init__"
+        prefixes = ["", "lmbr."] if package else ["", f"{module}.",
+                                                  f"lmbr.{module}."]
+        if not package:
+            names |= {module, f"lmbr.{module}"}
+        for stmt in ast.parse(source).body:
+            for name in bound_names(stmt, package):
+                names |= {prefix + name for prefix in prefixes}
+            if isinstance(stmt, ast.ClassDef):
+                for member in class_members(stmt):
+                    names.add(member)
+                    names |= {f"{prefix}{stmt.name}.{member}"
+                              for prefix in prefixes}
+    return names
+
+
+def documentation(source: str) -> list[str]:
+    """The module's docstrings and its ``#:`` doc-comment lines."""
+    docs = [ast.get_docstring(node) or ""
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))]
+    return docs + [line for line in source.splitlines()
+                   if line.lstrip().startswith("#:")]
+
+
+def dangling_references(sources: dict[str, str]) -> list[str]:
+    """``module: target`` for every cross-reference in a docstring or
+    doc-comment whose target is no definition, assigned attribute or module
+    of the sources."""
+    known = package_names(sources)
+    return sorted({f"{module}: {target}"
+                   for module, source in sources.items()
+                   for doc in documentation(source)
+                   for target in CROSS_REFERENCE.findall(doc)
+                   if target not in known})
+
+
+def test_every_docstring_reference_resolves():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert any(CROSS_REFERENCE.search(source) for source in sources.values())
+    assert dangling_references(sources) == []
+
+
+def test_dangling_reference_is_reported():
+    lib = ('"""See :func:`helper`, :mod:`lmbr.lib` and :func:`lib.gone`."""\n'
+           "def helper():\n"
+           '    """Calls :func:`_removed` and :meth:`Box.size`."""\n'
+           "class Box:\n"
+           '    """Has :attr:`width`, :attr:`~lmbr.lib.Box.height` and\n'
+           '    :class:`Box`, but no :attr:`depth`."""\n'
+           "    #: Not :class:`Lid`.\n"
+           "    height = 2\n"
+           "    def __init__(self):\n"
+           "        self.width = 1\n"
+           "    def size(self):\n"
+           '        """Not :meth:`Box.area`."""\n'
+           "        return 0\n")
+    assert dangling_references({"lib": lib}) == [
+        "lib: Box.area", "lib: Lid", "lib: _removed", "lib: depth",
+        "lib: lib.gone"]

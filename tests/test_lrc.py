@@ -5,8 +5,9 @@ two-stage decoder sound."""
 import random
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -429,6 +430,80 @@ def test_certifiers_match_references_on_drawn_codes(code, data):
         else:
             assert (code.ura_report(claimed_profile=claim, pattern_cap=cap)
                     == reference_ura(code, claim))
+
+
+@pytest.mark.parametrize("build", [desk_c1, mbr_stripes_code])
+def test_ura_report_matches_reference_for_every_claim(build):
+    """Every claimed profile in {0..alpha}^n_local, 27 of them, gets the
+    per-subset reference's report: the passes, and every witness."""
+    code = build()
+    claims = [list(c) for c in product(range(code.alpha + 1),
+                                       repeat=code.local.n_nodes)]
+    assert len(claims) == 27
+    for claim in claims:
+        assert code.ura_report(claimed_profile=claim) == reference_ura(
+            code, claim)
+
+
+@st.composite
+def drawn_banks(draw):
+    """A bank of ``groups`` copies of an arbitrary k x (n_local alpha)
+    matrix over F_q, entries biased to 0, 1 and q - 1, as the stand-in
+    code that ``reference_ura`` reads, with a claimed profile: drawn, or
+    the rank increments of the matrix's first nodes."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n_local = draw(st.integers(1, 5))
+    alpha = draw(st.integers(1, 3))
+    groups = draw(st.integers(1, min(3, 10 // n_local)))
+    k = draw(st.integers(1, min(n_local * alpha, 6)))
+    entry = st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1)
+    local = np.array(draw(st.lists(entry, min_size=k * n_local * alpha,
+                                   max_size=k * n_local * alpha)),
+                     dtype=np.int64).reshape(k, n_local * alpha)
+    firsts = [reference_rank(local[:, :s * alpha], q)
+              for s in range(n_local + 1)]
+    claim = draw(st.just([b - a for a, b in zip(firsts, firsts[1:])])
+                 | st.lists(st.integers(0, alpha), min_size=n_local,
+                            max_size=n_local))
+    bank = SimpleNamespace(
+        local=SimpleNamespace(n_nodes=n_local, k_message=k, q=q),
+        groups=groups, alpha=alpha,
+        mixed_generator=np.kron(np.eye(groups, dtype=np.int64), local))
+    return bank, claim
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=drawn_banks())
+def test_size_minimum_never_fails_first(case):
+    """Rank is submodular, so once every group mask below some size has
+    its claimed prefix sum, the least rank of each such size is the
+    periodic sum: the per-subset reference, on ranks from pivot_columns
+    alone, never stops at a size minimum."""
+    bank, claim = case
+    witness = reference_ura(bank, claim)["witness"]
+    assert witness is None or witness["kind"] == "block-rank"
+
+
+@pytest.mark.parametrize("build", [desk_c1, desk_c2, fano_code,
+                                   mbr_stripes_code])
+def test_ura_report_makes_no_min_plus_call(build, monkeypatch):
+    """URA is certified by the block ranks alone: with the min-plus
+    convolution unavailable the true profile still passes, and a wrong
+    claim still gets its block-rank witness."""
+    code = build()
+    true = list(code.local.profile())
+    wrong = true[:-1] + [(true[-1] + 1) % (code.alpha + 1)]
+
+    def refuse(*args):
+        raise AssertionError("ura_report convolved the per-size minima")
+
+    monkeypatch.setattr(lrc, "_min_plus", refuse)
+    report = code.ura_report()
+    assert report["pass"] is True
+    assert report["subsets_checked"] == 2 ** (code.groups * code.local.n_nodes)
+    report = code.ura_report(claimed_profile=wrong)
+    assert report["pass"] is False
+    assert report["witness"]["kind"] == "block-rank"
 
 
 def test_fano_certification_makes_no_elimination_per_mask(monkeypatch):

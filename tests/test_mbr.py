@@ -288,6 +288,19 @@ def test_repair_refuses_helper_index_outside_the_code(index):
         code.repair(0, helpers)
 
 
+@pytest.mark.parametrize("length", [0, 1, 3])
+def test_helper_symbol_refuses_a_vector_that_is_not_alpha_long(length):
+    """A helper's stored vector holds alpha = 2 symbols: an empty, short or
+    long one is refused with alpha named, before any symbol is read."""
+    code = MbrCode(3, 2, 2, 3)
+    F, msg = make_message(code, 6, seed=5)
+    stored = (code.encode(msg)[1] * 2)[:length]
+    with pytest.raises(ParameterError,
+                       match=rf"^helper stores {length} symbols, "
+                             rf"expected alpha=2$"):
+        code.helper_symbol(stored, 0)
+
+
 def test_profiles_frozen():
     assert tuple(MbrCode(3, 2, 2, 3).profile()) == (2, 1, 0)
     assert tuple(MbrCode(5, 3, 4, 7).profile()) == (4, 3, 2, 0, 0)

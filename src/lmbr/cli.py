@@ -367,21 +367,17 @@ def _verify_repair_all(cfg: SimConfig, code: LrcCode) -> dict:
         if not ok:
             failures.append({"failed": failed, "metrics": metrics})
 
+    helper_sets = getattr(code.local, "helper_sets", None)
     for failed in range(code.n_nodes):
         available = {i: s for i, s in originals.items() if i != failed}
         role = code.role_of(failed)
-        if role[0] == "local" and isinstance(code.local, MbrCode):
-            survivors = [
-                i for i in code.group_members(role[1]) if i != failed
-            ]
-            for helper_set in combinations(survivors, code.local.d):
-                shard, metrics = code.repair(
-                    failed, {h: available[h] for h in helper_set})
-                check(failed, shard, metrics,
-                      expect_symbols=code.local.d * code.local.beta)
-        elif role[0] == "local":
-            shard, metrics = code.repair(failed, available)
-            check(failed, shard, metrics, expect_symbols=code.alpha)
+        if role[0] == "local" and helper_sets is not None:
+            # Alpha symbols from each helper set (d * beta at the MBR point).
+            survivors = [i for i in code.group_members(role[1]) if i != failed]
+            for helper_set in helper_sets(survivors):
+                check(failed, *code.repair(
+                    failed, {h: available[h] for h in helper_set}),
+                      expect_symbols=code.alpha)
         else:
             # Decode path: every threshold-sized helper subset at desk scale,
             # each through the repair call itself (it decodes from exactly

@@ -331,6 +331,18 @@ class FrCode:
             assignment[sym] = helper
         return tuple(values), assignment
 
+    def repair_in_group(self, failed: int, stored: dict) -> tuple:
+        """:meth:`repair` from the surviving payloads ``stored``, with the
+        metrics record of what moved."""
+        vector, assignment = self.repair(failed, stored)
+        return vector, {"path": "local-transfer",
+                        "helpers": sorted(set(assignment.values())),
+                        "downloaded_symbols": self.alpha, "arithmetic_ops": 0}
+
+    def helper_sets(self, survivors):
+        """One helper set, every survivor: :meth:`repair` picks holders."""
+        return [tuple(survivors)]
+
     # -- rank accumulation -------------------------------------------------------------
 
     def profile(self) -> RankProfile:

@@ -3,10 +3,12 @@ identical local codes.
 
 The code first spreads the K message symbols over J = groups * k_local
 (+ globals * alpha) evaluations of a linearized polynomial, then applies the
-block-diagonal mixed generator G (one copy of the local generator,
-regenerating or fractional-repetition, per group's slice of evaluations);
-information-locality layouts additionally emit the remaining evaluations
-verbatim as global nodes, through identity columns of G.
+block-diagonal mixed generator G (one copy of the local generator per
+group's slice of evaluations); information-locality layouts additionally
+emit the remaining evaluations verbatim as global nodes, through identity
+columns of G.  The local code may be any F_q-linear code: all but in-group
+repair reads only its ``generator_matrix()``, ``alpha``, ``n_nodes``,
+``k_message``, ``q`` and ``profile()``.
 
 Because the local encoders act F_q-linearly and the outer polynomial is
 F_q-linear, every stored scalar equals the polynomial evaluated at a known
@@ -62,12 +64,10 @@ from .errors import (
     PatternCapError,
     RepairError,
 )
-from .frlocal import FrCode
 from .galois import (FieldElement, _matmul_mod_q, field, inv_mod_q,
                      rank_mod_q, subset_ranks)
 from .gabidulin import GabidulinCode
 from .linpoly import independent_points, no_evaluations, surplus_mismatch
-from .mbr import MbrCode
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,8 @@ class GroupRankTable:
     filled when it is built, by one :func:`~lmbr.galois.subset_ranks` pass
     over the local generator: every mask, or with ``max_lost`` every mask
     that lacks at most that many of the group's nodes.  The certifiers read
-    their minima and witnesses off these arrays; no mask is looked up.
+    their witnesses, and :meth:`LrcCode.measure_dmin` its minima, off these
+    arrays; no mask is looked up.
     """
 
     def __init__(self, code: "LrcCode", max_lost: int | None = None):
@@ -344,9 +345,12 @@ class LrcCode:
                available: Mapping[int, Shard]) -> tuple[Shard, dict]:
         """Rebuild a failed node, preferring the in-group repair path.
 
-        Local nodes are regenerated inside their group (d helper symbols for
-        the regenerating layer, alpha verbatim copies for the repetition
-        layer).  Global nodes, and local nodes whose group is too degraded,
+        A local node is rebuilt by the local code's
+        ``repair_in_group(failed, stored)``: it gets the given payloads of
+        the node's group by position in the group, and returns the node's
+        vector and a metrics record whose helpers are positions too (they
+        are shifted to node indices here).  Global nodes, and local nodes
+        whose local code has no such entry or raises :class:`RepairError`,
         fall back to the decode path: the first ``decode_threshold``
         available shards pin down the message through a cached solver, and
         the lost node is rebuilt from it, with the checks and errors of
@@ -355,11 +359,9 @@ class LrcCode:
         moved.
 
         Repair reads only the shards it is given, so a caller picks the
-        helpers by passing just those shards: the regenerating layer uses
-        the first d surviving group members among them.  Each shard must be
-        given under its own index, fit the code and hold symbols of the
-        code's field, or :class:`ParameterError` is raised before either
-        path runs.
+        helpers by passing just those shards.  Each shard must be given
+        under its own index, fit the code and hold symbols of the code's
+        field, or :class:`ParameterError` is raised before either path runs.
         """
         if failed in available:
             raise ParameterError("failed node listed among available shards")
@@ -388,44 +390,15 @@ class LrcCode:
 
     def _repair_local(self, failed, role, available):
         _, grp, pos = role
-        members = self.group_members(grp)
-        survivors = [i for i in members if i in available and i != failed]
+        repair_in_group = getattr(self.local, "repair_in_group", None)
+        if repair_in_group is None:
+            raise RepairError("the local code has no repair_in_group")
         offset = grp * self.local.n_nodes
-        if isinstance(self.local, MbrCode):
-            d = self.local.d
-            chosen = survivors[:d]
-            if len(chosen) < d:
-                raise RepairError(
-                    f"group {grp} has {len(survivors)} survivors, repair "
-                    f"degree requires {d}"
-                )
-            helper_symbols = [
-                (h - offset,
-                 self.local.helper_symbol(available[h].payload, pos))
-                for h in chosen
-            ]
-            vec = self.local.repair(pos, helper_symbols)
-            metrics = {
-                "path": "local-regenerating",
-                "helpers": [int(h) for h in chosen],
-                "downloaded_symbols": d * self.local.beta,
-            }
-        elif isinstance(self.local, FrCode):
-            in_group = {
-                i - offset: available[i].payload for i in survivors
-            }
-            vec, assignment = self.local.repair(pos, in_group)
-            metrics = {
-                "path": "local-transfer",
-                "helpers": sorted({int(h + offset) for h in assignment.values()}),
-                "downloaded_symbols": self.alpha,
-                "arithmetic_ops": 0,
-            }
-        else:
-            raise ParameterError(
-                f"unknown local code type {type(self.local).__name__}"
-            )
-        return Shard(failed, role, tuple(vec)), metrics
+        stored = {i - offset: available[i].payload
+                  for i in self.group_members(grp) if i in available}
+        vector, metrics = repair_in_group(pos, stored)
+        metrics["helpers"] = [h + offset for h in metrics["helpers"]]
+        return Shard(failed, role, tuple(vector)), metrics
 
     def _repair_by_decode(self, failed, available, local_failure):
         """Solve for the message's coordinates X from the helpers' chosen

@@ -27,12 +27,13 @@ That inverse is built on the first repair from each helper set and kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, RepairError
 from .galois import FieldElement, apply_int_matrix, inv_mod_q, is_prime, rank_mod_q
 
 
@@ -188,6 +189,23 @@ class MbrCode:
         inv_h = inv[:, [key.index(i) for i in indices]]
         symbols = [s for _, s in helpers]
         return tuple(apply_int_matrix(inv_h, symbols, fld))
+
+    def repair_in_group(self, failed: int, stored: dict) -> tuple:
+        """Rebuild node ``failed`` from the first d surviving group members
+        in ``stored`` (payloads by node index) through :meth:`helper_symbol`
+        and :meth:`repair`, with the metrics record of what moved."""
+        helpers = sorted(stored)[:self.d]
+        if len(helpers) < self.d:
+            raise RepairError(
+                f"{len(stored)} survivors, repair degree requires {self.d}")
+        vector = self.repair(failed, [
+            (h, self.helper_symbol(stored[h], failed)) for h in helpers])
+        return vector, {"path": "local-regenerating", "helpers": helpers,
+                        "downloaded_symbols": self.d * self.beta}
+
+    def helper_sets(self, survivors):
+        """Every d-set of the surviving nodes."""
+        return list(combinations(survivors, self.d))
 
     def profile(self) -> RankProfile:
         """Rank accumulation profile (alpha, alpha - beta, ..., 0, ...)."""

@@ -237,6 +237,35 @@ def test_fr_repair_survives_any_double_failure():
         assert vec2 == nodes[f2]
 
 
+def test_fr_transfer_scheme_is_right_for_every_message():
+    """Each of Fano's 7 transfer repairs, run on the generator's columns
+    as payloads, copies for every lost symbol a column equal to the failed
+    node's: the copy is right for every message."""
+    code = FrCode(fano_plane(), 5, 7)
+    gen = code.generator_matrix()
+    columns = [tuple(tuple(gen[:, j * code.alpha + c].tolist())
+                     for c in range(code.alpha)) for j in range(7)]
+    for failed in range(7):
+        copied, _ = code.repair(
+            failed, {j: columns[j] for j in range(7) if j != failed})
+        assert copied == columns[failed]
+
+
+def test_fr_repair_in_group_records_the_transfer():
+    """In-group repair offers one helper set, every survivor, and records
+    the holders that served the copies, alpha symbols and no arithmetic."""
+    code = FrCode(fano_plane(), 5, 7)
+    F = field(7, 10)
+    rng = random.Random(8)
+    nodes = code.encode([F.random_element(rng) for _ in range(5)])
+    assert code.helper_sets([1, 2, 3, 4, 5, 6]) == [(1, 2, 3, 4, 5, 6)]
+    vector, record = code.repair_in_group(
+        0, {i: nodes[i] for i in range(1, 7)})
+    assert vector == nodes[0]
+    assert record == {"path": "local-transfer", "helpers": [1, 3, 5],
+                      "downloaded_symbols": 3, "arithmetic_ops": 0}
+
+
 def test_fr_repair_symbol_extinct():
     code = FrCode(fano_plane(), 5, 7)
     F = field(7, 10)

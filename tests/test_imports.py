@@ -264,3 +264,69 @@ def test_dangling_reference_is_reported():
     assert dangling_references({"lib": lib}) == [
         "lib: Box.area", "lib: Lid", "lib: _removed", "lib: depth",
         "lib: lib.gone"]
+
+
+#: The local families: their modules and their code classes.
+FAMILY_MODULES = {"mbr", "frlocal"}
+FAMILY_CLASSES = {"MbrCode", "FrCode"}
+
+
+def family_imports(source: str) -> list[str]:
+    """``module (line n)`` for every import of a local-family module, or
+    of a name from one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module not in (None,
+                                                                    "lmbr"):
+            modules = [node.module]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{module.split('.')[-1]} (line {node.lineno})"
+                  for module in modules
+                  if module.split(".")[-1] in FAMILY_MODULES]
+    return sorted(found)
+
+
+def family_type_tests(source: str) -> list[int]:
+    """Lines of the ``isinstance`` and ``issubclass`` calls whose class
+    argument names a local-family class."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("isinstance", "issubclass")
+        and len(node.args) == 2
+        and FAMILY_CLASSES & {n.id if isinstance(n, ast.Name) else n.attr
+                              for n in ast.walk(node.args[1])
+                              if isinstance(n, (ast.Name, ast.Attribute))})
+
+
+def test_lrc_imports_no_local_family():
+    """The composed code reaches its local code only through the contract
+    the README's "Local codes" paragraph names."""
+    lrc = next(path for path in MODULES if path.name == "lrc.py")
+    assert family_imports(lrc.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_type_test_on_a_local_family(path):
+    assert family_type_tests(path.read_text()) == []
+
+
+def test_local_family_branch_is_reported():
+    source = ("from .mbr import MbrCode\n"
+              "from . import frlocal, galois\n"
+              "import lmbr.mbr as m\n"
+              "from .galois import field\n"
+              "def repair(local):\n"
+              "    if isinstance(local, MbrCode):\n"
+              "        return 1\n"
+              "    if isinstance(local, (int, frlocal.FrCode)):\n"
+              "        return 2\n"
+              "    if issubclass(type(local), m.MbrCode):\n"
+              "        return 3\n"
+              "    return isinstance(local, dict)\n")
+    assert family_imports(source) == [
+        "frlocal (line 2)", "mbr (line 1)", "mbr (line 3)"]
+    assert family_type_tests(source) == [6, 8, 10]

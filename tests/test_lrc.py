@@ -2,7 +2,10 @@
 distance measurement, and the evaluate/mix commutation that makes the
 two-stage decoder sound."""
 
+import hashlib
+import json
 import random
+import re
 import time
 from collections import Counter
 from itertools import combinations, product
@@ -21,13 +24,14 @@ from lmbr import (
     MbrCode,
     ParameterError,
     PatternCapError,
+    RankProfile,
     RepairError,
     all_symbol_code,
     fano_plane,
     field,
     info_locality_code,
 )
-from lmbr import galois, gabidulin, linpoly, lrc
+from lmbr import cli, galois, gabidulin, linpoly, lrc
 from lmbr.cli import SimConfig, main
 from lmbr.galois import (SIZE_BUDGET, FieldElement, apply_int_matrix,
                          pivot_columns, rank_mod_q)
@@ -1090,6 +1094,106 @@ def test_fr_local_composition():
         assert metrics["path"] == "local-transfer"
         assert metrics["downloaded_symbols"] == 3
         assert metrics["arithmetic_ops"] == 0
+
+
+class VandermondeLocal:
+    """A [5,3] Reed-Solomon local code over F_7 (alpha = 1) with only what
+    encode, decode and the certifiers read: it has no in-group repair."""
+
+    n_nodes, k_message, alpha, q = 5, 3, 1, 7
+
+    def generator_matrix(self):
+        return np.array([[pow(x, i, self.q) for x in range(self.n_nodes)]
+                         for i in range(self.k_message)], dtype=np.int64)
+
+    def profile(self):
+        return RankProfile((1,) * self.k_message
+                           + (0,) * (self.n_nodes - self.k_message))
+
+
+def test_local_code_without_in_group_repair():
+    """Any F_q-linear local code composes: the [5,3] Vandermonde bank at
+    t=2, K=5 decodes, certifies d_min = bound = 4 and passes URA, and its
+    local nodes are repaired on the decode path, which names the missing
+    in-group repair."""
+    code = all_symbol_code(2, VandermondeLocal(), 5)
+    msg = random_message(code, 24)
+    shards = {s.index: s for s in code.encode(msg)}
+    assert code.decode(shards[i] for i in (0, 1, 2, 5, 6, 7, 8)) == tuple(msg)
+    assert code.measure_dmin().value == code.dmin_bound == 4
+    assert code.ura_report()["pass"]
+    for failed in (0, 7):
+        shard, metrics = code.repair(
+            failed, {i: s for i, s in shards.items() if i != failed})
+        assert shard == shards[failed]
+        assert metrics["path"] == "decode-reencode"
+        assert metrics["local_path_error"] == (
+            "the local code has no repair_in_group")
+    report = cli._verify_repair_all(SimConfig(), code)
+    assert report["pass"] and report["cases"] == 10 * (comb(9, 7) + 1)
+
+
+def repair_records(code) -> list[str]:
+    """One line per repair: the failed node, the given shards and the
+    metrics record as JSON, or the :class:`RepairError` text.  Each failed
+    node is given every subset of its group's other members, with and
+    without all the other nodes, so the MBR codes meet every helper set
+    and every degraded group."""
+    rng = random.Random(23)
+    message = [code.field.random_element(rng) for _ in range(code.file_dim)]
+    shards = {s.index: s for s in code.encode(message)}
+    lines = []
+    for failed in range(code.n_nodes):
+        role = code.role_of(failed)
+        group = code.group_members(role[1]) if role[0] == "local" else []
+        mates = [i for i in group if i != failed]
+        rest = [i for i in shards if i != failed and i not in mates]
+        for size in range(len(mates) + 1):
+            for kept in combinations(mates, size):
+                for others in (rest, []):
+                    given = sorted((*kept, *others))
+                    try:
+                        shard, metrics = code.repair(
+                            failed, {i: shards[i] for i in given})
+                        assert shard == shards[failed]
+                        out = json.dumps(metrics)
+                    except RepairError as exc:
+                        out = f"RepairError: {exc}"
+                    lines.append(f"{failed} {given} {out}")
+    return lines
+
+
+EXTINCT = {f"symbol {s} is extinct: all holders unavailable" for s in range(7)}
+SURVIVORS = {f"{s} survivors, repair degree requires 2" for s in (0, 1)}
+
+#: sha256 of :func:`repair_records` and every local-path failure text in
+#: it.  C2 is the mbr-stripes code: both default to m = 8.
+FROZEN_REPAIR_RECORDS = {
+    "C1": (desk_c1, 48, "dde4817e8aa2bd490f68d3f6d77fa73d"
+                        "c23263922499f5bd3f74bc360f83ed9c", SURVIVORS),
+    "C2": (desk_c2, 50, "9b1d8fe831afecaaf304ad89b15249da"
+                        "56a80fc470d666541ed0954b0c716332",
+           SURVIVORS | {"global nodes have no in-group path"}),
+    "mbr-stripes": (mbr_stripes_code, 50, "9b1d8fe831afecaaf304ad89b15249da"
+                                          "56a80fc470d666541ed0954b0c716332",
+                    SURVIVORS | {"global nodes have no in-group path"}),
+    "fano": (fano_code, 1792, "76d7b99784fe697ed023e4092e474e4f"
+                              "7755d8e3f3be71e9e80ba44e1928096e", EXTINCT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_REPAIR_RECORDS))
+def test_repair_records_are_frozen(name):
+    """Every repair's metrics record and every repair error text, on every
+    failed node with every subset of its group mates, is byte for byte
+    the recorded one."""
+    build, count, digest, texts = FROZEN_REPAIR_RECORDS[name]
+    lines = repair_records(build())
+    failures = {text for line in lines for text in re.findall(
+        r'local path failed \((.*?)\); |"local_path_error": "(.*?)"', line)}
+    assert len(lines) == count
+    assert {t for pair in failures for t in pair if t} == texts
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def test_ura_report_passes_for_true_profile():

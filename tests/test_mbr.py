@@ -4,7 +4,7 @@ and the uniform rank accumulation they provide."""
 import random
 import re
 from itertools import combinations, permutations
-from math import comb
+from math import comb, perm
 from unittest import mock
 
 import numpy as np
@@ -15,6 +15,7 @@ from lmbr import (
     InsufficientRankError,
     MbrCode,
     ParameterError,
+    RepairError,
     Shard,
     all_symbol_code,
     field,
@@ -237,6 +238,56 @@ def test_repair_exhaustive_all_helper_sets(params):
     with mock.patch.object(galois, "_row_reduce", side_effect=AssertionError):
         for failed, symbols in cases:
             assert code.repair(failed, symbols) == nodes[failed]
+
+
+@pytest.mark.parametrize("params", [(3, 2, 2, 3), (4, 2, 3, 5), (5, 3, 4, 7)])
+def test_repair_scheme_is_right_for_every_message(params):
+    """For every failed node f and ordered helper set H, each helper h
+    sends psi_f . G_h^T and repair applies inv(Psi_H), where G_j is node
+    j's k_message x alpha block of the generator.  Stacked over H this is
+    G_f^T over F_q, so the repair rebuilds node f for every message.  The
+    code's own helper_symbol and repair give the same G_f^T on the message
+    whose stored scalars have the generator's columns as coefficients."""
+    code = MbrCode(*params)
+    q, alpha, k = code.q, code.alpha, code.k_message
+    blocks = [code.generator_matrix()[:, j * alpha:(j + 1) * alpha].T
+              for j in range(code.n_local)]
+    F = field(q, k)
+    nodes = code.encode([F.element([int(i == l) for i in range(k)])
+                         for l in range(k)])
+    schemes = 0
+    for failed in range(code.n_local):
+        others = [j for j in range(code.n_local) if j != failed]
+        for helpers in permutations(others, code.d):
+            downloads = np.array([code.psi[failed] @ blocks[h] % q
+                                  for h in helpers])
+            combine = inv_mod_q(code.psi[list(helpers)], q)
+            assert (combine @ downloads % q == blocks[failed]).all()
+            rebuilt = code.repair(failed, [
+                (h, code.helper_symbol(nodes[h], failed)) for h in helpers])
+            assert [e.coeffs for e in rebuilt] == [
+                tuple(row) for row in blocks[failed].tolist()]
+            schemes += 1
+    assert schemes == code.n_local * perm(code.n_local - 1, code.d)
+
+
+def test_repair_in_group_takes_the_first_d_survivors():
+    """In-group repair offers every d-set of the survivors, repairs from
+    the first d nodes it is given, records them by node index and refuses
+    fewer than d."""
+    code = MbrCode(5, 3, 4, 7)
+    F, msg = make_message(code, 9, seed=6)
+    nodes = code.encode(msg)
+    assert list(code.helper_sets([0, 2, 3, 4])) == [(0, 2, 3, 4)]
+    assert len(list(code.helper_sets(range(5)))) == 5
+    vector, record = code.repair_in_group(
+        1, {h: nodes[h] for h in (4, 3, 2, 0)})
+    assert vector == nodes[1]
+    assert record == {"path": "local-regenerating", "helpers": [0, 2, 3, 4],
+                      "downloaded_symbols": 4}
+    with pytest.raises(RepairError,
+                       match="^3 survivors, repair degree requires 4$"):
+        code.repair_in_group(1, {h: nodes[h] for h in (0, 2, 3)})
 
 
 def test_repair_helper_count_enforced():

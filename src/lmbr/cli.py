@@ -3,9 +3,9 @@ repair, and certify optimality claims exhaustively.
 
 All machine output is single-object JSON with a fixed key order so reports
 can be diffed.  Exit codes: 0 success/pass, 1 verification failure or
-unrepairable data (a witness is always included), 2 refusal (bad parameters
-or an exhaustive check that would exceed the pattern cap), 3 I/O or file
-format trouble.
+unrepairable data (a witness is always included), 2 refusal (bad parameters,
+a group too large for the certifiers' subset table, or more decode-path
+helper subsets than the pattern cap allows), 3 I/O or file format trouble.
 
 Shard file format (little-endian):
 
@@ -323,9 +323,9 @@ def cmd_repair(cfg: SimConfig, shard_dir: str, failed: int) -> int:
     return 0
 
 
-def _verify_dmin(cfg: SimConfig, code: LrcCode) -> dict:
+def _verify_dmin(code: LrcCode) -> dict:
     claimed = code.dmin_bound
-    result = code.measure_dmin(pattern_cap=cfg.pattern_cap)
+    result = code.measure_dmin()
     return {
         "mode": "dmin",
         "claimed": claimed,
@@ -336,10 +336,8 @@ def _verify_dmin(cfg: SimConfig, code: LrcCode) -> dict:
     }
 
 
-def _verify_ura(cfg: SimConfig, code: LrcCode,
-                claim_profile: list[int] | None) -> dict:
-    report = code.ura_report(claimed_profile=claim_profile,
-                             pattern_cap=cfg.pattern_cap)
+def _verify_ura(code: LrcCode, claim_profile: list[int] | None) -> dict:
+    report = code.ura_report(claimed_profile=claim_profile)
     return {
         "mode": "ura",
         "claimed": report["claimed_profile"],
@@ -379,14 +377,19 @@ def _verify_repair_all(cfg: SimConfig, code: LrcCode) -> dict:
                     failed, {h: available[h] for h in helper_set}),
                       expect_symbols=code.alpha)
         else:
-            # Decode path: every threshold-sized helper subset at desk scale,
-            # each through the repair call itself (it decodes from exactly
-            # the shards it is given when there are no more than needed).
-            if comb(len(available), code.decode_threshold) <= cfg.pattern_cap:
-                for subset in combinations(sorted(available),
-                                           code.decode_threshold):
-                    check(failed, *code.repair(
-                        failed, {i: available[i] for i in subset}))
+            # Decode path: every threshold-sized helper subset, each through
+            # the repair call itself (it decodes from exactly the shards it
+            # is given when there are no more than needed).
+            subsets = comb(len(available), code.decode_threshold)
+            if subsets > cfg.pattern_cap:
+                raise PatternCapError(
+                    f"C({len(available)},{code.decode_threshold}) = {subsets} "
+                    f"helper subsets of node {failed} exceed the cap "
+                    f"{cfg.pattern_cap}; refusing to sample")
+            for subset in combinations(sorted(available),
+                                       code.decode_threshold):
+                check(failed, *code.repair(
+                    failed, {i: available[i] for i in subset}))
             shard, metrics = code.repair(failed, available)
             check(failed, shard, metrics)
     return {
@@ -424,9 +427,9 @@ def cmd_verify(cfg: SimConfig, mode: str,
                                           extra=extra)
         report = _verify_bounds_crosscheck(ctx)
     elif mode == "dmin":
-        report = _verify_dmin(cfg, cfg.build())
+        report = _verify_dmin(cfg.build())
     elif mode == "ura":
-        report = _verify_ura(cfg, cfg.build(), claim_profile)
+        report = _verify_ura(cfg.build(), claim_profile)
     elif mode == "repair-all":
         report = _verify_repair_all(cfg, cfg.build())
     else:
@@ -540,7 +543,9 @@ def _build_parser() -> argparse.ArgumentParser:
         flag("--design-file",
              help="block design, one block per line, 1-based points")
         flag("--seed", type=int)
-        flag("--pattern-cap", type=int)
+        flag("--pattern-cap", type=int,
+             help="most decode-path helper subsets verify --mode repair-all "
+                  "tries per node before it refuses")
         flag("--out-dir")
 
     p = sub.add_parser("make", help="construct a code and print its summary")

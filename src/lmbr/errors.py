@@ -45,7 +45,8 @@ class DesignError(ToolkitError):
 
 
 class PatternCapError(ToolkitError):
-    """Exhaustive enumeration would exceed the configured pattern cap.
+    """An exhaustive check would try more cases than the configured pattern
+    cap: ``verify --mode repair-all``'s decode-path helper subsets.
 
     This is a refusal, not a failure: no sampling is substituted.
     """

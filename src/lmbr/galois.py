@@ -503,15 +503,19 @@ def _row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 #: past it the states are split and each half finishes the pass alone.
 _STATE_BUDGET = 1 << 20
 
+#: Subset tables larger than this are refused before anything is allocated.
+TABLE_BUDGET = 1 << 22
 
-def subset_ranks(matrix: np.ndarray, width: int, q: int,
-                 max_lost: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+
+def subset_ranks(matrix: np.ndarray, width: int,
+                 q: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank over F_q of the columns of every subset of the matrix's nodes.
 
     Columns j*width .. (j+1)*width - 1 belong to node j, and a subset is
     keyed by the bitmask with bit j for node j.  Returns the keys in
-    ascending order and their ranks, both int64; with ``max_lost`` only the
-    subsets that lack at most that many nodes are kept.
+    ascending order and their ranks, both int64.  A table of more than
+    ``TABLE_BUDGET`` keys is refused with :class:`ParameterError` before any
+    state is allocated, as :func:`field` refuses a field past its budget.
 
     One pass visits the nodes in order.  A partial state is the residue of
     the columns still to come once its chosen columns are eliminated; at
@@ -522,41 +526,36 @@ def subset_ranks(matrix: np.ndarray, width: int, q: int,
     followed by column operations against the pivot column, so the columns
     still to come keep their rank relative to the chosen ones; no rows are
     swapped, and all the states of a step are eliminated as one stacked
-    array.  Skipping a node whose state has already skipped ``max_lost``
-    drops the state.  The keys come out sorted: the states that take node
-    j follow the states that skip it.
+    array.  The keys come out sorted: the states that take node j follow
+    the states that skip it.
     """
-    a = _residues(matrix, q)
-    cols = a.shape[1]
+    cols = np.shape(matrix)[1]
     if width < 1 or cols % width:
         raise ParameterError(
             f"{cols} columns do not split into nodes of width {width}")
-    if cols // width > 63:
+    if 1 << cols // width > TABLE_BUDGET:
         raise ParameterError(
-            f"subset keys fit at most 63 nodes, got {cols // width}")
+            f"subset table of 2^{cols // width} node sets exceeds the budget "
+            f"2^{TABLE_BUDGET.bit_length() - 1}; refusing")
     zero = np.zeros(1, dtype=np.int64)
-    return _extend(a[None], zero, zero, zero, 0, width, q,
-                   cols // width if max_lost is None else max_lost)
+    return _extend(_residues(matrix, q)[None], zero, zero, 0, width, q)
 
 
-def _extend(residue, keys, ranks, lost, node, width, q, max_lost):
+def _extend(residue, keys, ranks, node, width, q):
     """Finish the pass of :func:`subset_ranks` from ``node`` on, for the
-    states with these residues, keys, ranks and lost-node counts."""
+    states with these residues, keys and ranks."""
     while residue.shape[2]:
         if residue.size > _STATE_BUDGET and len(residue) > 1:
             half = len(residue) // 2
-            parts = [_extend(residue[s], keys[s], ranks[s], lost[s], node,
-                             width, q, max_lost)
+            parts = [_extend(residue[s], keys[s], ranks[s], node, width, q)
                      for s in (slice(None, half), slice(half, None))]
             keys, ranks = (np.concatenate(p) for p in zip(*parts))
             order = np.argsort(keys)
             return keys[order], ranks[order]
-        keep = lost < max_lost
         gained, taken = _eliminate(residue, width, q)
-        residue = np.concatenate([residue[keep, :, width:], taken])
-        keys = np.concatenate([keys[keep], keys | 1 << node])
-        ranks = np.concatenate([ranks[keep], ranks + gained])
-        lost = np.concatenate([lost[keep] + 1, lost])
+        residue = np.concatenate([residue[:, :, width:], taken])
+        keys = np.concatenate([keys, keys | 1 << node])
+        ranks = np.concatenate([ranks, ranks + gained])
         node += 1
     return keys, ranks
 

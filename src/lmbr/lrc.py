@@ -43,8 +43,9 @@ table: no pattern is visited.  A decode attempt re-validates it.  For
 rank accumulation, every group mask's rank is compared with the claimed
 prefix sum for its node count, and that is the whole check: rank is
 submodular, so matching masks make the prefix sums concave, and the least
-rank of each size is then the periodic sum without being computed.  Levels
-whose pattern count exceeds the cap are refused rather than sampled.
+rank of each size is then the periodic sum without being computed.  The
+only limit is the table's size: a group of more nodes than the
+:data:`~lmbr.galois.TABLE_BUDGET` allows is refused, never sampled.
 """
 
 from __future__ import annotations
@@ -58,12 +59,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bounds import BoundContext
-from .errors import (
-    InsufficientRankError,
-    ParameterError,
-    PatternCapError,
-    RepairError,
-)
+from .errors import InsufficientRankError, ParameterError, RepairError
 from .galois import (FieldElement, _matmul_mod_q, field, inv_mod_q,
                      rank_mod_q, subset_ranks)
 from .gabidulin import GabidulinCode
@@ -123,31 +119,28 @@ def _combinations_first(masks: np.ndarray, width: int) -> int:
 
 
 def _first_undecodable(keys, ranks, n_local, groups, global_nodes, alpha,
-                       file_dim, last):
-    """The first pattern of 1..last erasures, by size and then in
-    ``combinations`` order, whose survivors have rank below ``file_dim``:
-    (size, pattern), or None.
+                       file_dim):
+    """The first erasure pattern, by size and then in ``combinations``
+    order, whose survivors have rank below ``file_dim``: (size, pattern).
+    There is one, since erasing every node leaves rank 0.
 
     There are ``groups`` groups of ``n_local`` nodes, whose surviving
-    ``keys`` (every mask that lacks at most ``last`` nodes) have ``ranks``,
-    then ``global_nodes`` nodes of rank ``alpha``.  rest[g][e], the least
-    rank of groups g.. and the global nodes with e of their nodes erased,
-    is a min-plus convolution; the size is the first e with rest[0][e]
-    below ``file_dim``.  Each group in turn loses the first, by
-    :func:`_combinations_first`, of its masks that keep the running total
-    plus rest[g + 1] at the erasures left below ``file_dim`` (the later
-    erasures lie past the group); the first global nodes take the rest.
+    ``keys`` (every group mask) have ``ranks``, then ``global_nodes`` nodes
+    of rank ``alpha``.  rest[g][e], the least rank of groups g.. and the
+    global nodes with e of their nodes erased, is a min-plus convolution;
+    the size is the first e >= 1 with rest[0][e] below ``file_dim``.  Each
+    group in turn loses the first, by :func:`_combinations_first`, of its
+    masks that keep the running total plus rest[g + 1] at the erasures left
+    below ``file_dim`` (the later erasures lie past the group); the first
+    global nodes take the rest.
     """
     lost = n_local - sum(keys >> node & 1 for node in range(n_local))
     by_lost = np.full(n_local + 1, np.iinfo(np.int64).max)
     np.minimum.at(by_lost, lost, ranks)
     rest = [alpha * np.arange(global_nodes, -1, -1)]
     for _ in range(groups):
-        rest.insert(0, _min_plus(rest[0], by_lost[: last + 1])[: last + 1])
-    failing = np.flatnonzero(rest[0][1:] < file_dim)
-    if not failing.size:
-        return None
-    erased = left = int(failing[0]) + 1
+        rest.insert(0, _min_plus(rest[0], by_lost))
+    erased = left = int(np.flatnonzero(rest[0][1:] < file_dim)[0]) + 1
     total, pattern, full = 0, [], (1 << n_local) - 1
     for group, after in enumerate(rest[1:]):
         fits = np.flatnonzero((lost <= left) & (left - lost < len(after)))
@@ -157,34 +150,6 @@ def _first_undecodable(keys, ranks, n_local, groups, global_nodes, alpha,
         total, left = total + ranks[at], left - lost[at]
     first_global = groups * n_local
     return erased, (*pattern, *range(first_global, first_global + left))
-
-
-class GroupRankTable:
-    """Rank over F_q of the stored columns of every node set of one group.
-
-    The mixed generator is block-diagonal: one copy of the local generator
-    per group plus identity columns for the global nodes, each block on its
-    own message coordinates.  The rank of a column set is therefore the sum
-    of its per-group ranks plus ``alpha`` per global node.  A group's node
-    set is keyed by a bitmask (bit j for its j-th node).  The table is
-    filled when it is built, by one :func:`~lmbr.galois.subset_ranks` pass
-    over the local generator: every mask, or with ``max_lost`` every mask
-    that lacks at most that many of the group's nodes.  The certifiers read
-    their witnesses, and :meth:`LrcCode.measure_dmin` its minima, off these
-    arrays; no mask is looked up.
-    """
-
-    def __init__(self, code: "LrcCode", max_lost: int | None = None):
-        local = code.local
-        n_local = local.n_nodes
-        if n_local > 63:
-            raise ParameterError(
-                f"group masks fit n_local <= 63 nodes, got {n_local}"
-            )
-        #: Filled masks, ascending, the rank of each and its node count.
-        self.keys, self.group_ranks = subset_ranks(
-            local.generator_matrix(), local.alpha, local.q, max_lost)
-        self.sizes = sum(self.keys >> node & 1 for node in range(n_local))
 
 
 class LrcCode:
@@ -449,50 +414,40 @@ class LrcCode:
 
     # -- exhaustive certification ---------------------------------------------------
 
-    def measure_dmin(self, pattern_cap: int = 10 ** 6) -> DminResult:
+    def measure_dmin(self) -> DminResult:
         """Measure the minimum distance: the least number of erased nodes
         that leaves survivors of rank below K.
 
         The answer is exact over every erasure pattern, and no pattern is
-        visited.  The survivors' rank comes from a :class:`GroupRankTable`,
-        which is exact because the outer points are independent over F_q
-        (checked here: rank(Theta) = J): the survivors' expanded columns
-        have the rank of the same columns of the block-diagonal mixed
-        generator.  :func:`_first_undecodable` reads the distance d and its
-        witness, the first undecodable pattern of d erasures in
-        ``combinations`` order, off the table, and the real decoder
-        re-validates the witness.  ``patterns_checked`` counts the patterns
-        of the levels below d, all of them certified decodable.
-
-        Levels whose pattern count exceeds ``pattern_cap`` are refused (no
-        sampling), and so is every level after the first refused one; the
-        table is filled for the group masks that lack at most as many nodes
-        as the last level within the cap.
+        visited.  The survivors' rank is the sum of its groups' entries in
+        one :func:`~lmbr.galois.subset_ranks` table of the local generator,
+        plus alpha per surviving global node.  That is exact because the
+        outer points are independent over F_q (checked here: rank(Theta) =
+        J): the survivors' expanded columns have the rank of the same
+        columns of the block-diagonal mixed generator.
+        :func:`_first_undecodable` reads the distance d and its witness,
+        the first undecodable pattern of d erasures in ``combinations``
+        order, off the table, and the real decoder re-validates the
+        witness.  ``patterns_checked`` counts the patterns of the levels
+        below d, all of them certified decodable.  A group too large for
+        the table is refused with :class:`ParameterError`.
         """
         if rank_mod_q(self.theta, self.local.q) != self.outer.length:
             raise AssertionError(
                 "outer points are dependent over F_q; survivor ranks do not "
                 "split over the local groups"
             )
-        n = self.n_nodes
-        last = 0
-        while last < n and comb(n, last + 1) <= pattern_cap:
-            last += 1
-        table = GroupRankTable(self, max_lost=last)
-        found = _first_undecodable(
-            table.keys, table.group_ranks, self.local.n_nodes, self.groups,
-            self.global_nodes, self.alpha, self.file_dim, last)
-        if found is None:
-            erased = last + 1
-            raise PatternCapError(
-                f"C({n},{erased}) = {comb(n, erased)} erasure patterns exceed "
-                f"the cap {pattern_cap}; refusing to sample"
-            )
-        erased, witness = found
+        local = self.local
+        keys, ranks = subset_ranks(local.generator_matrix(), local.alpha,
+                                   local.q)
+        erased, witness = _first_undecodable(
+            keys, ranks, local.n_nodes, self.groups, self.global_nodes,
+            self.alpha, self.file_dim)
         self._assert_undecodable(witness)
         return DminResult(
             value=erased, witness=witness,
-            patterns_checked=sum(comb(n, e) for e in range(1, erased)))
+            patterns_checked=sum(comb(self.n_nodes, e)
+                                 for e in range(1, erased)))
 
     def _assert_undecodable(self, pattern):
         # The decoder refuses on the survivors' points before it reads a
@@ -507,8 +462,8 @@ class LrcCode:
             f"rank test and decoder disagree on pattern {pattern}"
         )
 
-    def ura_report(self, claimed_profile: Sequence[int] | None = None,
-                   pattern_cap: int = 10 ** 6) -> dict:
+    def ura_report(self,
+                   claimed_profile: Sequence[int] | None = None) -> dict:
         """Certify rank accumulation of the concatenated local bank.
 
         For every subset of the groups * n_local local thick columns the
@@ -520,10 +475,11 @@ class LrcCode:
         bound consumes.
 
         The condition is certified over every subset, and no subset is
-        enumerated.  A :class:`GroupRankTable`, filled by elimination for
-        every group mask and assuming nothing about the profile, gives each
-        group mask's measured rank; a subset's rank is the sum of its
-        groups' entries, because the bank's generator is block-diagonal.
+        enumerated.  One :func:`~lmbr.galois.subset_ranks` table of the
+        local generator, filled by elimination for every group mask and
+        assuming nothing about the profile, gives each group mask's
+        measured rank; a subset's rank is the sum of its groups' entries,
+        because the bank's generator is block-diagonal.
         Let s* be the least node count of a group mask whose rank differs
         from the claimed prefix sum.  A subset of fewer than s* columns
         matches, since each of its group parts does, and so does a subset
@@ -536,7 +492,8 @@ class LrcCode:
         and the least rank over the subsets of each size below s* (of every
         size) is the periodic sum.  On a pass ``subsets_checked`` is
         2^(groups * n_local), the subsets certified; none of them is
-        visited.
+        visited.  A group too large for the table is refused with
+        :class:`ParameterError`.
 
         Entries of the claimed profile must be integers (``operator.index``,
         so numpy integers pass) between 0 and alpha.
@@ -562,33 +519,30 @@ class LrcCode:
                 f"claimed profile entries must lie in 0..alpha={self.alpha}"
             )
         cols = self.groups * n_local
-        subsets = 2 ** cols
-        if subsets > pattern_cap:
-            raise PatternCapError(
-                f"2^{cols} = {subsets} subsets exceed the cap {pattern_cap}"
-            )
         prefix = [0]
         for a in claimed:
             prefix.append(prefix[-1] + a)
-        table = GroupRankTable(self)
-        wrong = np.flatnonzero(
-            table.group_ranks != np.array(prefix, dtype=np.int64)[table.sizes])
+        local = self.local
+        keys, ranks = subset_ranks(local.generator_matrix(), local.alpha,
+                                   local.q)
+        sizes = sum(keys >> node & 1 for node in range(n_local))
+        wrong = np.flatnonzero(ranks != np.array(prefix, dtype=np.int64)[sizes])
         witness = None
         if wrong.size:
-            size = int(table.sizes[wrong].min())
-            at = wrong[table.sizes[wrong] == size]
-            at = at[_combinations_first(table.keys[at], n_local)]
+            size = int(sizes[wrong].min())
+            at = wrong[sizes[wrong] == size]
+            at = at[_combinations_first(keys[at], n_local)]
             witness = {
                 "kind": "block-rank",
-                "subset": _nodes(int(table.keys[at])),
-                "measured": int(table.group_ranks[at]),
+                "subset": _nodes(int(keys[at])),
+                "measured": int(ranks[at]),
                 "expected": prefix[size],
             }
         return {
             "mode": "ura",
             "columns": cols,
             "claimed_profile": claimed,
-            "subsets_checked": subsets if witness is None else None,
+            "subsets_checked": 2 ** cols if witness is None else None,
             "pass": witness is None,
             "witness": witness,
         }

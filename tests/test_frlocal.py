@@ -415,10 +415,8 @@ def test_fr_profile_matches_the_exhaustive_sweep(design, q, k_fr):
 @pytest.mark.parametrize("design,q,k_fr,t", [
     pytest.param(design, q, k, t, id=f"{name}-k{k}-t{t}")
     for name, design, q, ks in FR_DESIGNS for k in ks for t in (1, 2)
-    # t = 2 where the 2^(2n) subsets fit the default cap and q^(2 k_fr)
-    # fits the field budget.
-    if t == 1 or (4 ** design.n_points <= 10 ** 6
-                  and q ** (2 * k) <= SIZE_BUDGET)
+    # t = 2 wherever q^(2 k_fr) fits the field budget.
+    if t == 1 or q ** (2 * k) <= SIZE_BUDGET
 ])
 def test_fr_profile_passes_ura(design, q, k_fr, t):
     """The rank certifier, working on the real generator, accepts the

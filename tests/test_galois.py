@@ -807,34 +807,41 @@ def node_matrices(draw):
             for r in range(rows):
                 for c in range(width):
                     matrix[r, node * width + c] = draw(entry)
-    max_lost = draw(st.none() | st.integers(0, nodes))
-    return matrix, width, q, max_lost
+    return matrix, width, q
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=node_matrices(), split=st.booleans())
 def test_subset_ranks_match_pivot_columns(case, split):
-    """Every kept subset's rank is the pivot count of its columns, and the
-    keys are exactly the ascending masks that lack at most max_lost nodes,
-    also when the pass splits its states to stay within its budget."""
-    matrix, width, q, max_lost = case
+    """Every subset's rank is the pivot count of its columns, and the keys
+    are every mask in ascending order, also when the pass splits its states
+    to stay within its budget."""
+    matrix, width, q = case
     nodes = matrix.shape[1] // width
     with mock.patch.object(galois, "_STATE_BUDGET",
                            1 if split else galois._STATE_BUDGET):
-        keys, ranks = subset_ranks(matrix, width, q, max_lost)
-    lost_at_most = nodes if max_lost is None else max_lost
-    assert keys.tolist() == [mask for mask in range(1 << nodes)
-                             if nodes - bin(mask).count("1") <= lost_at_most]
+        keys, ranks = subset_ranks(matrix, width, q)
+    assert keys.tolist() == list(range(1 << nodes))
     for mask, rank in zip(keys.tolist(), ranks.tolist()):
         cols = [node * width + c for node in range(nodes) if mask >> node & 1
                 for c in range(width)]
         assert rank == len(pivot_columns(matrix[:, cols], q)), mask
 
 
-def test_subset_ranks_refuse_a_ragged_split_or_too_many_nodes():
+def test_subset_ranks_refuse_a_ragged_split_or_too_many_nodes(monkeypatch):
+    """A table of 2^23 keys passes TABLE_BUDGET and is refused before a
+    residue is taken or a state is made."""
     with pytest.raises(ParameterError):
         subset_ranks(np.zeros((2, 5), dtype=np.int64), 2, 3)
     with pytest.raises(ParameterError):
         subset_ranks(np.zeros((2, 3), dtype=np.int64), 0, 3)
-    with pytest.raises(ParameterError):
-        subset_ranks(np.zeros((1, 64), dtype=np.int64), 1, 3, max_lost=0)
+    assert galois.TABLE_BUDGET == 1 << 22
+
+    def refuse(*args):
+        raise AssertionError("subset_ranks allocated state past its budget")
+
+    for name in ("_residues", "_extend"):
+        monkeypatch.setattr(galois, name, refuse)
+    with pytest.raises(ParameterError, match=r"^subset table of 2\^23 node "
+                       r"sets exceeds the budget 2\^22; refusing$"):
+        subset_ranks(np.zeros((1, 46), dtype=np.int64), 2, 3)

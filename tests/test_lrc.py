@@ -32,11 +32,12 @@ from lmbr import (
     info_locality_code,
 )
 from lmbr import cli, galois, gabidulin, linpoly, lrc
+from lmbr.bounds import BoundContext
 from lmbr.cli import SimConfig, main
 from lmbr.galois import (SIZE_BUDGET, FieldElement, apply_int_matrix,
-                         pivot_columns, rank_mod_q)
+                         pivot_columns, rank_mod_q, subset_ranks)
 from lmbr.linpoly import LinearizedPoly
-from lmbr.lrc import DminResult, GroupRankTable, Shard
+from lmbr.lrc import DminResult, Shard
 
 
 def desk_local():
@@ -249,14 +250,30 @@ def test_measured_dmin_full_rate():
 
 
 def test_pattern_cap_refusal():
-    with pytest.raises(PatternCapError):
-        desk_c1().measure_dmin(pattern_cap=10)
+    """The pattern cap bounds repair-all's decode-path helper subsets alone:
+    C2's global node has C(6,4) = 15 of them, so a cap of 14 refuses and a
+    cap of 15 checks all of them."""
+    code = desk_c2()
+    with pytest.raises(PatternCapError, match=r"^C\(6,4\) = 15 helper "
+                       r"subsets of node 6 exceed the cap 14; refusing to "
+                       r"sample$"):
+        cli._verify_repair_all(SimConfig(pattern_cap=14), code)
+    assert cli._verify_repair_all(SimConfig(pattern_cap=15), code) == {
+        "mode": "repair-all", "cases": 22, "pass": True, "witness": None}
 
 
 def mbr_stripes_code():
     """The benchmark's mbr-stripes configuration, built as the CLI does."""
     return SimConfig(construction="info-local", q=3, t=2, delta=1,
                      file_dim=5, m=8).build()
+
+
+def test_mbr_stripes_is_the_c2_code():
+    """The benchmark's mbr-stripes configuration and C2 build the same
+    code, so the tests that take C2 cover mbr-stripes too."""
+    a, b = desk_c2(), mbr_stripes_code()
+    assert (a.n_nodes, a.file_dim, a.field) == (b.n_nodes, b.file_dim, b.field)
+    assert np.array_equal(a.generator, b.generator)
 
 
 def fano_code():
@@ -346,12 +363,12 @@ def table_rank(code, rank_of, survivors):
 
 
 def rank_lookup(code):
-    table = GroupRankTable(code)
-    return dict(zip(table.keys.tolist(), table.group_ranks.tolist()))
+    local = code.local
+    keys, ranks = subset_ranks(local.generator_matrix(), local.alpha, local.q)
+    return dict(zip(keys.tolist(), ranks.tolist()))
 
 
-@pytest.mark.parametrize("build", [desk_c1, desk_c2, mbr_stripes_code,
-                                   fano_code])
+@pytest.mark.parametrize("build", [desk_c1, desk_c2, fano_code])
 def test_rank_table_matches_elimination_on_every_survivor_set(build):
     """The per-group table gives the rank of every survivor set that one
     elimination on the expanded columns gives, and decodable agrees."""
@@ -409,31 +426,16 @@ def small_codes(draw):
 @given(code=small_codes(), data=st.data())
 def test_certifiers_match_references_on_drawn_codes(code, data):
     """measure_dmin and ura_report equal the per-pattern references, for
-    the true profile and a perturbed one, under a drawn pattern cap: a
-    level over the cap refuses with the first such level's count."""
-    n = code.n_nodes
-    cap = data.draw(st.sampled_from([10 ** 6, 1 << n])
-                    | st.integers(1, 1 << n), label="pattern_cap")
-    expected = reference_dmin(code)
-    over = [e for e in range(1, expected.value + 1) if comb(n, e) > cap]
-    if over:
-        with pytest.raises(PatternCapError,
-                           match=rf"^C\({n},{over[0]}\) = {comb(n, over[0])} "):
-            code.measure_dmin(pattern_cap=cap)
-    else:
-        assert code.measure_dmin(pattern_cap=cap) == expected
+    the true profile and a perturbed one."""
+    assert code.measure_dmin() == reference_dmin(code)
     true = list(code.local.profile())
     node = data.draw(st.integers(0, len(true) - 1), label="perturbed node")
     value = data.draw(st.integers(0, code.alpha).filter(
         lambda v: v != true[node]), label="perturbed value")
     perturbed = true[:node] + [value] + true[node + 1:]
     for claim in (true, perturbed):
-        if 2 ** (code.groups * code.local.n_nodes) > cap:
-            with pytest.raises(PatternCapError):
-                code.ura_report(claimed_profile=claim, pattern_cap=cap)
-        else:
-            assert (code.ura_report(claimed_profile=claim, pattern_cap=cap)
-                    == reference_ura(code, claim))
+        assert code.ura_report(claimed_profile=claim) == reference_ura(
+            code, claim)
 
 
 @pytest.mark.parametrize("build", [desk_c1, mbr_stripes_code])
@@ -488,8 +490,7 @@ def test_size_minimum_never_fails_first(case):
     assert witness is None or witness["kind"] == "block-rank"
 
 
-@pytest.mark.parametrize("build", [desk_c1, desk_c2, fano_code,
-                                   mbr_stripes_code])
+@pytest.mark.parametrize("build", [desk_c1, desk_c2, fano_code])
 def test_ura_report_makes_no_min_plus_call(build, monkeypatch):
     """URA is certified by the block ranks alone: with the min-plus
     convolution unavailable the true profile still passes, and a wrong
@@ -553,12 +554,12 @@ def test_certifiers_enumerate_nothing(monkeypatch):
 
 
 def brute_first_undecodable(rank_of, n_local, groups, global_nodes, alpha,
-                            file_dim, last):
-    """Reference: scan the patterns of 1..last erasures in combinations
-    order, summing each group's table entry and alpha per surviving global
-    node, for the first whose rank is below file_dim."""
+                            file_dim):
+    """Reference: scan the erasure patterns in combinations order, summing
+    each group's table entry and alpha per surviving global node, for the
+    first whose rank is below file_dim."""
     local = groups * n_local
-    for erased in range(1, last + 1):
+    for erased in range(1, local + global_nodes + 1):
         for pattern in combinations(range(local + global_nodes), erased):
             survivors = [(g, j) for g in range(groups) for j in range(n_local)
                          if g * n_local + j not in pattern]
@@ -567,26 +568,23 @@ def brute_first_undecodable(rank_of, n_local, groups, global_nodes, alpha,
                         for g in range(groups))
             if rank < file_dim:
                 return erased, pattern
-    return None
+    raise AssertionError("erasing every node leaves rank 0")
 
 
 @st.composite
 def synthetic_tables(draw):
-    """Group rank tables with arbitrary, not necessarily monotone, ranks
-    (rank 0 for the empty mask), kept as measure_dmin fills them: every
-    mask that lacks at most ``last`` of the group's nodes."""
+    """Full group rank tables with arbitrary, not necessarily monotone,
+    ranks (rank 0 for the empty mask)."""
     n_local = draw(st.integers(1, 4), label="n_local")
     groups = draw(st.integers(1, 3), label="groups")
     global_nodes = draw(st.integers(0, 2), label="global nodes")
     alpha = draw(st.integers(1, 3), label="alpha")
     ranks = [0] + draw(st.lists(st.integers(0, 6), min_size=2 ** n_local - 1,
                                 max_size=2 ** n_local - 1), label="ranks")
-    last = draw(st.integers(0, groups * n_local + global_nodes), label="last")
     file_dim = draw(st.integers(1, groups * max(ranks)
                                 + global_nodes * alpha + 1), label="K")
-    rank_of = {mask: rank for mask, rank in enumerate(ranks)
-               if n_local - bin(mask).count("1") <= last}
-    return rank_of, n_local, groups, global_nodes, alpha, file_dim, last
+    rank_of = dict(enumerate(ranks))
+    return rank_of, n_local, groups, global_nodes, alpha, file_dim
 
 
 @settings(max_examples=300, deadline=None)
@@ -617,27 +615,20 @@ def test_dmin_witness_is_revalidated_by_the_decoder(monkeypatch):
         desk_c1().measure_dmin()
 
 
-def test_dmin_fills_only_the_masks_below_the_first_refused_level(monkeypatch):
-    """A 23-node group under a cap of 2000: levels 1..3 fit and level 4
-    refuses, so the table holds the 1 + 23 + 253 + 1771 = 2048 masks that
-    lack at most three nodes, not all 2^23, and the refusal is quick."""
-    filled = []
-    real = lrc.subset_ranks
+def test_dmin_refuses_a_group_past_the_table_budget(monkeypatch):
+    """A 23-node group would need a table of 2^23 masks, past
+    TABLE_BUDGET: measure_dmin refuses it in under a second, before any
+    subset_ranks elimination."""
+    def refuse(*args):
+        raise AssertionError("subset_ranks eliminated past the budget")
 
-    def recorded(*args, **kwargs):
-        keys, ranks = real(*args, **kwargs)
-        filled.append(len(keys))
-        return keys, ranks
-
-    monkeypatch.setattr(lrc, "subset_ranks", recorded)
+    monkeypatch.setattr(galois, "_eliminate", refuse)
     code = all_symbol_code(1, MbrCode(23, 1, 1, 23), 1)
     started = time.perf_counter()
-    with pytest.raises(PatternCapError) as refused:
-        code.measure_dmin(pattern_cap=2000)
+    with pytest.raises(ParameterError, match=r"^subset table of 2\^23 node "
+                       r"sets exceeds the budget 2\^22; refusing$"):
+        code.measure_dmin()
     assert time.perf_counter() - started < 1.0
-    assert str(refused.value) == ("C(23,4) = 8855 erasure patterns exceed "
-                                  "the cap 2000; refusing to sample")
-    assert filled == [2048]
 
 
 def test_certify_configuration_within_budget():
@@ -652,6 +643,75 @@ def test_certify_configuration_within_budget():
     assert report["pass"] is True
     assert report["subsets_checked"] == 2 ** 15
     assert time.perf_counter() - started < 5.0
+
+
+#: The banks of the paper's claim at scale: C1's (3,2,2), the (5,3,4) MBR
+#: code and the Fano FR code.
+SWEEP_BANKS = [
+    pytest.param(MbrCode(3, 2, 2, 3), id="mbr-3-2-2"),
+    pytest.param(MbrCode(5, 3, 4, 5), id="mbr-5-3-4"),
+    pytest.param(FrCode(fano_plane(), 5, 7), id="fano"),
+]
+
+
+def table_dmin(keys, ranks, local, groups, global_nodes, file_dim):
+    """d_min and its witness read off a group table as measure_dmin reads
+    them, with the witness's survivors checked to be rank-short by the
+    same table."""
+    n_local = local.n_nodes
+    erased, witness = lrc._first_undecodable(
+        keys, ranks, n_local, groups, global_nodes, local.alpha, file_dim)
+    assert len(witness) == erased
+    rank_of = dict(zip(keys.tolist(), ranks.tolist()))
+    survivors = set(range(groups * n_local + global_nodes)) - set(witness)
+    masks = [sum(1 << i % n_local for i in survivors if i // n_local == g)
+             for g in range(groups)]
+    kept_globals = sum(i >= groups * n_local for i in survivors)
+    assert (sum(rank_of[mask] for mask in masks)
+            + local.alpha * kept_globals) < file_dim
+    return erased
+
+
+@pytest.mark.parametrize("local", SWEEP_BANKS)
+def test_dmin_equals_the_bound_for_every_t_up_to_20(local):
+    """The paper's claim d_min = n - P_inv(K) + 1 holds for every t up to
+    20, every K up to t * k_local and 0-2 global nodes, certified from one
+    subset_ranks table of the local generator.
+
+    No F_{q^m} is built, and most of these codes would pass the field
+    budget.  That is sound: the outer points are the power basis, so
+    Theta is the first J unit columns and rank(Theta) = J (measure_dmin
+    checks it on every code it builds).  The survivors' expanded columns
+    then have the rank of the same columns of the block-diagonal mixed
+    generator: their groups' table entries plus alpha per global node,
+    which is what the table gives.
+    """
+    keys, ranks = subset_ranks(local.generator_matrix(), local.alpha, local.q)
+    for groups in range(1, 21):
+        for global_nodes in range(3):
+            ctx = BoundContext.for_local_code(
+                local, groups * local.n_nodes + global_nodes,
+                extra=global_nodes)
+            for file_dim in range(1, groups * local.k_message + 1):
+                assert (table_dmin(keys, ranks, local, groups, global_nodes,
+                                   file_dim)
+                        == ctx.optimal_dmin(file_dim)), (groups, global_nodes,
+                                                         file_dim)
+
+
+def test_measure_dmin_is_the_table_answer_where_the_field_fits():
+    """On C1's bank at t = 3..5, with 0-2 global nodes and every K, the
+    full certifier (a built field, the Theta check and the decoder's
+    re-validation of the witness) gives the table-level answer."""
+    local = desk_local()
+    keys, ranks = subset_ranks(local.generator_matrix(), local.alpha, local.q)
+    for groups in range(3, 6):
+        for global_nodes in range(3):
+            for file_dim in range(1, groups * local.k_message + 1):
+                code = info_locality_code(groups, global_nodes, local,
+                                          file_dim)
+                assert code.measure_dmin().value == table_dmin(
+                    keys, ranks, local, groups, global_nodes, file_dim)
 
 
 def test_gamma_commutation_with_generator():
@@ -716,7 +776,7 @@ def test_repair_local_path_exhaustive():
         assert metrics["downloaded_symbols"] == 2  # d * beta = alpha
 
 
-@pytest.mark.parametrize("build", [desk_c1, desk_c2, mbr_stripes_code])
+@pytest.mark.parametrize("build", [desk_c1, desk_c2])
 def test_regenerating_repair_from_every_helper_set(build, monkeypatch):
     """Every local node from every d-set of its group's survivors rebuilds
     the written shard on the regenerating path; once each helper set has
@@ -759,8 +819,7 @@ def test_repair_global_node_via_decode():
     assert metrics["downloaded_symbols"] == 8
 
 
-@pytest.mark.parametrize("build", [desk_c1, desk_c2, fano_code,
-                                   mbr_stripes_code])
+@pytest.mark.parametrize("build", [desk_c1, desk_c2, fano_code])
 def test_data_path_makes_no_field_element_arithmetic(build, monkeypatch):
     """Encode, a full-shard decode and the repair of every node run as F_q
     matrix products: not one FieldElement product or sum."""
@@ -811,7 +870,7 @@ def assert_generator_matches_reference(code, seed):
 
 
 @pytest.mark.parametrize("build", [desk_c1, desk_c2, fano_code,
-                                   mbr_stripes_code, certify_code])
+                                   certify_code])
 def test_generator_matches_reference_encoder(build):
     assert_generator_matches_reference(build(), 30)
 
@@ -876,7 +935,7 @@ def repair_cases(code, per_node):
 
 
 @pytest.mark.parametrize("build,per_node", [
-    (desk_c1, None), (desk_c2, None), (mbr_stripes_code, None),
+    (desk_c1, None), (desk_c2, None),
     # All 14 x 2,002 Fano cases would take about ten minutes on a 2-core
     # container, mostly in reference decodes of about 12 ms each.
     (fano_code, 3),
@@ -1174,9 +1233,6 @@ FROZEN_REPAIR_RECORDS = {
     "C2": (desk_c2, 50, "9b1d8fe831afecaaf304ad89b15249da"
                         "56a80fc470d666541ed0954b0c716332",
            SURVIVORS | {"global nodes have no in-group path"}),
-    "mbr-stripes": (mbr_stripes_code, 50, "9b1d8fe831afecaaf304ad89b15249da"
-                                          "56a80fc470d666541ed0954b0c716332",
-                    SURVIVORS | {"global nodes have no in-group path"}),
     "fano": (fano_code, 1792, "76d7b99784fe697ed023e4092e474e4f"
                               "7755d8e3f3be71e9e80ba44e1928096e", EXTINCT),
 }
@@ -1244,5 +1300,8 @@ def test_ura_report_refuses_non_integral_entries():
 
 
 def test_ura_report_cap():
-    with pytest.raises(PatternCapError):
-        desk_c1().ura_report(pattern_cap=10)
+    """ura_report's one limit is the table budget: C1's 2^6 subsets are
+    certified, and a 23-node group's 2^23 masks are refused."""
+    assert desk_c1().ura_report()["subsets_checked"] == 64
+    with pytest.raises(ParameterError, match=r"^subset table of 2\^23 "):
+        all_symbol_code(1, MbrCode(23, 1, 1, 23), 1).ura_report()

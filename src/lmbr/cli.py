@@ -145,12 +145,18 @@ def _pack_coeffs(elements) -> bytes:
 
 
 def serialize_shard(shard: Shard, q: int, m: int, digest: bytes) -> bytes:
+    payload = shard.payload
+    # Each coefficient needs 0 <= c < 2^16; a cast alone would wrap it.
+    if np.count_nonzero(payload >> 16):
+        raise ParameterError(
+            f"shard {shard.index} has a coefficient outside 0..65535: shard "
+            "files store each coefficient as a uint16")
     role_tag = 1 if shard.is_global else 0
-    alpha = len(shard.payload)
     head = _HEADER.pack(
-        MAGIC, FORMAT_VERSION, digest, q, m, shard.index, role_tag, alpha
+        MAGIC, FORMAT_VERSION, digest, q, m, shard.index, role_tag,
+        len(payload)
     )
-    return head + _pack_coeffs(shard.payload)
+    return head + payload.astype("<u2").tobytes()
 
 
 def parse_shard(data: bytes, code: LrcCode, digest: bytes) -> Shard:
@@ -184,15 +190,14 @@ def parse_shard(data: bytes, code: LrcCode, digest: bytes) -> Shard:
         raise ShardFormatError(
             f"node index {index} out of range for n={code.n_nodes}"
         )
-    # The whole payload in one unpack, range-checked once (alpha, m >= 1).
-    coeffs = struct.unpack_from(f"<{size}H", data, _HEADER.size)
-    if max(coeffs) >= q:
+    # The whole payload in one call, range-checked once (alpha, m >= 1).
+    # It is a view of immutable bytes (bytes() copies only other buffers),
+    # so it is read-only and nothing can change it under the shard.
+    coeffs = np.frombuffer(bytes(data), "<u2", size, _HEADER.size)
+    if coeffs.max() >= q:
         raise ShardFormatError(
             "bad payload symbol: coefficient out of range for the field"
         )
-    field = code.field
-    payload = tuple(FieldElement(field, coeffs[i:i + m])
-                    for i in range(0, size, m))
     role = code.role_of(index)
     # The tag is exactly 0 or 1, as serialize_shard writes it: 2..255 are
     # refused on every node.
@@ -200,7 +205,7 @@ def parse_shard(data: bytes, code: LrcCode, digest: bytes) -> Shard:
         raise ShardFormatError(
             f"role tag {role_tag} contradicts node index {index}"
         )
-    return Shard(index, role, payload)
+    return Shard(index, role, coeffs.reshape(alpha, m))
 
 
 def _shard_path(out_dir: Path, index: int) -> Path:

@@ -21,10 +21,16 @@ exactly when the available columns span rank >= K over the base field.
 The whole two-stage code is therefore one F_q-linear map, and
 :attr:`LrcCode.generator` compiles it, on first use, into the field's
 Moore map at the expanded points: a (K m) x (n alpha m) F_q matrix.
-Encoding is one product with it.  A node rebuilt on the decode path is one
-solve: the K scalars the interpolating decoder would choose are inverted
-once per helper set (the inverse is cached), and one more product checks
-the surplus scalars and yields the lost node.  Reads still interpolate.
+Encoding is one product with it, and each shard's payload is its node's
+alpha x m block of the product: one read-only integer array of
+coefficients, never a tuple of field elements.  A node rebuilt on the
+decode path is one solve: the K scalars the interpolating decoder would
+choose are inverted once per helper set (the inverse is cached), and one
+more product checks the surplus scalars and yields the lost node.  Reads
+still interpolate.  :class:`~lmbr.galois.FieldElement` is the type of the
+message in and out, of the (point, value) pairs a read hands to
+interpolation, and of the payload rows a local code's ``repair_in_group``
+receives and returns.
 
 :func:`LrcCode.measure_dmin` and :func:`LrcCode.ura_report` certify the
 minimum distance and uniform rank accumulation against that same rank
@@ -52,9 +58,9 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,17 +72,36 @@ from .gabidulin import GabidulinCode
 from .linpoly import independent_points, no_evaluations, surplus_mismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Shard:
-    """One storage node's content: alpha symbols plus its placement."""
+    """One storage node's content and its placement.
+
+    ``payload`` is the node's alpha stored symbols as one read-only
+    alpha x m integer array: row c holds the F_q coefficients of symbol c,
+    constant term first.  Encode and repair give int64 arrays;
+    :func:`~lmbr.cli.parse_shard` gives a uint16 view of the file's bytes.
+    Shards compare and hash by value (index, role, and the payload's shape
+    and entries), whatever the payload's integer dtype.
+    """
 
     index: int
     role: tuple
-    payload: tuple[FieldElement, ...]
+    payload: np.ndarray
 
     @property
     def is_global(self) -> bool:
         return self.role[0] == "global"
+
+    def __eq__(self, other):
+        if not isinstance(other, Shard):
+            return NotImplemented
+        return (self.index == other.index and self.role == other.role
+                and np.array_equal(self.payload, other.payload))
+
+    def __hash__(self):
+        payload = np.asarray(self.payload)
+        return hash((self.index, self.role, payload.shape,
+                     tuple(payload.ravel().tolist())))
 
 
 @dataclass(frozen=True)
@@ -233,14 +258,20 @@ class LrcCode:
 
     # -- placement helpers -------------------------------------------------------
 
+    @functools.cached_property
+    def _roles(self) -> tuple[tuple, ...]:
+        """Every node's role by index: ("local", group, position in the
+        group) or ("global", j)."""
+        n_local = self.local.n_nodes
+        local_span = self.groups * n_local
+        return tuple(("local", i // n_local, i % n_local) if i < local_span
+                     else ("global", i - local_span)
+                     for i in range(self.n_nodes))
+
     def role_of(self, index: int) -> tuple:
         if not 0 <= index < self.n_nodes:
             raise ParameterError(f"node index {index} out of range")
-        local_span = self.groups * self.local.n_nodes
-        if index < local_span:
-            return ("local", index // self.local.n_nodes,
-                    index % self.local.n_nodes)
-        return ("global", index - local_span)
+        return self._roles[index]
 
     def group_members(self, group: int) -> range:
         start = group * self.local.n_nodes
@@ -266,19 +297,43 @@ class LrcCode:
         row = np.array([u.coeffs for u in message], dtype=np.int64)
         stored = _matmul_mod_q(row.reshape(1, -1), self.generator,
                                self.local.q)
-        nodes = stored.reshape(self.n_nodes, self.alpha, -1).tolist()
-        return [Shard(i, self.role_of(i), self._elements(node))
-                for i, node in enumerate(nodes)]
+        nodes = stored.astype(np.int64, copy=False).reshape(
+            self.n_nodes, self.alpha, -1)
+        nodes.setflags(write=False)
+        return [Shard(i, role, payload)
+                for i, (role, payload) in enumerate(zip(self._roles, nodes))]
 
-    def _elements(self, rows: list[list[int]]) -> tuple[FieldElement, ...]:
-        """Field elements from rows of coefficients, already reduced."""
-        return tuple(FieldElement(self.field, tuple(row)) for row in rows)
-
-    def _check_fits(self, shard: Shard) -> None:
-        if not 0 <= shard.index < self.n_nodes or len(shard.payload) != self.alpha:
+    def _check_fits(self, shards: Sequence[Shard]) -> np.ndarray:
+        """Refuse the first shard whose index is not a node of the code or
+        whose payload is not an alpha x m integer array, then the first
+        with an entry that is not a residue mod q; return the payloads
+        stacked, one row per stored scalar."""
+        q, fits = self.local.q, (self.alpha, self.field.m)
+        for shard in shards:
+            payload = shard.payload
+            shape = getattr(payload, "shape", None)
+            if not 0 <= shard.index < self.n_nodes or shape != fits:
+                raise ParameterError(
+                    f"shard {shard.index} with payload shape {shape} does "
+                    f"not fit n={self.n_nodes} nodes of alpha x m = "
+                    f"{fits[0]} x {fits[1]}")
+            if payload.dtype.kind not in "iu":
+                raise ParameterError(
+                    f"shard {shard.index} payload has dtype "
+                    f"{payload.dtype}, not an integer dtype")
+        if not shards:
+            return np.zeros((0, fits[1]), dtype=np.int64)
+        # One range check over every payload; an unsigned stack (parsed
+        # shards) has no negative entry to look for.
+        stacked = np.concatenate([s.payload for s in shards])
+        signed = stacked.dtype.kind != "u"
+        if stacked.max() >= q or signed and stacked.min() < 0:
+            outside = ((stacked < 0) | (stacked >= q)).any(axis=1)
+            shard = shards[int(np.argmax(outside)) // self.alpha]
             raise ParameterError(
-                f"shard {shard.index} with {len(shard.payload)} symbols does "
-                f"not fit n={self.n_nodes} nodes of alpha={self.alpha}")
+                f"shard {shard.index} payload has a coefficient outside "
+                f"[0, {q})")
+        return stacked
 
     def decode(self, shards: Iterable[Shard]) -> tuple[FieldElement, ...]:
         """Recover the message from any shard subset of sufficient rank.
@@ -291,13 +346,12 @@ class LrcCode:
         can decode silently to a wrong message, as at the decode threshold
         with no surplus rank.
         """
-        pairs = []
-        for shard in shards:
-            self._check_fits(shard)
-            base = shard.index * self.alpha
-            for c, value in enumerate(shard.payload):
-                pairs.append((self.gamma[base + c], value))
-        return self.outer.decode_erasures(pairs)
+        shards = list(shards)
+        values = self._check_fits(shards).astype(np.int64, copy=False)
+        points = _blocks([s.index for s in shards], self.alpha).tolist()
+        return self.outer.decode_erasures([
+            (self.gamma[c], FieldElement(self.field, tuple(value)))
+            for c, value in zip(points, values.tolist())])
 
     def decodable(self, surviving: Iterable[int]) -> bool:
         """Rank test: do these nodes' scalar columns span the message?"""
@@ -312,31 +366,29 @@ class LrcCode:
 
         A local node is rebuilt by the local code's
         ``repair_in_group(failed, stored)``: it gets the given payloads of
-        the node's group by position in the group, and returns the node's
-        vector and a metrics record whose helpers are positions too (they
-        are shifted to node indices here).  Global nodes, and local nodes
-        whose local code has no such entry or raises :class:`RepairError`,
-        fall back to the decode path: the first ``decode_threshold``
-        available shards pin down the message through a cached solver, and
-        the lost node is rebuilt from it, with the checks and errors of
-        :meth:`decode` followed by :meth:`encode`.  Returns the replacement
-        shard (bit-identical to the lost one) and a metrics record of what
-        moved.
+        the node's group by position in the group, each as a tuple of
+        :class:`FieldElement` rows, and returns the node's vector and a
+        metrics record whose helpers are positions too (they are shifted to
+        node indices here).  Global nodes, and local nodes whose local code
+        has no such entry or raises :class:`RepairError`, fall back to the
+        decode path: the first ``decode_threshold`` available shards pin
+        down the message through a cached solver, and the lost node is
+        rebuilt from it, with the checks and errors of :meth:`decode`
+        followed by :meth:`encode`.  Returns the replacement shard
+        (bit-identical to the lost one) and a metrics record of what moved.
 
         Repair reads only the shards it is given, so a caller picks the
         helpers by passing just those shards.  Each shard must be given
-        under its own index, fit the code and hold symbols of the code's
-        field, or :class:`ParameterError` is raised before either path runs.
+        under its own index and fit the code (see :meth:`_check_fits`), or
+        :class:`ParameterError` is raised before either path runs.
         """
         if failed in available:
             raise ParameterError("failed node listed among available shards")
+        self._check_fits(list(available.values()))
         for index, shard in available.items():
-            self._check_fits(shard)
             if index != shard.index:
                 raise ParameterError(
                     f"shard {shard.index} is given as node {index}")
-            for v in shard.payload:
-                self.field._require_same(v.field)
         role = self.role_of(failed)
         if role[0] == "local":
             try:
@@ -358,33 +410,36 @@ class LrcCode:
         repair_in_group = getattr(self.local, "repair_in_group", None)
         if repair_in_group is None:
             raise RepairError("the local code has no repair_in_group")
-        offset = grp * self.local.n_nodes
-        stored = {i - offset: available[i].payload
+        offset, fld = grp * self.local.n_nodes, self.field
+        stored = {i - offset: tuple(FieldElement(fld, tuple(row)) for row
+                                    in available[i].payload.tolist())
                   for i in self.group_members(grp) if i in available}
         vector, metrics = repair_in_group(pos, stored)
         metrics["helpers"] = [h + offset for h in metrics["helpers"]]
-        return Shard(failed, role, tuple(vector)), metrics
+        payload = np.array([v.coeffs for v in vector], dtype=np.int64)
+        payload.setflags(write=False)
+        return Shard(failed, role, payload), metrics
 
     def _repair_by_decode(self, failed, available, local_failure):
         """Solve for the message's coordinates X from the helpers' chosen
         scalars, check every helper scalar against X times the generator,
         and read the failed node's scalars off the same product."""
         use = sorted(available)[: self.decode_threshold]
-        shards = [available[i] for i in use]
-        if not shards:
+        if not use:
             raise no_evaluations()
-        values = [v for shard in shards for v in shard.payload]
+        seen = np.concatenate([available[i].payload for i in use],
+                              dtype=np.int64)
         chosen, inverse = self._solver(tuple(use))
         q, m = self.local.q, self.field.m
-        seen = np.array([v.coeffs for v in values], dtype=np.int64)
         coords = _matmul_mod_q(seen[chosen].reshape(1, -1), inverse, q)
         columns = _blocks(_blocks([*use, failed], self.alpha), m)
         stored = _matmul_mod_q(coords, self.generator[:, columns],
                                q).reshape(-1, m)
-        wrong = np.flatnonzero((stored[:len(values)] != seen).any(axis=1))
+        wrong = np.flatnonzero((stored[:len(seen)] != seen).any(axis=1))
         if wrong.size:
             raise surplus_mismatch(int(wrong[0]))
-        payload = self._elements(stored[len(values):].tolist())
+        payload = stored[len(seen):].astype(np.int64)
+        payload.setflags(write=False)
         shard = Shard(failed, self.role_of(failed), payload)
         return shard, {
             "path": "decode-reencode",
@@ -452,7 +507,7 @@ class LrcCode:
     def _assert_undecodable(self, pattern):
         # The decoder refuses on the survivors' points before it reads a
         # value, so zero payloads get the decision that real shards would.
-        zero = (self.field.zero(),) * self.alpha
+        zero = np.zeros((self.alpha, self.field.m), dtype=np.int64)
         survivors = sorted(set(range(self.n_nodes)) - set(pattern))
         try:
             self.decode(Shard(i, self.role_of(i), zero) for i in survivors)

@@ -15,6 +15,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from lmbr.cli import (
     serialize_shard,
 )
 from lmbr.frlocal import FANO_BLOCKS
+from shard_helpers import elements, make_shard
 
 DESK_ARGS = ["--construction", "all-symbol", "--q", "3", "--t", "2",
              "--nl", "3", "--r", "2", "--d", "2", "--K", "5"]
@@ -348,8 +350,9 @@ def test_verify_repair_all_negative_control_exit1(monkeypatch, capsys):
     def flawed(self, failed, available, local_failure):
         shard, metrics = real(self, failed, available, local_failure)
         if 0 not in available:
-            payload = (shard.payload[0] + self.field.one(),) + shard.payload[1:]
-            shard = Shard(shard.index, shard.role, payload)
+            payload = shard.payload.copy()
+            payload[0, 0] = (payload[0, 0] + 1) % self.field.q
+            shard = make_shard(shard.index, shard.role, payload)
         return shard, metrics
 
     monkeypatch.setattr(LrcCode, "_repair_by_decode", flawed)
@@ -948,12 +951,12 @@ def reference_parse_shard(data, code, digest):
         if any(c >= code.field.q for c in coeffs):
             raise ShardFormatError(
                 "bad payload symbol: coefficient out of range for the field")
-        payload.append(FieldElement(code.field, coeffs))
+        payload.append(coeffs)
     role = code.role_of(index)
     if role_tag != (1 if role[0] == "global" else 0):
         raise ShardFormatError(
             f"role tag {role_tag} contradicts node index {index}")
-    return Shard(index, role, tuple(payload))
+    return make_shard(index, role, payload)
 
 
 def parse_outcome(parse, blob):
@@ -992,7 +995,22 @@ def test_parse_shard_outcomes_on_arbitrary_index_and_payload(index, role_tag,
     if not isinstance(shard, Shard):
         return
     assert shard.index == index < C2_CODE.n_nodes
-    assert all(type(c) is int for e in shard.payload for c in e.coeffs)
+    assert shard.payload.dtype == np.uint16
+    assert not shard.payload.flags.writeable
+
+
+def test_parsed_payload_is_read_only_and_owns_its_bytes():
+    """parse_shard's payload cannot be written, and a caller that changes
+    the mutable buffer it parsed does not change the shard."""
+    shard = C2_CODE.encode([C2_CODE.field.one()] * 5)[6]
+    assert shard.payload.any()
+    blob = bytearray(serialize_shard(shard, 3, C2_CODE.field.m, C2_DIGEST))
+    parsed = parse_shard(blob, C2_CODE, C2_DIGEST)
+    assert parsed == shard
+    with pytest.raises(ValueError):
+        parsed.payload[0, 0] = 0
+    blob[24:] = bytes(len(blob) - 24)
+    assert parsed == shard
 
 
 def test_payload_range_is_checked_before_the_role_tag():
@@ -1037,6 +1055,27 @@ def test_out_of_range_coefficient_or_index_exit3(tmp_path, capsys):
         "role tag 2 contradicts node index 0")
 
 
+def test_serialize_refuses_coefficients_past_uint16():
+    """Through the Python API a code over q = 65537 can hold the
+    coefficient 65536, which no uint16 slot stores: serialize_shard refuses
+    it, and a negative one, with a ParameterError instead of packing a
+    wrapped value.  65535 still packs."""
+    code = lmbr.all_symbol_code(1, MbrCode(2, 1, 1, 65537), 1, ext_degree=1)
+    digest = bytes(8)
+    top = code.encode([code.field.from_int(65535)])[0]
+    assert serialize_shard(top, 65537, 1, digest)[24:] == b"\xff\xff"
+    for shard in code.encode([code.field.from_int(65536)]):
+        assert shard.payload.tolist() == [[65536]]
+        with pytest.raises(ParameterError) as err:
+            serialize_shard(shard, 65537, 1, digest)
+        assert str(err.value) == (
+            f"shard {shard.index} has a coefficient outside 0..65535: "
+            "shard files store each coefficient as a uint16")
+    negative = make_shard(0, ("local", 0, 0), [[-1]])
+    with pytest.raises(ParameterError, match="outside 0..65535"):
+        serialize_shard(negative, 65537, 1, digest)
+
+
 def test_q_beyond_uint16_coefficients_refused_exit2(tmp_path, capsys):
     msg_path = tmp_path / "msg.bin"
     msg_path.write_bytes(b"".join(c.to_bytes(2, "little")
@@ -1073,7 +1112,7 @@ def test_largest_uint16_coefficient_round_trips_and_above_is_refused(
     assert msg_path.read_bytes() == b"\xf0\xff"
     assert cli.read_message(msg_path, code) == [top]
     for shard in code.encode([top]):
-        assert shard.payload == (top,)
+        assert shard.payload.tolist() == [[65520]]
         blob = serialize_shard(shard, cfg.q, code.field.m, digest)
         assert blob[24:] == b"\xf0\xff"
         assert parse_shard(blob, code, digest) == shard
@@ -1129,7 +1168,8 @@ def test_file_writers_make_no_per_element_to_bytes(name, tmp_path,
     monkeypatch.setattr(FieldElement, "to_bytes", counted)
     for shard in shards:
         blob = serialize_shard(shard, cfg.q, code.field.m, digest)
-        assert blob[24:] == b"".join(per_element(e) for e in shard.payload)
+        assert blob[24:] == b"".join(per_element(e)
+                                     for e in elements(code.field, shard))
     cli.write_message(tmp_path / "msg.bin", message)
     assert (tmp_path / "msg.bin").read_bytes() == b"".join(
         per_element(e) for e in message)

@@ -15,7 +15,6 @@ from lmbr import (
     ParameterError,
     RankProfile,
     RepairError,
-    Shard,
     all_symbol_code,
     fano_plane,
     field,
@@ -26,6 +25,7 @@ from lmbr import (
 from lmbr.cli import main
 from lmbr.frlocal import FANO_BLOCKS
 from lmbr.galois import SIZE_BUDGET, rank_mod_q
+from shard_helpers import make_shard
 
 
 def count_blocks_through(blocks, points):
@@ -181,9 +181,9 @@ def test_fr_any_two_nodes_reconstruct():
 
 def test_fr_reconstruct_detects_replica_mismatch():
     lrc, msg, shards = fano_one_group_stripe(seed=2)
-    bad = list(shards[1].payload)
-    bad[0] = bad[0] + lrc.field.one()
-    shards[1] = Shard(1, shards[1].role, tuple(bad))
+    bad = shards[1].payload.copy()
+    bad[0, 0] = (bad[0, 0] + 1) % lrc.field.q
+    shards[1] = make_shard(1, shards[1].role, bad)
     with pytest.raises(InconsistentDataError):
         lrc.decode(shards[:3])
 

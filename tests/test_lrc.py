@@ -38,6 +38,7 @@ from lmbr.galois import (SIZE_BUDGET, FieldElement, apply_int_matrix,
                          pivot_columns, rank_mod_q, subset_ranks)
 from lmbr.linpoly import LinearizedPoly
 from lmbr.lrc import DminResult, Shard
+from shard_helpers import make_shard
 
 
 def desk_local():
@@ -108,7 +109,7 @@ def test_zero_global_nodes_degenerates_to_all_symbol():
 def test_zero_message_encodes_to_zero():
     code = desk_c1()
     shards = code.encode([code.field.zero()] * 5)
-    assert all(s.is_zero() for sh in shards for s in sh.payload)
+    assert not any(sh.payload.any() for sh in shards)
 
 
 def test_group_shards_depend_only_on_group_slice():
@@ -121,7 +122,9 @@ def test_group_shards_depend_only_on_group_slice():
         slice_ = list(evaluations[grp * 3:(grp + 1) * 3])
         expect = code.local.encode(slice_)
         for pos in range(3):
-            assert shards[grp * 3 + pos].payload == tuple(expect[pos])
+            index = grp * 3 + pos
+            assert shards[index] == make_shard(index, shards[index].role,
+                                               expect[pos])
 
 
 def test_decode_every_4_of_6():
@@ -154,9 +157,7 @@ def test_corrupt_shard_detected():
     code = desk_c1()
     msg = random_message(code, 5)
     shards = code.encode(msg)
-    bad_payload = (shards[0].payload[0] + code.field.one(),
-                   shards[0].payload[1])
-    bad = Shard(0, shards[0].role, bad_payload)
+    bad = flipped(code, shards[0], 0, 0)
     with pytest.raises(InconsistentDataError):
         code.decode([bad] + [s for s in shards[1:]])
 
@@ -172,7 +173,8 @@ def test_decode_rejects_shard_index_or_length_outside_the_code():
     bad_shards = [
         Shard(-1, last.role, last.payload),
         Shard(code.n_nodes, last.role, last.payload),
-        Shard(0, first.role, first.payload + shards[1].payload),
+        Shard(0, first.role, np.concatenate([first.payload,
+                                             shards[1].payload])),
         Shard(0, first.role, first.payload[:1]),
     ]
     for bad in bad_shards:
@@ -199,12 +201,7 @@ def test_corruption_detected_whenever_other_shards_span_rank_k():
                     continue
                 for pos in range(code.alpha):
                     for c in range(code.field.m):
-                        coeffs = list(shards[victim].payload[pos].coeffs)
-                        coeffs[c] = (coeffs[c] + 1) % q
-                        payload = list(shards[victim].payload)
-                        payload[pos] = code.field.element(coeffs)
-                        bad = Shard(victim, shards[victim].role,
-                                    tuple(payload))
+                        bad = flipped(code, shards[victim], pos, c)
                         supplied = [bad if i == victim else shards[i]
                                     for i in survivors]
                         if guaranteed:
@@ -724,9 +721,9 @@ def test_gamma_commutation_with_generator():
         f = LinearizedPoly(code.field, msg)
         shards = code.encode(msg)
         for shard in shards:
-            for c, value in enumerate(shard.payload):
+            for c, value in enumerate(shard.payload.tolist()):
                 gamma = code.gamma[shard.index * code.alpha + c]
-                assert f.evaluate(gamma) == value
+                assert list(f.evaluate(gamma).coeffs) == value
 
 
 @pytest.mark.parametrize("build", [desk_c2, fano_code])
@@ -841,13 +838,145 @@ def test_data_path_makes_no_field_element_arithmetic(build, monkeypatch):
     assert calls == Counter({"__mul__": 1, "__add__": 1})
 
 
+def test_write_parse_and_decode_path_repair_build_no_field_element(
+        monkeypatch):
+    """On C2, whose global node takes the decode path, one write (encode,
+    then serialize_shard of every node), parse_shard of every blob and
+    every decode-path repair (the global node from all the other shards and
+    from each decode-threshold subset of them) construct not one
+    FieldElement: shards are coefficient arrays from the product to the
+    file and back.  A local node's repair is left out: it builds the
+    FieldElements its local code reads."""
+    cfg = SimConfig(construction="info-local", q=3, t=2, n_l=3, r=2, d=2,
+                    delta=1, file_dim=5)
+    code = cfg.build()
+    digest = cfg.digest(code)
+    q, m = cfg.q, code.field.m
+    message = random_message(code, 47)
+    built = Counter()
+    real_init = FieldElement.__init__
+
+    def counted(self, *args):
+        built["FieldElement"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    blobs = [cli.serialize_shard(s, q, m, digest)
+             for s in code.encode(message)]
+    shards = [cli.parse_shard(blob, code, digest) for blob in blobs]
+    others = [s for s in shards if s.index != 6]
+    helper_sets = [others, *combinations(others, code.decode_threshold)]
+    for helpers in helper_sets:
+        shard, metrics = code.repair(6, {s.index: s for s in helpers})
+        assert metrics["path"] == "decode-reencode"
+        assert cli.serialize_shard(shard, q, m, digest) == blobs[6]
+    assert built == Counter()
+    code.field.one()
+    assert built == Counter({"FieldElement": 1})
+
+
+def test_shards_are_read_only_values():
+    """Encode's payloads are read-only and never shared between encodes;
+    shards compare and hash by index, role and payload values."""
+    code = desk_c2()
+    message = random_message(code, 48)
+    first, second = code.encode(message), code.encode(message)
+    for shard in first:
+        assert shard.payload.shape == (code.alpha, code.field.m)
+        assert shard.payload.dtype == np.int64
+        with pytest.raises(ValueError):
+            shard.payload[0, 0] = 1
+        assert not any(np.shares_memory(shard.payload, other.payload)
+                       for other in second)
+    assert first == second
+    assert [hash(s) for s in first] == [hash(s) for s in second]
+    assert len(set(first) | set(second)) == code.n_nodes
+    # Equal values in another integer dtype make an equal shard.
+    narrow = Shard(0, first[0].role, first[0].payload.astype(np.uint16))
+    assert narrow == first[0] and hash(narrow) == hash(first[0])
+    for pos in range(code.alpha):
+        for c in range(code.field.m):
+            bad = flipped(code, first[0], pos, c)
+            assert bad != first[0] and first[0] != bad
+    assert first[0] != first[1]
+
+
+def test_decode_and_repair_refuse_payloads_that_do_not_fit():
+    """A payload of the wrong shape, of a float dtype, or with an entry
+    equal to q or negative is refused by decode and by repair, on both
+    repair paths, with the same ParameterError text."""
+    code = desk_c2()
+    shards = code.encode(random_message(code, 49))
+    alpha, m, q = code.alpha, code.field.m, code.field.q
+    good = shards[1].payload
+    at_q, negative = good.copy(), good.copy()
+    at_q[1, 2], negative[0, 3] = q, -1
+    outside = f"shard 1 payload has a coefficient outside [0, {q})"
+    cases = [
+        (np.zeros((alpha, m + 1), dtype=np.int64),
+         f"shard 1 with payload shape ({alpha}, {m + 1}) does not fit n=7 "
+         f"nodes of alpha x m = {alpha} x {m}"),
+        (good.ravel(),
+         f"shard 1 with payload shape ({alpha * m},) does not fit n=7 "
+         f"nodes of alpha x m = {alpha} x {m}"),
+        (good.astype(np.float64),
+         "shard 1 payload has dtype float64, not an integer dtype"),
+        (at_q, outside),
+        (negative, outside),
+    ]
+    for payload, text in cases:
+        bad = Shard(1, shards[1].role, payload)
+        with pytest.raises(ParameterError) as err:
+            code.decode([shards[0], bad, *shards[2:]])
+        assert str(err.value) == text
+        for failed in (0, 6):          # local-regenerating, decode-reencode
+            available = {s.index: s for s in shards if s.index != failed}
+            with pytest.raises(ParameterError) as err:
+                code.repair(failed, {**available, 1: bad})
+            assert str(err.value) == text
+
+
+def test_payloads_stay_int64_past_the_int64_products(monkeypatch):
+    """Over q = 1099511627689 with m = 1, one product of two residues
+    passes 2^63, and the decode-path repair's products take Python ints
+    (object arrays) by _matmul_mod_q's exactness rule.  The payloads of
+    encode and of both repair paths still come back read-only in int64,
+    equal to the reference, and decode takes them back."""
+    q = 1099511627689
+    code = all_symbol_code(1, MbrCode(3, 1, 1, q), 1)
+    real = lrc._matmul_mod_q
+    dtypes = []
+
+    def spy(*args):
+        product = real(*args)
+        dtypes.append(product.dtype)
+        return product
+
+    monkeypatch.setattr(lrc, "_matmul_mod_q", spy)
+    message = [code.field.element([q - 1])]
+    shards = code.encode(message)
+    assert shards == reference_encode(code, message)
+    assert code.decode(shards) == tuple(message)
+    rebuilt = []
+    for failed in range(code.n_nodes):
+        available = {s.index: s for s in shards if s.index != failed}
+        for shard, _ in (code.repair(failed, available),
+                         code._repair_by_decode(failed, available, "")):
+            assert shard == shards[failed]
+            rebuilt.append(shard)
+    assert object in dtypes
+    for shard in shards + rebuilt:
+        assert shard.payload.dtype == np.int64
+        assert not shard.payload.flags.writeable
+
+
 def reference_encode(code, message):
     """The readable reference encoder: evaluate the Gabidulin pre-code,
     then apply the mixed generator to the evaluations."""
     evaluations = code.outer.encode(message)
     stored = apply_int_matrix(code.mixed_generator.T, evaluations, code.field)
     a = code.alpha
-    return [Shard(i, code.role_of(i), tuple(stored[i * a:(i + 1) * a]))
+    return [make_shard(i, code.role_of(i), stored[i * a:(i + 1) * a])
             for i in range(code.n_nodes)]
 
 
@@ -862,7 +991,7 @@ def assert_generator_matches_reference(code, seed):
             unit = [fld.zero()] * code.file_dim
             unit[i] = fld.element(np.eye(m, dtype=int)[k])
             row = [c for shard in reference_encode(code, unit)
-                   for v in shard.payload for c in v.coeffs]
+                   for c in shard.payload.ravel().tolist()]
             assert code.generator[i * m + k].tolist() == row, (i, k)
     for trial in range(3):
         message = random_message(code, seed + trial)
@@ -902,22 +1031,20 @@ def outcome(call):
 def reference_repair(code, failed, helpers):
     """Decode the helpers' message, then re-encode the failed node with the
     reference encoder."""
-    return reference_encode(code, code.decode(helpers))[failed].payload
+    return reference_encode(code, code.decode(helpers))[failed]
 
 
 def compiled_repair(code, failed, helpers):
     shard, _ = code._repair_by_decode(
         failed, {s.index: s for s in helpers}, "local path skipped")
-    return shard.payload
+    return shard
 
 
 def flipped(code, shard, pos, c):
     """The shard with coefficient c of its symbol at pos raised by one."""
-    coeffs = list(shard.payload[pos].coeffs)
-    coeffs[c] = (coeffs[c] + 1) % code.field.q
-    payload = list(shard.payload)
-    payload[pos] = code.field.element(coeffs)
-    return Shard(shard.index, shard.role, tuple(payload))
+    payload = shard.payload.copy()
+    payload[pos, c] = (payload[pos, c] + 1) % code.field.q
+    return make_shard(shard.index, shard.role, payload)
 
 
 def repair_cases(code, per_node):
@@ -963,7 +1090,7 @@ def test_decode_path_repair_matches_decode_and_reencode(build, per_node):
             want = outcome(lambda: reference_repair(code, failed, supplied))
             got = outcome(lambda: compiled_repair(code, failed, supplied))
             assert got == want, (failed, helper_set)
-            outcomes[want[0] if isinstance(want[0], type) else "rebuilt"] += 1
+            outcomes[want[0] if isinstance(want, tuple) else "rebuilt"] += 1
     assert all(outcomes[kind] for kind in ("rebuilt", InconsistentDataError,
                                            InsufficientRankError))
 
@@ -1058,7 +1185,7 @@ def test_compiled_paths_exact_past_int64():
             for helper in set(range(code.n_nodes)) - {failed}:
                 assert (compiled_repair(code, failed, [shards[helper]])
                         == reference_repair(code, failed, [shards[helper]])
-                        == shards[failed].payload)
+                        == shards[failed])
 
 
 def test_repair_falls_back_when_group_degraded():
@@ -1087,24 +1214,25 @@ def test_repair_uses_exactly_the_given_shards():
                               "decode-reencode"])
 def test_repair_checks_every_given_shard_first(build, failed):
     """Before either path runs, repair refuses a shard given under another
-    node's index, a shard that does not fit the code and a symbol of
-    another field, on each repair path."""
+    node's index and a shard that does not fit the code: too few symbols,
+    or symbols one coefficient short (as of a field of degree m - 1), on
+    each repair path."""
     code = build()
     shards = code.encode(random_message(code, 21))
     available = {s.index: s for s in shards if s.index != failed}
     a, b = sorted(available)[:2]
     swapped = {**available, a: shards[b], b: shards[a]}
     short = Shard(a, shards[a].role, shards[a].payload[:-1])
-    foreign = field(code.field.q, code.field.m - 1).one()
-    alien = Shard(a, shards[a].role, (foreign, *shards[a].payload[1:]))
-    q, m = code.field.q, code.field.m
+    narrow = Shard(a, shards[a].role, shards[a].payload[:, :-1])
+    alpha, m = code.alpha, code.field.m
     for given, text in (
             (swapped, f"shard {b} is given as node {a}"),
             ({**available, a: short},
-             f"shard {a} with {code.alpha - 1} symbols does not fit "
-             f"n={code.n_nodes} nodes of alpha={code.alpha}"),
-            ({**available, a: alien},
-             f"field mismatch: GF({q}^{m}) vs GF({q}^{m - 1})")):
+             f"shard {a} with payload shape ({alpha - 1}, {m}) does not fit "
+             f"n={code.n_nodes} nodes of alpha x m = {alpha} x {m}"),
+            ({**available, a: narrow},
+             f"shard {a} with payload shape ({alpha}, {m - 1}) does not fit "
+             f"n={code.n_nodes} nodes of alpha x m = {alpha} x {m}")):
         with pytest.raises(ParameterError) as err:
             code.repair(failed, given)
         assert str(err.value) == text

@@ -16,12 +16,12 @@ from lmbr import (
     MbrCode,
     ParameterError,
     RepairError,
-    Shard,
     all_symbol_code,
     field,
     galois,
 )
 from lmbr.galois import apply_int_matrix, inv_mod_q, rank_mod_q
+from shard_helpers import elements, make_shard
 
 DESK_CODES = [
     (3, 2, 2, 3),   # alpha 2, k_message 3
@@ -203,9 +203,9 @@ def test_reconstruct_superset_and_errors():
 def test_reconstruct_detects_corrupt_surplus():
     code = MbrCode(3, 2, 2, 3)
     lrc, msg, shards = one_group_stripe(code, seed=3)
-    bad = list(shards[2].payload)
-    bad[0] = bad[0] + lrc.field.one()
-    shards[2] = Shard(2, shards[2].role, tuple(bad))
+    bad = shards[2].payload.copy()
+    bad[0, 0] = (bad[0, 0] + 1) % lrc.field.q
+    shards[2] = make_shard(2, shards[2].role, bad)
     with pytest.raises(InconsistentDataError):
         lrc.decode(shards)
 
@@ -383,11 +383,12 @@ def test_repair_then_reconstruct(params):
     lrc, msg, shards = one_group_stripe(code, seed=6)
     for failed in range(code.n_local):
         helpers = [i for i in range(code.n_local) if i != failed][: code.d]
-        symbols = [(h, code.helper_symbol(shards[h].payload, failed))
+        symbols = [(h, code.helper_symbol(elements(lrc.field, shards[h]),
+                                          failed))
                    for h in helpers]
         rebuilt = list(shards)
-        rebuilt[failed] = Shard(failed, shards[failed].role,
-                                code.repair(failed, symbols))
+        rebuilt[failed] = make_shard(failed, shards[failed].role,
+                                     code.repair(failed, symbols))
         for subset in combinations(range(code.n_local), code.r):
             assert lrc.decode(rebuilt[i] for i in subset) == msg
 

@@ -46,7 +46,7 @@ from .errors import (
     ShardFormatError,
 )
 from .frlocal import FrCode, fano_plane, load_design
-from .galois import FieldElement
+from .galois import as_elements, coefficients
 from .lrc import LrcCode, Shard, all_symbol_code, info_locality_code
 from .mbr import MbrCode
 
@@ -138,19 +138,25 @@ class SimConfig:
 # Shard file serialization.
 # ---------------------------------------------------------------------------
 
-def _pack_coeffs(elements) -> bytes:
-    """The elements' coefficients, in order, as uint16 LE in one call."""
-    coeffs = [c for e in elements for c in e.coeffs]
-    return struct.pack(f"<{len(coeffs)}H", *coeffs)
-
-
 def serialize_shard(shard: Shard, q: int, m: int, digest: bytes) -> bytes:
+    """The shard's file over GF(q^m); a payload whose file :func:`parse_shard`
+    would refuse is refused with :class:`ParameterError` before packing."""
     payload = shard.payload
-    # Each coefficient needs 0 <= c < 2^16; a cast alone would wrap it.
-    if np.count_nonzero(payload >> 16):
+    if (getattr(payload, "ndim", None) != 2 or payload.shape[1] != m
+            or not len(payload) or payload.dtype.kind not in "iu"):
         raise ParameterError(
-            f"shard {shard.index} has a coefficient outside 0..65535: shard "
-            "files store each coefficient as a uint16")
+            f"shard {shard.index} payload with shape "
+            f"{getattr(payload, 'shape', None)} is not an alpha x {m} "
+            "integer array")
+    # One pass: for q < 2^16, c // q is 0 exactly when c is a residue;
+    # past it, c >> 16 is 0 exactly when a uint16 holds c.
+    if np.count_nonzero(payload >> 16 if q >> 16 else payload // q):
+        if np.count_nonzero(payload >> 16):  # a cast alone would wrap it
+            raise ParameterError(
+                f"shard {shard.index} has a coefficient outside 0..65535: "
+                "shard files store each coefficient as a uint16")
+        raise ParameterError(
+            f"shard {shard.index} payload has a coefficient outside [0, {q})")
     role_tag = 1 if shard.is_global else 0
     head = _HEADER.pack(
         MAGIC, FORMAT_VERSION, digest, q, m, shard.index, role_tag,
@@ -255,11 +261,15 @@ def read_message(path: Path, code: LrcCode) -> list:
     if (coeffs >= code.field.q).any():
         raise ShardFormatError(
             "bad message symbol: coefficient out of range for the field")
-    return [FieldElement(code.field, tuple(row)) for row in coeffs.tolist()]
+    return as_elements(code.field, coeffs)
 
 
 def write_message(path: Path, message) -> None:
-    path.write_bytes(_pack_coeffs(message))
+    coeffs = coefficients(message, message[0].field)
+    if np.count_nonzero(coeffs >> 16):  # a cast alone would wrap it
+        raise ParameterError("message has a coefficient outside 0..65535: "
+                             "message files store each as a uint16")
+    path.write_bytes(coeffs.astype("<u2").tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -332,10 +332,12 @@ class FrCode:
         return tuple(values), assignment
 
     def repair_in_group(self, failed: int, stored: dict) -> tuple:
-        """:meth:`repair` from the surviving payloads ``stored``, with the
-        metrics record of what moved."""
+        """:meth:`repair` from the surviving alpha x m payload arrays: the
+        node as a read-only int64 array, with the metrics record."""
         vector, assignment = self.repair(failed, stored)
-        return vector, {"path": "local-transfer",
+        payload = np.array(vector, dtype=np.int64)
+        payload.setflags(write=False)
+        return payload, {"path": "local-transfer",
                         "helpers": sorted(set(assignment.values())),
                         "downloaded_symbols": self.alpha, "arithmetic_ops": 0}
 

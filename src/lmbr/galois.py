@@ -407,10 +407,7 @@ class ExtField:
         """
         if n > self.m:
             raise ParameterError(f"basis request n={n} exceeds m={self.m}")
-        return tuple(
-            FieldElement(self, tuple(1 if i == j else 0 for i in range(self.m)))
-            for j in range(n)
-        )
+        return tuple(as_elements(self, np.eye(n, self.m, dtype=np.int64)))
 
     def __repr__(self):
         return f"ExtField(q={self.q}, m={self.m}, modulus={self.modulus})"
@@ -426,16 +423,18 @@ def field(q: int, m: int) -> ExtField:
 # Linear algebra over F_q (numpy-backed; exact integer arithmetic mod q).
 # ---------------------------------------------------------------------------
 
-def coeff_columns(elements: Sequence[FieldElement]) -> np.ndarray:
-    """m x N matrix whose columns are the coefficient vectors of elements."""
-    if not elements:
-        return np.zeros((0, 0), dtype=np.int64)
-    m = elements[0].field.m
-    out = np.empty((m, len(elements)), dtype=np.int64)
-    for j, e in enumerate(elements):
-        elements[0].field._require_same(e.field)
-        out[:, j] = e.coeffs
-    return out
+def coefficients(elements: Sequence[FieldElement], field: ExtField) -> np.ndarray:
+    """The elements' coefficients as the rows of an (N, m) int64 array; an
+    element of another field is refused."""
+    for e in elements:
+        field._require_same(e.field)
+    return np.array([e.coeffs for e in elements],
+                    dtype=np.int64).reshape(len(elements), field.m)
+
+
+def as_elements(field: ExtField, rows: np.ndarray) -> list[FieldElement]:
+    """One element per row of residues mod q, neither reduced nor checked."""
+    return [FieldElement(field, tuple(row)) for row in rows.tolist()]
 
 
 def _exact_dtype(terms: int, peak: int, q: int):
@@ -619,7 +618,8 @@ def rank_over_base(elements: Sequence[FieldElement]) -> int:
     elements = list(elements)
     if not elements:
         return 0
-    return rank_mod_q(coeff_columns(elements), elements[0].field.q)
+    fld = elements[0].field
+    return rank_mod_q(coefficients(elements, fld).T, fld.q)
 
 
 def _matmul_mod_q(matrix: np.ndarray, residues: np.ndarray, q: int) -> np.ndarray:
@@ -641,11 +641,8 @@ def apply_int_matrix(
     on pre-coded symbols: the coefficient vectors are stacked as a
     cols x m array and multiplied once, mod q, exactly for every q.
     """
-    rows, cols = matrix.shape
+    cols = matrix.shape[1]
     if cols != len(elements):
         raise ParameterError(f"matrix width {cols} != vector length {len(elements)}")
-    for elem in elements:
-        out_field._require_same(elem.field)
-    coeffs = np.array([e.coeffs for e in elements], dtype=np.int64)
-    product = _matmul_mod_q(matrix, coeffs.reshape(cols, out_field.m), out_field.q)
-    return [FieldElement(out_field, tuple(row)) for row in product.tolist()]
+    product = _matmul_mod_q(matrix, coefficients(elements, out_field), out_field.q)
+    return as_elements(out_field, product)

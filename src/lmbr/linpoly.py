@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InconsistentDataError, InsufficientRankError, ParameterError
-from .galois import (ExtField, FieldElement, _matmul_mod_q, coeff_columns,
-                     pivot_columns, solve_mod_q)
+from .galois import (ExtField, FieldElement, _matmul_mod_q, as_elements,
+                     coefficients, pivot_columns, solve_mod_q)
 
 
 class LinearizedPoly:
@@ -46,8 +46,7 @@ class LinearizedPoly:
 
     def __init__(self, field: ExtField, coeffs: Sequence[FieldElement]):
         coeffs = list(coeffs)
-        for c in coeffs:
-            field._require_same(c.field)
+        rows = coefficients(coeffs, field)
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         if len(coeffs) > field.m:
@@ -60,8 +59,7 @@ class LinearizedPoly:
         # Exact in int64: for m >= 2 the size budget keeps m (q-1)^2 below
         # 2^63, and at m = 1 the one step multiplies zeros by F.
         self.matrix = np.zeros((field.m, field.m), dtype=np.int64)
-        top_down = np.array([u.coeffs for u in reversed(coeffs)], dtype=np.int64)
-        for mult in np.tensordot(top_down.reshape(-1, field.m), field._basis_mul,
+        for mult in np.tensordot(rows[:len(coeffs)][::-1], field._basis_mul,
                                  axes=1):
             self.matrix = (self.matrix @ field._frob + mult) % field.q
 
@@ -72,9 +70,9 @@ class LinearizedPoly:
     def evaluate(self, point: FieldElement) -> FieldElement:
         """f(point) = sum_i u_i * point^(q^i), as L_f times the point's
         coefficient vector."""
-        self.field._require_same(point.field)
-        value = _matmul_mod_q(self.matrix, np.array(point.coeffs), self.field.q)
-        return FieldElement(self.field, tuple(value.tolist()))
+        value = _matmul_mod_q(self.matrix, coefficients([point], self.field).T,
+                              self.field.q)
+        return as_elements(self.field, value.T)[0]
 
     def coeff_vector(self, length: int) -> tuple[FieldElement, ...]:
         """Coefficients padded with zeros up to ``length``."""
@@ -121,8 +119,7 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
     if not points:
         raise no_evaluations()
     fld = points[0].field
-    for v in values:
-        fld._require_same(v.field)
+    value_rows = coefficients(values, fld)
     needed = max_q_degree + 1
     if needed < 1:
         raise ParameterError("max_q_degree must be >= 0")
@@ -130,14 +127,13 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
         raise ParameterError(
             f"q-degree bound {max_q_degree} must stay below m={fld.m}"
         )
-    columns = coeff_columns(points)
+    columns = coefficients(points, fld).T
     chosen = independent_points(columns, needed, fld.q)
     # The unknowns are the coefficients of u_0..u_t, the equations those of
     # the chosen values; independent points make the system nonsingular.
-    rhs = coeff_columns([values[j] for j in chosen]).T.reshape(-1, 1)
+    rhs = value_rows[chosen].reshape(-1, 1)
     solution = solve_mod_q(fld.moore(columns[:, chosen], needed).T, rhs, fld.q)
-    poly = LinearizedPoly(fld, [FieldElement(fld, tuple(u)) for u in
-                                solution.reshape(needed, fld.m).tolist()])
+    poly = LinearizedPoly(fld, as_elements(fld, solution.reshape(needed, fld.m)))
     for idx, (p, v) in enumerate(zip(points, values)):
         if idx not in chosen and poly.evaluate(p) != v:
             raise surplus_mismatch(idx)

@@ -28,9 +28,9 @@ decode path is one solve: the K scalars the interpolating decoder would
 choose are inverted once per helper set (the inverse is cached), and one
 more product checks the surplus scalars and yields the lost node.  Reads
 still interpolate.  :class:`~lmbr.galois.FieldElement` is the type of the
-message in and out, of the (point, value) pairs a read hands to
-interpolation, and of the payload rows a local code's ``repair_in_group``
-receives and returns.
+message in and out and of the (point, value) pairs a read hands to
+interpolation; a local code's ``repair_in_group`` receives the payload
+arrays and returns one.
 
 :func:`LrcCode.measure_dmin` and :func:`LrcCode.ura_report` certify the
 minimum distance and uniform rank accumulation against that same rank
@@ -66,8 +66,8 @@ import numpy as np
 
 from .bounds import BoundContext
 from .errors import InsufficientRankError, ParameterError, RepairError
-from .galois import (FieldElement, _matmul_mod_q, field, inv_mod_q,
-                     rank_mod_q, subset_ranks)
+from .galois import (FieldElement, _matmul_mod_q, as_elements, coefficients,
+                     field, inv_mod_q, rank_mod_q, subset_ranks)
 from .gabidulin import GabidulinCode
 from .linpoly import independent_points, no_evaluations, surplus_mismatch
 
@@ -212,14 +212,10 @@ class LrcCode:
         self.mixed_generator = self._build_mixed_generator()
         # Expanded evaluation points of every stored scalar: column c of
         # Theta . G is the coefficient vector of gamma_c.
-        self.theta = np.array(
-            [p.coeffs for p in self.outer.points], dtype=np.int64
-        ).T                                               # m x J
+        self.theta = coefficients(self.outer.points, self.field).T  # m x J
         self.expanded = (self.theta @ self.mixed_generator) % local.q
         self.gamma: tuple[FieldElement, ...] = tuple(
-            self.field.element(self.expanded[:, c])
-            for c in range(self.expanded.shape[1])
-        )
+            as_elements(self.field, self.expanded.T))
         self.bound_ctx = BoundContext.for_local_code(
             local, self.n_nodes, extra=global_nodes
         )
@@ -292,11 +288,8 @@ class LrcCode:
                 f"message length {len(message)} != code dimension "
                 f"{self.file_dim}"
             )
-        for u in message:
-            self.field._require_same(u.field)
-        row = np.array([u.coeffs for u in message], dtype=np.int64)
-        stored = _matmul_mod_q(row.reshape(1, -1), self.generator,
-                               self.local.q)
+        row = coefficients(message, self.field).reshape(1, -1)
+        stored = _matmul_mod_q(row, self.generator, self.local.q)
         nodes = stored.astype(np.int64, copy=False).reshape(
             self.n_nodes, self.alpha, -1)
         nodes.setflags(write=False)
@@ -347,11 +340,10 @@ class LrcCode:
         with no surplus rank.
         """
         shards = list(shards)
-        values = self._check_fits(shards).astype(np.int64, copy=False)
+        values = as_elements(self.field, self._check_fits(shards))
         points = _blocks([s.index for s in shards], self.alpha).tolist()
-        return self.outer.decode_erasures([
-            (self.gamma[c], FieldElement(self.field, tuple(value)))
-            for c, value in zip(points, values.tolist())])
+        return self.outer.decode_erasures(
+            [(self.gamma[c], value) for c, value in zip(points, values)])
 
     def decodable(self, surviving: Iterable[int]) -> bool:
         """Rank test: do these nodes' scalar columns span the message?"""
@@ -366,8 +358,8 @@ class LrcCode:
 
         A local node is rebuilt by the local code's
         ``repair_in_group(failed, stored)``: it gets the given payloads of
-        the node's group by position in the group, each as a tuple of
-        :class:`FieldElement` rows, and returns the node's vector and a
+        the node's group by position in the group, each the alpha x m array
+        it was given, and returns the node as a read-only int64 array and a
         metrics record whose helpers are positions too (they are shifted to
         node indices here).  Global nodes, and local nodes whose local code
         has no such entry or raises :class:`RepairError`, fall back to the
@@ -410,14 +402,11 @@ class LrcCode:
         repair_in_group = getattr(self.local, "repair_in_group", None)
         if repair_in_group is None:
             raise RepairError("the local code has no repair_in_group")
-        offset, fld = grp * self.local.n_nodes, self.field
-        stored = {i - offset: tuple(FieldElement(fld, tuple(row)) for row
-                                    in available[i].payload.tolist())
+        offset = grp * self.local.n_nodes
+        stored = {i - offset: available[i].payload
                   for i in self.group_members(grp) if i in available}
-        vector, metrics = repair_in_group(pos, stored)
+        payload, metrics = repair_in_group(pos, stored)
         metrics["helpers"] = [h + offset for h in metrics["helpers"]]
-        payload = np.array([v.coeffs for v in vector], dtype=np.int64)
-        payload.setflags(write=False)
         return Shard(failed, role, payload), metrics
 
     def _repair_by_decode(self, failed, available, local_failure):

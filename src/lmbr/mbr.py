@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, RepairError
-from .galois import FieldElement, apply_int_matrix, inv_mod_q, is_prime, rank_mod_q
+from .galois import (FieldElement, apply_int_matrix, as_elements, coefficients,
+                     field, inv_mod_q, is_prime, rank_mod_q)
 
 
 @dataclass(frozen=True)
@@ -191,17 +192,21 @@ class MbrCode:
         return tuple(apply_int_matrix(inv_h, symbols, fld))
 
     def repair_in_group(self, failed: int, stored: dict) -> tuple:
-        """Rebuild node ``failed`` from the first d surviving group members
-        in ``stored`` (payloads by node index) through :meth:`helper_symbol`
-        and :meth:`repair`, with the metrics record of what moved."""
+        """Rebuild node ``failed`` from the first d, by node index, of the
+        alpha x m payload arrays in ``stored`` through :meth:`helper_symbol`
+        and :meth:`repair`: a read-only int64 array, and the metrics record."""
         helpers = sorted(stored)[:self.d]
         if len(helpers) < self.d:
             raise RepairError(
                 f"{len(stored)} survivors, repair degree requires {self.d}")
+        fld = field(self.q, stored[helpers[0]].shape[1])
         vector = self.repair(failed, [
-            (h, self.helper_symbol(stored[h], failed)) for h in helpers])
-        return vector, {"path": "local-regenerating", "helpers": helpers,
-                        "downloaded_symbols": self.d * self.beta}
+            (h, self.helper_symbol(as_elements(fld, stored[h]), failed))
+            for h in helpers])
+        payload = coefficients(vector, fld)
+        payload.setflags(write=False)
+        return payload, {"path": "local-regenerating", "helpers": helpers,
+                         "downloaded_symbols": self.d * self.beta}
 
     def helper_sets(self, survivors):
         """Every d-set of the surviving nodes."""

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from lmbr.galois import FieldElement
+from lmbr.galois import FieldElement, as_elements
 from lmbr.lrc import Shard
 
 
@@ -15,6 +15,13 @@ def payload(rows) -> np.ndarray:
     return array
 
 
+def parsed_view(array: np.ndarray) -> np.ndarray:
+    """An array's coefficients as ``parse_shard`` gives them: a read-only
+    uint16 view of their little-endian bytes."""
+    return np.frombuffer(array.astype("<u2").tobytes(),
+                         "<u2").reshape(array.shape)
+
+
 def make_shard(index: int, role: tuple, rows) -> Shard:
     """A shard whose payload is :func:`payload` of ``rows``."""
     return Shard(index, role, payload(rows))
@@ -23,5 +30,4 @@ def make_shard(index: int, role: tuple, rows) -> Shard:
 def elements(field, shard: Shard) -> tuple[FieldElement, ...]:
     """A shard's stored symbols as FieldElements, for the local families'
     own methods."""
-    return tuple(FieldElement(field, tuple(row))
-                 for row in shard.payload.tolist())
+    return tuple(as_elements(field, shard.payload))

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lmbr
 from lmbr import (
@@ -1074,6 +1075,88 @@ def test_serialize_refuses_coefficients_past_uint16():
     negative = make_shard(0, ("local", 0, 0), [[-1]])
     with pytest.raises(ParameterError, match="outside 0..65535"):
         serialize_shard(negative, 65537, 1, digest)
+
+
+def test_serialize_refuses_payloads_parse_shard_would_refuse():
+    """On the default code (q=3, m=6, alpha=2) serialize_shard refuses,
+    with a ParameterError, each payload whose file parse_shard would
+    refuse: one of width m passed with m + 1, one with the coefficient 5,
+    the right entries as one flat row of 12, and halves of them as floats,
+    which a uint16 cast would truncate.  The shard itself still writes the
+    file that parses back to it."""
+    cfg = SimConfig()
+    code = cfg.build()
+    digest = cfg.digest(code)
+    q, m = cfg.q, code.field.m
+    shard = code.encode([code.field.from_int(v) for v in range(5)])[0]
+    assert (q, m, code.alpha) == (3, 6, 2)
+    assert parse_shard(serialize_shard(shard, q, m, digest), code,
+                       digest) == shard
+    shape_text = ("shard 0 payload with shape {} is not an alpha x {} "
+                  "integer array")
+    with pytest.raises(ParameterError) as err:
+        serialize_shard(shard, q, m + 1, digest)
+    assert str(err.value) == shape_text.format((2, 6), 7)
+    five = make_shard(0, shard.role, [[5, 0, 0, 0, 0, 0], [0] * 6])
+    with pytest.raises(ParameterError) as err:
+        serialize_shard(five, q, m, digest)
+    assert str(err.value) == "shard 0 payload has a coefficient outside [0, 3)"
+    flat = Shard(0, shard.role, shard.payload.reshape(-1))
+    with pytest.raises(ParameterError) as err:
+        serialize_shard(flat, q, m, digest)
+    assert str(err.value) == shape_text.format((12,), 6)
+    halves = Shard(0, shard.role, shard.payload / 2)
+    with pytest.raises(ParameterError) as err:
+        serialize_shard(halves, q, m, digest)
+    assert str(err.value) == shape_text.format((2, 6), 6)
+
+
+def _alpha_code(alpha):
+    """An all-symbol code over GF(7^5) of one local (alpha + 1, 1, alpha)
+    MBR group: its configuration, the code and its digest."""
+    cfg = SimConfig(q=7, m=5, t=1, n_l=alpha + 1, r=1, d=alpha, file_dim=1)
+    code = cfg.build()
+    return cfg, code, cfg.digest(code)
+
+
+_ALPHA_CODES = {alpha: _alpha_code(alpha) for alpha in range(1, 6)}
+
+
+@st.composite
+def _any_payload(draw):
+    """An integer array of any shape up to 3 dimensions of up to 5 entries
+    each, mostly (rows, 5); its entries are residues mod 7, or any values
+    the dtype holds between -70000 and 70000."""
+    dtype = np.dtype(draw(st.sampled_from([np.int64, np.int32, np.uint16])))
+    info = np.iinfo(dtype)
+    shape = draw(st.one_of(
+        st.tuples(st.integers(0, 5), st.just(5)),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)))
+    entries = st.integers(0, 6)
+    if draw(st.booleans()):
+        entries = st.one_of(entries, st.integers(max(info.min, -70000),
+                                                 min(info.max, 70000)))
+    return draw(hnp.arrays(dtype, shape, elements=entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_any_payload(), data=st.data())
+def test_serialized_shards_parse_back_equal(payload, data):
+    """For any payload shape and entries, serialize_shard raises a
+    ParameterError or writes a file that parse_shard reads back as an equal
+    shard.  The file is parsed with a code whose alpha is the payload's row
+    count when there is one: the header's alpha is that count, and a code
+    of another alpha, like one of another digest, is another
+    configuration."""
+    rows = payload.shape[0] if payload.ndim == 2 else 2
+    cfg, code, digest = _ALPHA_CODES.get(rows, _ALPHA_CODES[2])
+    index = data.draw(st.integers(0, code.n_nodes - 1))
+    shard = Shard(index, code.role_of(index), payload)
+    try:
+        blob = serialize_shard(shard, cfg.q, code.field.m, digest)
+    except ParameterError:
+        return
+    assert parse_shard(blob, code, digest) == shard
 
 
 def test_q_beyond_uint16_coefficients_refused_exit2(tmp_path, capsys):

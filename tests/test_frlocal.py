@@ -5,6 +5,7 @@ import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from lmbr import (
@@ -25,7 +26,7 @@ from lmbr import (
 from lmbr.cli import main
 from lmbr.frlocal import FANO_BLOCKS
 from lmbr.galois import SIZE_BUDGET, rank_mod_q
-from shard_helpers import make_shard
+from shard_helpers import make_shard, parsed_view, payload
 
 
 def count_blocks_through(blocks, points):
@@ -252,18 +253,24 @@ def test_fr_transfer_scheme_is_right_for_every_message():
 
 
 def test_fr_repair_in_group_records_the_transfer():
-    """In-group repair offers one helper set, every survivor, and records
-    the holders that served the copies, alpha symbols and no arithmetic."""
+    """In-group repair offers one helper set, every survivor, copies from
+    payload arrays (int64, or a parsed uint16 view), returns the node as a
+    read-only int64 alpha x m array and records the holders that served the
+    copies, alpha symbols and no arithmetic."""
     code = FrCode(fano_plane(), 5, 7)
     F = field(7, 10)
     rng = random.Random(8)
-    nodes = code.encode([F.random_element(rng) for _ in range(5)])
+    nodes = [payload(node) for node in
+             code.encode([F.random_element(rng) for _ in range(5)])]
     assert code.helper_sets([1, 2, 3, 4, 5, 6]) == [(1, 2, 3, 4, 5, 6)]
-    vector, record = code.repair_in_group(
-        0, {i: nodes[i] for i in range(1, 7)})
-    assert vector == nodes[0]
-    assert record == {"path": "local-transfer", "helpers": [1, 3, 5],
-                      "downloaded_symbols": 3, "arithmetic_ops": 0}
+    for as_stored in (lambda a: a, parsed_view):
+        rebuilt, record = code.repair_in_group(
+            0, {i: as_stored(nodes[i]) for i in range(1, 7)})
+        assert rebuilt.dtype == np.int64 and not rebuilt.flags.writeable
+        assert rebuilt.shape == (code.alpha, F.m)
+        assert np.array_equal(rebuilt, nodes[0])
+        assert record == {"path": "local-transfer", "helpers": [1, 3, 5],
+                          "downloaded_symbols": 3, "arithmetic_ops": 0}
 
 
 def test_fr_repair_symbol_extinct():

@@ -542,7 +542,7 @@ def test_moore_matches_field_element_reference(q, m):
     fld = field(q, m)
     rng = random.Random(q)
     points = [fld.zero(), fld.one(), *(fld.random_element(rng) for _ in range(3))]
-    columns = galois.coeff_columns(points)
+    columns = galois.coefficients(points, fld).T
     basis = fld.polynomial_basis(m)
     for k in sorted({1, m}):
         got = fld.moore(columns, k)
@@ -628,6 +628,39 @@ def test_apply_int_matrix_matches_elementwise_reference(q, m):
         apply_int_matrix(np.ones((1, 2), dtype=np.int64), [F.one()], F)
     with pytest.raises(ParameterError):
         apply_int_matrix(np.ones((1, 1), dtype=np.int64), [field(5, 1).one()], F)
+
+
+@pytest.mark.parametrize("q,m", [(3, 6), (7, 10), (1099511627689, 1)])
+def test_coefficients_and_as_elements_round_trip(q, m):
+    """coefficients gives the elements' coefficient vectors as the rows of
+    an (N, m) int64 array and as_elements gives the same elements back,
+    with Python int coefficients; at m = 1 and q = 1099511627689 the values
+    stay exact.  No elements give shape (0, m)."""
+    F = field(q, m)
+    rng = random.Random(q + m)
+    elements = [F.zero(), F.one(), F.from_int(F.order - 1),
+                *(F.random_element(rng) for _ in range(5))]
+    rows = galois.coefficients(elements, F)
+    assert rows.dtype == np.int64 and rows.shape == (len(elements), m)
+    assert rows.tolist() == [list(e.coeffs) for e in elements]
+    back = galois.as_elements(F, rows)
+    assert back == elements
+    assert all(type(c) is int for e in back for c in e.coeffs)
+    empty = galois.coefficients([], F)
+    assert empty.shape == (0, m) and empty.dtype == np.int64
+    assert galois.as_elements(F, empty) == []
+
+
+def test_coefficients_refuses_another_field_with_the_field_check_text():
+    """The first element of another field is refused with the text of the
+    field's own check, _require_same."""
+    F, G, H = field(3, 6), field(3, 5), field(5, 1)
+    with pytest.raises(ParameterError) as want:
+        F._require_same(G)
+    with pytest.raises(ParameterError) as got:
+        galois.coefficients([F.one(), G.one(), H.one()], F)
+    assert str(got.value) == str(want.value) == (
+        "field mismatch: GF(3^6) vs GF(3^5)")
 
 
 def _mod_q(dm, q):

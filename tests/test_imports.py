@@ -168,6 +168,41 @@ def test_field_internal_reader_is_reported():
     assert field_internal_readers(source) == {"Poly", "solve", "<module>"}
 
 
+#: What only galois does: build a field element, or check two fields.
+GALOIS_ONLY_CALLS = {"FieldElement", "_require_same"}
+
+
+def galois_only_calls(source: str) -> list[int]:
+    """Lines that construct a ``FieldElement`` or call a field's
+    ``_require_same``, by name or as an attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in GALOIS_ONLY_CALLS)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "galois.py"],
+                         ids=lambda p: p.name)
+def test_element_coefficient_bridge_stays_in_galois(path):
+    """Outside galois, elements and coefficient rows are converted only by
+    galois.coefficients and galois.as_elements."""
+    assert galois_only_calls(path.read_text()) == []
+
+
+def test_galois_only_call_is_reported():
+    source = ("from .galois import FieldElement, as_elements, galois\n"
+              "def wrap(f, row):\n"
+              "    return FieldElement(f, tuple(row))\n"
+              "def check(f, e):\n"
+              "    f._require_same(e.field)\n"
+              "    return galois.FieldElement(f, e.coeffs)\n"
+              "def fine(f, e, rows):\n"
+              "    ok = isinstance(e, FieldElement) and f.element([1])\n"
+              "    return ok, as_elements(f, rows), f._require_same\n")
+    assert galois_only_calls(source) == [3, 5, 6]
+
+
 #: A Sphinx cross-reference: its role and its target, ``~`` dropped.
 CROSS_REFERENCE = re.compile(r":(?:func|class|meth|attr|mod):`~?([\w.]+)`")
 

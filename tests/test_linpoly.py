@@ -15,7 +15,7 @@ from lmbr import (
     interpolate,
     rank_over_base,
 )
-from lmbr.galois import coeff_columns, pivot_columns
+from lmbr.galois import coefficients, pivot_columns
 
 
 def greedy_independent(points, needed):
@@ -65,7 +65,7 @@ def test_pivot_columns_pick_the_greedy_points(q, m):
                 for b in span:
                     acc = acc + rng.randrange(q) * b
                 points.append(acc)
-        pivots = pivot_columns(coeff_columns(points), q)
+        pivots = pivot_columns(coefficients(points, F).T, q)
         assert len(pivots) == rank_over_base(points)
         for needed in range(1, m + 1):
             assert pivots[:needed] == greedy_independent(points, needed)
@@ -281,7 +281,7 @@ def test_round_trip_mixed_points_with_surplus(q, m):
         values = [f.evaluate(p) for p in points]
         assert interpolate(points, values, K - 1) == f
 
-        chosen = pivot_columns(coeff_columns(points), q)[:K]
+        chosen = pivot_columns(coefficients(points, F).T, q)[:K]
         idx = rng.choice([i for i in range(len(points)) if i not in chosen])
         corrupt = list(values)
         corrupt[idx] = corrupt[idx] + F.one()

@@ -845,8 +845,9 @@ def test_write_parse_and_decode_path_repair_build_no_field_element(
     every decode-path repair (the global node from all the other shards and
     from each decode-threshold subset of them) construct not one
     FieldElement: shards are coefficient arrays from the product to the
-    file and back.  A local node's repair is left out: it builds the
-    FieldElements its local code reads."""
+    file and back.  A local repair by transfer builds none either (see the
+    Fano test below); a regenerating one wraps the rows of its d helpers
+    for the MBR family's helper_symbol and repair."""
     cfg = SimConfig(construction="info-local", q=3, t=2, n_l=3, r=2, d=2,
                     delta=1, file_dim=5)
     code = cfg.build()
@@ -870,6 +871,37 @@ def test_write_parse_and_decode_path_repair_build_no_field_element(
         shard, metrics = code.repair(6, {s.index: s for s in helpers})
         assert metrics["path"] == "decode-reencode"
         assert cli.serialize_shard(shard, q, m, digest) == blobs[6]
+    assert built == Counter()
+    code.field.one()
+    assert built == Counter({"FieldElement": 1})
+
+
+def test_fano_transfer_repair_from_parsed_shards_builds_no_field_element(
+        monkeypatch):
+    """The local repair by transfer of every Fano node, from the parsed
+    shards of all the others, constructs not one FieldElement and rebuilds
+    the node's file bytes: the parsed payload arrays reach FrCode.repair
+    unwrapped, and the rows it copies become the shard."""
+    cfg = SimConfig(construction="fr-local", q=7, t=2, k_fr=5, file_dim=10)
+    code = cfg.build()
+    digest = cfg.digest(code)
+    q, m = cfg.q, code.field.m
+    blobs = [cli.serialize_shard(s, q, m, digest)
+             for s in code.encode(random_message(code, 49))]
+    shards = [cli.parse_shard(blob, code, digest) for blob in blobs]
+    built = Counter()
+    real_init = FieldElement.__init__
+
+    def counted(self, *args):
+        built["FieldElement"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    for failed in range(code.n_nodes):
+        shard, metrics = code.repair(
+            failed, {s.index: s for s in shards if s.index != failed})
+        assert metrics["path"] == "local-transfer"
+        assert cli.serialize_shard(shard, q, m, digest) == blobs[failed]
     assert built == Counter()
     code.field.one()
     assert built == Counter({"FieldElement": 1})

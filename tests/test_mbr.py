@@ -21,7 +21,7 @@ from lmbr import (
     galois,
 )
 from lmbr.galois import apply_int_matrix, inv_mod_q, rank_mod_q
-from shard_helpers import elements, make_shard
+from shard_helpers import elements, make_shard, parsed_view, payload
 
 DESK_CODES = [
     (3, 2, 2, 3),   # alpha 2, k_message 3
@@ -273,18 +273,22 @@ def test_repair_scheme_is_right_for_every_message(params):
 
 def test_repair_in_group_takes_the_first_d_survivors():
     """In-group repair offers every d-set of the survivors, repairs from
-    the first d nodes it is given, records them by node index and refuses
-    fewer than d."""
+    the first d payload arrays it is given (int64, or a parsed uint16
+    view), returns the node as a read-only int64 alpha x m array, records
+    the helpers by node index and refuses fewer than d."""
     code = MbrCode(5, 3, 4, 7)
     F, msg = make_message(code, 9, seed=6)
-    nodes = code.encode(msg)
+    nodes = [payload(node) for node in code.encode(msg)]
     assert list(code.helper_sets([0, 2, 3, 4])) == [(0, 2, 3, 4)]
     assert len(list(code.helper_sets(range(5)))) == 5
-    vector, record = code.repair_in_group(
-        1, {h: nodes[h] for h in (4, 3, 2, 0)})
-    assert vector == nodes[1]
-    assert record == {"path": "local-regenerating", "helpers": [0, 2, 3, 4],
-                      "downloaded_symbols": 4}
+    for as_stored in (lambda a: a, parsed_view):
+        rebuilt, record = code.repair_in_group(
+            1, {h: as_stored(nodes[h]) for h in (4, 3, 2, 0)})
+        assert rebuilt.dtype == np.int64 and not rebuilt.flags.writeable
+        assert rebuilt.shape == (code.alpha, F.m)
+        assert np.array_equal(rebuilt, nodes[1])
+        assert record == {"path": "local-regenerating",
+                          "helpers": [0, 2, 3, 4], "downloaded_symbols": 4}
     with pytest.raises(RepairError,
                        match="^3 survivors, repair degree requires 4$"):
         code.repair_in_group(1, {h: nodes[h] for h in (0, 2, 3)})

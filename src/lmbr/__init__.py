@@ -20,7 +20,7 @@ from .gabidulin import GabidulinCode
 from .galois import ExtField, FieldElement, field, rank_over_base
 from .linpoly import LinearizedPoly, interpolate
 from .lrc import DminResult, LrcCode, Shard, all_symbol_code, info_locality_code
-from .mbr import MbrCode, RankProfile
+from .mbr import MbrCode
 
 __all__ = [
     "BoundContext",
@@ -39,7 +39,6 @@ __all__ = [
     "MbrCode",
     "ParameterError",
     "PatternCapError",
-    "RankProfile",
     "RepairError",
     "Shard",
     "ShardFormatError",

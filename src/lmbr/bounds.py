@@ -16,19 +16,23 @@ separate routine so the two can be cross-checked rather than trusted.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
 from .errors import ParameterError
-from .mbr import RankProfile
 
 
 @dataclass(frozen=True)
 class BoundContext:
     """Length-n code assembled from local codes with the given profile.
 
+    The profile is the integers a_1..a_nL, stored as a tuple whatever
+    sequence is given; each must be a non-negative integer
+    (``operator.index``, so numpy integers pass).
     n = groups * n_local + extra, where n_local = len(profile) and the local
     dimension k_local is the profile's sum; both are read off the profile.
     The caller gives ``extra``, the number of columns outside the local
@@ -38,10 +42,22 @@ class BoundContext:
     """
 
     n: int
-    profile: RankProfile
+    profile: Sequence[int]
     extra: int = 0
 
     def __post_init__(self):
+        try:
+            profile = tuple(operator.index(a) for a in self.profile)
+        except TypeError:
+            raise ParameterError(
+                f"rank profile entries must be integers, got {self.profile!r}"
+            ) from None
+        if any(a < 0 for a in profile):
+            raise ParameterError("rank profile entries must be non-negative")
+        object.__setattr__(self, "profile", profile)
+        # _prefix[s] = a_1 + ... + a_s for s = 0..n_local; every sum below
+        # is read off it.
+        object.__setattr__(self, "_prefix", list(accumulate(profile, initial=0)))
         if self.n_local < 1 or self.n < self.n_local:
             raise ParameterError(
                 f"need n >= n_local >= 1, got n={self.n}, n_local={self.n_local}"
@@ -68,7 +84,7 @@ class BoundContext:
 
     @property
     def k_local(self) -> int:
-        return self.profile.total
+        return self._prefix[-1]
 
     @property
     def groups(self) -> int:
@@ -81,7 +97,7 @@ class BoundContext:
         if s < 1:
             raise ParameterError(f"partial sums are defined for s >= 1, got {s}")
         full, rem = divmod(s, self.n_local)
-        return full * self.k_local + self.profile.prefix(rem)
+        return full * self.k_local + self._prefix[rem]
 
     def p_inv(self, v: int) -> int:
         """Smallest s with P(s) >= v."""
@@ -89,12 +105,7 @@ class BoundContext:
             raise ParameterError(f"p_inv is defined for v >= 1, got {v}")
         full = (v - 1) // self.k_local
         v0 = v - full * self.k_local          # 1 <= v0 <= k_local
-        acc = 0
-        for s, a in enumerate(self.profile, start=1):
-            acc += a
-            if acc >= v0:
-                return full * self.n_local + s
-        raise AssertionError("profile sums to k_local; unreachable")
+        return full * self.n_local + bisect_left(self._prefix, v0)
 
     # -- the bounds --------------------------------------------------------------
 
@@ -106,9 +117,10 @@ class BoundContext:
         column beyond them contributes a_1 of fresh rank (those columns hold
         untouched pre-code symbols, so they never overlap a local group).
         """
-        steps = ([*self.profile] * self.groups
-                 + [self.profile.values[0]] * self.extra)
-        return list(accumulate(steps, initial=0))
+        top = self.groups * self.k_local
+        return ([full * self.k_local + p for full in range(self.groups)
+                 for p in self._prefix[:-1]]
+                + [top + j * self.profile[0] for j in range(self.extra + 1)])
 
     def optimal_dmin(self, file_dim: int) -> int:
         """Largest minimum distance for the given file size: n - P_inv(K) + 1."""
@@ -154,7 +166,7 @@ class BoundContext:
         raise AssertionError("v0 <= k_local always lands in a bracket")
 
     def _regenerating_shape(self) -> tuple[int, int, int]:
-        values = self.profile.values
+        values = self.profile
         r = sum(1 for a in values if a > 0)
         if r == 0 or any(a > 0 for a in values[r:]):
             raise ParameterError("profile is not of regenerating shape")

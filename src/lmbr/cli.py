@@ -4,8 +4,9 @@ repair, and certify optimality claims exhaustively.
 All machine output is single-object JSON with a fixed key order so reports
 can be diffed.  Exit codes: 0 success/pass, 1 verification failure or
 unrepairable data (a witness is always included), 2 refusal (bad parameters,
-a group too large for the certifiers' subset table, or more decode-path
-helper subsets than the pattern cap allows), 3 I/O or file format trouble.
+a group too large for the certifiers' subset table, or, in ``verify --mode
+repair-all``, more than :data:`REPAIR_ALL_CAP` decode-path helper subsets of
+one node), 3 I/O or file format trouble.
 
 Shard file format (little-endian):
 
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .frlocal import FrCode, fano_plane, load_design
 from .galois import as_elements, coefficients
-from .lrc import LrcCode, Shard, all_symbol_code, info_locality_code
+from .lrc import LrcCode, Shard
 from .mbr import MbrCode
 
 MAGIC = b"LMBR"
@@ -55,6 +56,11 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sB8sIHHBH")
 
 CONSTRUCTIONS = ("all-symbol", "info-local", "fr-local")
+
+#: Most decode-path helper subsets ``verify --mode repair-all`` checks per
+#: node; past it the mode refuses with :class:`PatternCapError`, never
+#: samples, as :func:`~lmbr.galois.subset_ranks` refuses past its budget.
+REPAIR_ALL_CAP = 10 ** 6
 
 
 @dataclass
@@ -73,7 +79,6 @@ class SimConfig:
     k_fr: int = 5
     design_file: str | None = None
     seed: int = 0
-    pattern_cap: int = 10 ** 6
     out_dir: str = "."
 
     def __post_init__(self):
@@ -101,13 +106,14 @@ class SimConfig:
             return FrCode(design, self.k_fr, self.q)
         return MbrCode(self.n_l, self.r, self.d, self.q)
 
+    @property
+    def global_nodes(self) -> int:
+        """Nodes outside the local groups: delta for info-local, else 0."""
+        return self.delta if self.construction == "info-local" else 0
+
     def build(self) -> LrcCode:
-        local = self.local_code()
-        if self.construction == "info-local":
-            return info_locality_code(
-                self.t, self.delta, local, self.file_dim, ext_degree=self.m
-            )
-        return all_symbol_code(self.t, local, self.file_dim, ext_degree=self.m)
+        return LrcCode(self.local_code(), self.t, self.file_dim,
+                       global_nodes=self.global_nodes, ext_degree=self.m)
 
     def identity(self, code: LrcCode) -> dict:
         """Construction-determining fields, with the effective m."""
@@ -396,11 +402,11 @@ def _verify_repair_all(cfg: SimConfig, code: LrcCode) -> dict:
             # the repair call itself (it decodes from exactly the shards it
             # is given when there are no more than needed).
             subsets = comb(len(available), code.decode_threshold)
-            if subsets > cfg.pattern_cap:
+            if subsets > REPAIR_ALL_CAP:
                 raise PatternCapError(
                     f"C({len(available)},{code.decode_threshold}) = {subsets} "
                     f"helper subsets of node {failed} exceed the cap "
-                    f"{cfg.pattern_cap}; refusing to sample")
+                    f"{REPAIR_ALL_CAP}; refusing to sample")
             for subset in combinations(sorted(available),
                                        code.decode_threshold):
                 check(failed, *code.repair(
@@ -437,7 +443,7 @@ def cmd_verify(cfg: SimConfig, mode: str,
     if mode == "bounds-crosscheck":
         # Pure profile arithmetic; no extension field is needed.
         local = cfg.local_code()
-        extra = cfg.delta if cfg.construction == "info-local" else 0
+        extra = cfg.global_nodes
         ctx = BoundContext.for_local_code(local, cfg.t * local.n_nodes + extra,
                                           extra=extra)
         report = _verify_bounds_crosscheck(ctx)
@@ -558,9 +564,6 @@ def _build_parser() -> argparse.ArgumentParser:
         flag("--design-file",
              help="block design, one block per line, 1-based points")
         flag("--seed", type=int)
-        flag("--pattern-cap", type=int,
-             help="most decode-path helper subsets verify --mode repair-all "
-                  "tries per node before it refuses")
         flag("--out-dir")
 
     p = sub.add_parser("make", help="construct a code and print its summary")

@@ -45,8 +45,8 @@ class DesignError(ToolkitError):
 
 
 class PatternCapError(ToolkitError):
-    """An exhaustive check would try more cases than the configured pattern
-    cap: ``verify --mode repair-all``'s decode-path helper subsets.
+    """``verify --mode repair-all`` would try more decode-path helper
+    subsets of one node than :data:`lmbr.cli.REPAIR_ALL_CAP`.
 
     This is a refusal, not a failure: no sampling is substituted.
     """

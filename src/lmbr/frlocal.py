@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import DesignError, ParameterError, RepairError
 from .galois import FieldElement, apply_int_matrix, is_prime
-from .mbr import RankProfile
 
 #: The seven lines of the Fano plane over points 1..7 (a 2-(7,3,1) design).
 FANO_BLOCKS = (
@@ -347,7 +346,7 @@ class FrCode:
 
     # -- rank accumulation -------------------------------------------------------------
 
-    def profile(self) -> RankProfile:
+    def profile(self) -> tuple[int, ...]:
         """Capped-union rank profile, read off the checked lambda_s.
 
         The rank any i nodes expose is min(|union of their symbol sets|,
@@ -367,7 +366,7 @@ class FrCode:
                 cur = self.k_message
             values.append(cur - prev)
             prev = cur
-        return RankProfile(tuple(values))
+        return tuple(values)
 
     def generator_matrix(self) -> np.ndarray:
         """k_message x (n_points * alpha) generator over F_q (read-only).

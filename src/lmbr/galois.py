@@ -437,22 +437,22 @@ def as_elements(field: ExtField, rows: np.ndarray) -> list[FieldElement]:
     return [FieldElement(field, tuple(row)) for row in rows.tolist()]
 
 
-def _exact_dtype(terms: int, peak: int, q: int):
-    """int64 when a sum of ``terms`` products of an entry at most ``peak``
-    with a residue mod q stays below 2^63; Python ints (object) otherwise.
+def _exact_dtype(terms: int, q: int):
+    """int64 when a sum of ``terms`` products of two residues mod q stays
+    below 2^63; Python ints (object) otherwise.
     Every F_q product and elimination of this module follows this rule, so
-    each is exact for every q that :func:`field` accepts.  Eliminations ask
-    for one product of two residues.  A step of :func:`subset_ranks` takes
-    a difference of two such products, each in [0, (q-1)^2], and reduces;
-    :func:`_row_reduce` subtracts them from entries that start in [0, q)
-    and reduces once 2^63 // (q-1)^2 have piled up, so neither leaves
-    int64."""
-    return np.int64 if terms * peak * (q - 1) < 2 ** 63 else object
+    each is exact for every q that :func:`field` accepts.  A product asks
+    for its inner dimension; eliminations ask for one product.  A step of
+    :func:`subset_ranks` takes a difference of two such products, each in
+    [0, (q-1)^2], and reduces; :func:`_row_reduce` subtracts them from
+    entries that start in [0, q) and reduces once 2^63 // (q-1)^2 have
+    piled up, so neither leaves int64."""
+    return np.int64 if terms * (q - 1) ** 2 < 2 ** 63 else object
 
 
 def _residues(matrix, q: int) -> np.ndarray:
     """An integer matrix mod q, in the dtype its eliminations need."""
-    return np.array(matrix, dtype=_exact_dtype(1, q - 1, q)) % q
+    return np.array(matrix, dtype=_exact_dtype(1, q)) % q
 
 
 def _row_reduce(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
@@ -623,10 +623,11 @@ def rank_over_base(elements: Sequence[FieldElement]) -> int:
 
 
 def _matmul_mod_q(matrix: np.ndarray, residues: np.ndarray, q: int) -> np.ndarray:
-    """(matrix @ residues) % q for residues in [0, q), exactly: in int64 when
-    no dot product can reach 2^63, over Python ints otherwise."""
-    peak = int(np.abs(matrix).max()) if matrix.size else 0
-    dtype = _exact_dtype(matrix.shape[1], peak, q)
+    """(matrix @ residues) % q for two matrices of residues in [0, q),
+    exactly: in int64 when no dot product can reach 2^63, over Python ints
+    otherwise.  The dtype is read off q and the inner dimension alone; no
+    entry is scanned."""
+    dtype = _exact_dtype(matrix.shape[1], q)
     return (matrix.astype(dtype, copy=False)
             @ residues.astype(dtype, copy=False)) % q
 
@@ -639,10 +640,13 @@ def apply_int_matrix(
     The matrix acts F_q-linearly, on each power-basis coordinate separately,
     which is exactly the sense in which the local codes of this toolkit act
     on pre-coded symbols: the coefficient vectors are stacked as a
-    cols x m array and multiplied once, mod q, exactly for every q.
+    cols x m array and multiplied once, mod q, exactly for every q.  The
+    matrix may hold any integers: it is reduced mod q first.
     """
     cols = matrix.shape[1]
     if cols != len(elements):
         raise ParameterError(f"matrix width {cols} != vector length {len(elements)}")
-    product = _matmul_mod_q(matrix, coefficients(elements, out_field), out_field.q)
+    q = out_field.q
+    product = _matmul_mod_q(_residues(matrix, q),
+                            coefficients(elements, out_field), q)
     return as_elements(out_field, product)

@@ -60,6 +60,7 @@ import functools
 import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -563,9 +564,7 @@ class LrcCode:
                 f"claimed profile entries must lie in 0..alpha={self.alpha}"
             )
         cols = self.groups * n_local
-        prefix = [0]
-        for a in claimed:
-            prefix.append(prefix[-1] + a)
+        prefix = list(accumulate(claimed, initial=0))
         local = self.local
         keys, ranks = subset_ranks(local.generator_matrix(), local.alpha,
                                    local.q)

@@ -26,7 +26,6 @@ That inverse is built on the first repair from each helper set and kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -36,33 +35,6 @@ import numpy as np
 from .errors import ParameterError, RepairError
 from .galois import (FieldElement, apply_int_matrix, as_elements, coefficients,
                      field, inv_mod_q, is_prime, rank_mod_q)
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    """Per-column rank increments a_1..a_n of a uniform-rank-accumulation code."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(v < 0 for v in self.values):
-            raise ParameterError("rank profile entries must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.values)
-
-    def prefix(self, s: int) -> int:
-        """Sum of the first s entries (s <= len)."""
-        if not 0 <= s <= len(self.values):
-            raise ParameterError(f"prefix index {s} out of range")
-        return sum(self.values[:s])
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 class MbrCode:
@@ -212,13 +184,10 @@ class MbrCode:
         """Every d-set of the surviving nodes."""
         return list(combinations(survivors, self.d))
 
-    def profile(self) -> RankProfile:
+    def profile(self) -> tuple[int, ...]:
         """Rank accumulation profile (alpha, alpha - beta, ..., 0, ...)."""
-        values = [
-            self.alpha - j * self.beta if j < self.r else 0
-            for j in range(self.n_local)
-        ]
-        return RankProfile(tuple(values))
+        return tuple(self.alpha - j * self.beta if j < self.r else 0
+                     for j in range(self.n_local))
 
     def generator_matrix(self) -> np.ndarray:
         """k_message x (n_local * alpha) generator over F_q (read-only).

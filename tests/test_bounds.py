@@ -4,6 +4,7 @@ import dataclasses
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,16 +13,14 @@ from lmbr import (
     BoundContext,
     MbrCode,
     ParameterError,
-    RankProfile,
     all_symbol_code,
     info_locality_code,
 )
 from lmbr.galois import rank_mod_q
 
-DESK = BoundContext(n=6, profile=RankProfile((2, 1, 0)))
-DESK7 = BoundContext(n=7, profile=RankProfile((2, 1, 0)),
-                     extra=1)
-BIG = BoundContext(n=10, profile=RankProfile((4, 3, 2, 0, 0)))
+DESK = BoundContext(n=6, profile=(2, 1, 0))
+DESK7 = BoundContext(n=7, profile=(2, 1, 0), extra=1)
+BIG = BoundContext(n=10, profile=(4, 3, 2, 0, 0))
 
 
 def naive_partial_sum(profile, s):
@@ -163,7 +162,7 @@ FROZEN_BOUNDS = [
 @pytest.mark.parametrize("n,profile,extra,dmin,max_file", FROZEN_BOUNDS)
 def test_bounds_frozen_for_every_K_and_d(n, profile, extra, dmin, max_file):
     """Every K and every d, and the refusals just outside both ranges."""
-    ctx = BoundContext(n=n, profile=RankProfile(profile), extra=extra)
+    ctx = BoundContext(n=n, profile=profile, extra=extra)
     top = len(dmin)
     assert [ctx.optimal_dmin(K) for K in range(1, top + 1)] == dmin
     assert [ctx.max_file_size(d) for d in range(1, n + 1)] == max_file
@@ -190,7 +189,7 @@ def test_max_file_size_matches_ceil_decomposition():
             periods = -(-s // ctx.n_local) - 1
             l0 = s - periods * ctx.n_local
             assert ctx.max_file_size(dmin) == \
-                periods * ctx.k_local + ctx.profile.prefix(l0)
+                periods * ctx.k_local + sum(ctx.profile[:l0])
 
 
 def test_max_file_size_matches_regenerating_closed_form():
@@ -221,7 +220,7 @@ def test_closed_form_agrees_with_summation_everywhere(ctx):
 
 
 def test_closed_form_rejects_non_regenerating_profile():
-    ctx = BoundContext(n=6, profile=RankProfile((2, 2, 0)))
+    ctx = BoundContext(n=6, profile=(2, 2, 0))
     with pytest.raises(ParameterError):
         ctx.p_inv_closed_form(3)
 
@@ -262,16 +261,26 @@ def test_for_local_code_constructor():
 
 def test_context_validation():
     with pytest.raises(ParameterError):
-        BoundContext(n=2, profile=RankProfile((2, 1, 0)))
+        BoundContext(n=2, profile=(2, 1, 0))
     with pytest.raises(ParameterError, match="n_local=0"):
-        BoundContext(n=6, profile=RankProfile(()))
+        BoundContext(n=6, profile=())
     with pytest.raises(ParameterError, match="local dimension must be positive"):
-        BoundContext(n=6, profile=RankProfile((0, 0, 0)))
-
+        BoundContext(n=6, profile=(0, 0, 0))
+    with pytest.raises(ParameterError) as err:
+        BoundContext(n=6, profile=(2, -1, 1))
+    assert str(err.value) == "rank profile entries must be non-negative"
+    with pytest.raises(ParameterError) as err:
+        BoundContext(n=6, profile=(2, 1.0, 0))
+    assert str(err.value) == (
+        "rank profile entries must be integers, got (2, 1.0, 0)")
+    # Any integer sequence is stored as a tuple of ints.
+    listed = BoundContext(n=6, profile=[2, np.int64(1), 0])
+    assert listed.profile == (2, 1, 0) and type(listed.profile) is tuple
+    assert listed == DESK and hash(listed) == hash(DESK)
 
 
 def test_extra_columns_are_given_and_leave_whole_groups():
-    profile = RankProfile((2, 1, 0))
+    profile = (2, 1, 0)
     for n, extra in ((7, 0), (6, 1), (6, -1), (6, 4)):
         with pytest.raises(ParameterError):
             BoundContext(n=n, profile=profile,
@@ -319,7 +328,7 @@ def contexts(draw):
     groups = draw(st.integers(min_value=1, max_value=3))
     return BoundContext(
         n=groups * n_local,
-        profile=RankProfile(tuple(values)),
+        profile=tuple(values),
     )
 
 

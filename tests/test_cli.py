@@ -500,31 +500,11 @@ FROZEN_VERIFY = [
         '{"mode": "dmin", "claimed": 11, "measured": 11, "patterns_checked": '
         '30826, "pass": true, "witness": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, '
         '10]}\n', "", id="certify-dmin"),
-    # The pattern cap bounds only repair-all: these match the uncapped runs.
-    pytest.param(
-        DESK_ARGS + ["--mode", "dmin", "--pattern-cap", "3"], 0,
-        '{"mode": "dmin", "claimed": 3, "measured": 3, "patterns_checked": '
-        '21, "pass": true, "witness": [0, 1, 2]}\n', "", id="C1-dmin-cap-3"),
-    pytest.param(
-        DESK_ARGS + ["--mode", "ura", "--pattern-cap", "10"], 0,
-        '{"mode": "ura", "claimed": [2, 1, 0], "measured": '
-        '"all-subsets-match", "columns": 6, "subsets_checked": 64, '
-        '"pass": true, "witness": null}\n', "", id="C1-ura-cap-10"),
-    pytest.param(
-        FR_ARGS + ["--mode", "dmin", "--pattern-cap", "20"], 0,
-        '{"mode": "dmin", "claimed": 6, "measured": 6, "patterns_checked": '
-        '3472, "pass": true, "witness": [0, 1, 2, 3, 4, 5]}\n', "",
-        id="fano-dmin-cap-20"),
     pytest.param(
         THREE_GROUP_ARGS + ["--mode", "dmin"], 0,
         '{"mode": "dmin", "claimed": 7, "measured": 7, "patterns_checked": '
         '847, "pass": true, "witness": [0, 1, 2, 3, 4, 5, 9]}\n', "",
         id="three-group-dmin"),
-    pytest.param(
-        THREE_GROUP_ARGS + ["--mode", "dmin", "--pattern-cap", "100"], 0,
-        '{"mode": "dmin", "claimed": 7, "measured": 7, "patterns_checked": '
-        '847, "pass": true, "witness": [0, 1, 2, 3, 4, 5, 9]}\n', "",
-        id="three-group-dmin-cap-100"),
     pytest.param(
         ["--construction", "all-symbol", "--q", "67", "--nl", "64", "--r",
          "1", "--d", "1", "--t", "1", "--K", "1", "--m", "1", "--mode",
@@ -538,23 +518,29 @@ FROZEN_VERIFY = [
 def test_verify_output_is_frozen(argv, rc, out, err, capsys):
     """verify --mode dmin, --mode ura and --mode repair-all on C1, C2,
     Fano and mbr-stripes, --mode dmin on the certify and three-group
-    configurations, claimed-profile negative controls, capped runs (the cap
-    leaves dmin and ura as they are) and a 64-node group's refusal print
-    exactly the recorded bytes and exit with the recorded code."""
+    configurations, claimed-profile negative controls and a 64-node
+    group's refusal print exactly the recorded bytes and exit with the
+    recorded code."""
     assert main(["verify", *argv]) == rc
     assert capsys.readouterr() == (out, err)
 
 
-def test_verify_cap_refusal_exit2(capsys):
-    """repair-all on C2 would try C(6,4) = 15 decode-path helper subsets of
-    the global node; under a cap of 3 it refuses rather than check fewer."""
-    rc = main(["verify", *C2_ARGS, "--mode", "repair-all", "--pattern-cap",
-               "3"])
-    assert rc == 2
+def test_verify_cap_refusal_exit2(capsys, monkeypatch):
+    """repair-all on C2 tries C(6,4) = 15 decode-path helper subsets of the
+    global node; under a cap of 14 it refuses with exit 2 rather than check
+    fewer, and under a cap of 15 it checks all 22 cases."""
+    argv = ["verify", *C2_ARGS, "--mode", "repair-all"]
+    monkeypatch.setattr(cli, "REPAIR_ALL_CAP", 14)
+    assert main(argv) == 2
     assert capsys.readouterr() == ("", json.dumps({
         "error": "PatternCapError",
-        "detail": "C(6,4) = 15 helper subsets of node 6 exceed the cap 3; "
+        "detail": "C(6,4) = 15 helper subsets of node 6 exceed the cap 14; "
                   "refusing to sample"}) + "\n")
+    monkeypatch.setattr(cli, "REPAIR_ALL_CAP", 15)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (
+        '{"mode": "repair-all", "cases": 22, "pass": true, "witness": '
+        'null}\n', "")
 
 
 def test_verify_bounds_crosscheck_fr_profile_agrees(capsys):
@@ -1277,7 +1263,7 @@ _CONFIG_FLAGS = st.fixed_dictionaries({}, optional={
                                 st.text(max_size=12)),
     **{flag: _flag_value(_ANY_INT)
        for flag in ("--q", "--m", "--t", "--r", "--delta", "--K", "--kfr",
-                    "--seed", "--pattern-cap")},
+                    "--seed")},
     **{flag: _flag_value(_SMALL_INT) for flag in ("--nl", "--d")},
 })
 

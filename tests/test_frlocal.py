@@ -14,7 +14,6 @@ from lmbr import (
     InconsistentDataError,
     InsufficientRankError,
     ParameterError,
-    RankProfile,
     RepairError,
     all_symbol_code,
     fano_plane,
@@ -380,7 +379,7 @@ def reference_profile(code):
                     f"expose {measured}, expected {predicted[size]}",
                     witness=subset,
                 )
-    return RankProfile(tuple(values))
+    return tuple(values)
 
 
 def affine_plane_3():

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from lmbr import LinearizedPoly, ParameterError, field, galois, rank_over_base
 from lmbr.galois import (
     ExtField,
+    _exact_dtype,
+    _matmul_mod_q,
     _residues,
     _row_reduce,
     apply_int_matrix,
@@ -628,6 +630,38 @@ def test_apply_int_matrix_matches_elementwise_reference(q, m):
         apply_int_matrix(np.ones((1, 2), dtype=np.int64), [F.one()], F)
     with pytest.raises(ParameterError):
         apply_int_matrix(np.ones((1, 1), dtype=np.int64), [field(5, 1).one()], F)
+
+
+@pytest.mark.parametrize("q,dtype", [(2 ** 31, np.int64),
+                                     (2 ** 31 + 1, object)])
+def test_matmul_mod_q_exact_at_the_int64_edge(q, dtype):
+    """Two terms of (q-1)^2: at q = 2^31 their sum is 2^63 - 2^33 + 2 and
+    the product stays in int64; at q = 2^31 + 1 it is 2^63 and the product
+    takes Python ints.  Both equal the object-dtype product, entries of
+    q - 1 included."""
+    assert _exact_dtype(2, q) is dtype
+    rng = np.random.default_rng(q)
+    left = rng.integers(0, q, (4, 2))
+    right = rng.integers(0, q, (2, 3))
+    left[0] = right[:, 0] = q - 1
+    want = left.astype(object) @ right.astype(object) % q
+    got = _matmul_mod_q(left, right, q)
+    assert got.dtype == dtype
+    assert got.tolist() == want.tolist()
+
+
+def test_apply_int_matrix_reduces_any_integer_matrix():
+    """Negative entries and entries of q or more act as their residues."""
+    q, m = 7, 3
+    F = field(q, m)
+    rng = random.Random(5)
+    elements = [F.random_element(rng) for _ in range(4)]
+    matrix = np.array([[-1, 7, 15, -13], [2 ** 62, -(2 ** 62), 0, 49],
+                       [q - 1, -q, 3 * q + 2, -1]], dtype=np.int64)
+    coeffs = np.array([e.coeffs for e in elements], dtype=object)
+    want = (matrix.astype(object) % q) @ coeffs % q
+    assert [e.coeffs for e in apply_int_matrix(matrix, elements, F)] == \
+        [tuple(row) for row in want.tolist()]
 
 
 @pytest.mark.parametrize("q,m", [(3, 6), (7, 10), (1099511627689, 1)])

@@ -337,11 +337,40 @@ def family_type_tests(source: str) -> list[int]:
                               if isinstance(n, (ast.Name, ast.Attribute))})
 
 
+#: Modules and the local-family modules each may not import: the composed
+#: code and the bounds reach a local code only through the contract the
+#: README's "Local codes" paragraph names, and neither family imports the
+#: other.
+FAMILY_FREE = {"lrc.py": FAMILY_MODULES, "bounds.py": FAMILY_MODULES,
+               "mbr.py": {"frlocal"}, "frlocal.py": {"mbr"}}
+
+
+def forbidden_family_imports(name: str, source: str) -> list[str]:
+    """The imports :data:`FAMILY_FREE` forbids module ``name``."""
+    return [found for found in family_imports(source)
+            if found.split()[0] in FAMILY_FREE[name]]
+
+
 def test_lrc_imports_no_local_family():
-    """The composed code reaches its local code only through the contract
-    the README's "Local codes" paragraph names."""
-    lrc = next(path for path in MODULES if path.name == "lrc.py")
-    assert family_imports(lrc.read_text()) == []
+    """lrc and bounds import no local family, and no family the other."""
+    paths = {path.name: path for path in MODULES}
+    assert set(FAMILY_FREE) <= set(paths)
+    for name in FAMILY_FREE:
+        assert forbidden_family_imports(name, paths[name].read_text()) == [], \
+            name
+
+
+def test_forbidden_family_import_is_reported():
+    """A name imported from the MBR module, as bounds and frlocal once
+    imported its profile class, is reported in both; a family is reported
+    only for importing the other."""
+    source = ("from .errors import ParameterError\n"
+              "from .mbr import RankProfile\n"
+              "from . import frlocal\n")
+    assert forbidden_family_imports("bounds.py", source) == [
+        "frlocal (line 3)", "mbr (line 2)"]
+    assert forbidden_family_imports("frlocal.py", source) == ["mbr (line 2)"]
+    assert forbidden_family_imports("mbr.py", source) == ["frlocal (line 3)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -24,7 +24,6 @@ from lmbr import (
     MbrCode,
     ParameterError,
     PatternCapError,
-    RankProfile,
     RepairError,
     all_symbol_code,
     fano_plane,
@@ -246,16 +245,18 @@ def test_measured_dmin_full_rate():
     assert code.measure_dmin().value == 2
 
 
-def test_pattern_cap_refusal():
-    """The pattern cap bounds repair-all's decode-path helper subsets alone:
+def test_pattern_cap_refusal(monkeypatch):
+    """The cap bounds repair-all's decode-path helper subsets per node:
     C2's global node has C(6,4) = 15 of them, so a cap of 14 refuses and a
     cap of 15 checks all of them."""
     code = desk_c2()
+    monkeypatch.setattr(cli, "REPAIR_ALL_CAP", 14)
     with pytest.raises(PatternCapError, match=r"^C\(6,4\) = 15 helper "
                        r"subsets of node 6 exceed the cap 14; refusing to "
                        r"sample$"):
-        cli._verify_repair_all(SimConfig(pattern_cap=14), code)
-    assert cli._verify_repair_all(SimConfig(pattern_cap=15), code) == {
+        cli._verify_repair_all(SimConfig(), code)
+    monkeypatch.setattr(cli, "REPAIR_ALL_CAP", 15)
+    assert cli._verify_repair_all(SimConfig(), code) == {
         "mode": "repair-all", "cases": 22, "pass": True, "witness": None}
 
 
@@ -1326,15 +1327,14 @@ class VandermondeLocal:
                          for i in range(self.k_message)], dtype=np.int64)
 
     def profile(self):
-        return RankProfile((1,) * self.k_message
-                           + (0,) * (self.n_nodes - self.k_message))
+        return (1,) * self.k_message + (0,) * (self.n_nodes - self.k_message)
 
 
 def test_local_code_without_in_group_repair():
-    """Any F_q-linear local code composes: the [5,3] Vandermonde bank at
-    t=2, K=5 decodes, certifies d_min = bound = 4 and passes URA, and its
-    local nodes are repaired on the decode path, which names the missing
-    in-group repair."""
+    """Any F_q-linear local code composes, its profile a plain tuple: the
+    [5,3] Vandermonde bank at t=2, K=5 builds, decodes, certifies d_min =
+    bound = 4 and passes URA, and its local nodes are repaired on the
+    decode path, which names the missing in-group repair."""
     code = all_symbol_code(2, VandermondeLocal(), 5)
     msg = random_message(code, 24)
     shards = {s.index: s for s in code.encode(msg)}

@@ -27,7 +27,6 @@ import json
 import random
 import struct
 import sys
-import time
 from dataclasses import dataclass, fields
 from itertools import combinations
 from math import comb
@@ -459,59 +458,14 @@ def cmd_verify(cfg: SimConfig, mode: str,
     return 0 if report["pass"] else 1
 
 
-def cmd_bench(cfg: SimConfig, trials: int) -> int:
-    if trials < 0:
-        raise ParameterError("trials must be >= 0")
-    code = cfg.build()
-    rng = random.Random(cfg.seed)
-    messages = [
-        [code.field.random_element(rng) for _ in range(code.file_dim)]
-        for _ in range(trials)
-    ]
-    subsets = [
-        sorted(rng.sample(range(code.n_nodes), code.decode_threshold))
-        for _ in range(trials)
-    ]
-    failed_nodes = [rng.randrange(code.n_nodes) for _ in range(trials)]
-
-    encode_rate = decode_rate = None
-    histogram: dict[str, int] = {}
-    if trials:
-        start = time.perf_counter()
-        shard_sets = [code.encode(msg) for msg in messages]
-        encode_elapsed = time.perf_counter() - start
-        encode_rate = trials * code.n_nodes * code.alpha / encode_elapsed
-
-        start = time.perf_counter()
-        for shards, subset in zip(shard_sets, subsets):
-            by_index = {s.index: s for s in shards}
-            code.decode(by_index[i] for i in subset)
-        decode_elapsed = time.perf_counter() - start
-        decode_rate = trials * code.file_dim / decode_elapsed
-
-        for shards, failed in zip(shard_sets, failed_nodes):
-            available = {s.index: s for s in shards if s.index != failed}
-            _, metrics = code.repair(failed, available)
-            key = str(metrics["downloaded_symbols"])
-            histogram[key] = histogram.get(key, 0) + 1
-    print(json.dumps({
-        "trials": trials,
-        "encode_sym_per_s": encode_rate,
-        "decode_sym_per_s": decode_rate,
-        "repair_bandwidth_histogram": histogram,
-    }))
-    return 0
-
-
 def cmd_bounds(cfg: SimConfig) -> int:
     code = cfg.build()
     ctx = code.bound_ctx
-    dmin = ctx.optimal_dmin(cfg.file_dim)
     print(json.dumps({
         "n": ctx.n,
         "K": cfg.file_dim,
-        "dmin_bound": dmin,
-        "file_size_bound": ctx.max_file_size(dmin),
+        "dmin_bound": code.dmin_bound,
+        "file_size_bound": ctx.max_file_size(code.dmin_bound),
         "pinv": ctx.p_inv(cfg.file_dim),
     }))
     return 0
@@ -588,12 +542,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True,
                    choices=("dmin", "ura", "repair-all", "bounds-crosscheck"))
     p.add_argument("--claim-profile", default=None,
-                   help="comma-separated rank profile override (negative "
-                        "controls for the ura mode)")
-
-    p = sub.add_parser("bench", help="seeded throughput and bandwidth stats")
-    add_config(p)
-    p.add_argument("--trials", type=int, default=10)
+                   help="comma-separated rank profile override, a negative "
+                        "control; --mode ura only")
 
     p = sub.add_parser("bounds", help="print the bound record for K")
     add_config(p)
@@ -617,6 +567,11 @@ def main(argv=None) -> int:
         if args.command == "verify":
             claim = None
             if args.claim_profile is not None:
+                if args.mode != "ura":
+                    raise ParameterError(
+                        "--claim-profile applies only to --mode ura, "
+                        f"not --mode {args.mode}"
+                    )
                 try:
                     claim = [int(tok) for tok in args.claim_profile.split(",")]
                 except ValueError:
@@ -625,8 +580,6 @@ def main(argv=None) -> int:
                         f"got {args.claim_profile!r}"
                     ) from None
             return cmd_verify(cfg, args.mode, claim)
-        if args.command == "bench":
-            return cmd_bench(cfg, args.trials)
         if args.command == "bounds":
             return cmd_bounds(cfg)
         raise AssertionError(f"unhandled command {args.command}")

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import shlex
 import struct
 import subprocess
 import sys
@@ -572,26 +573,6 @@ def test_bounds_record(capsys):
                    "pinv": 4}
 
 
-def test_bench_zero_trials(capsys):
-    rc, out = run(capsys, "bench", *DESK_ARGS, "--trials", "0")
-    assert rc == 0
-    assert out["repair_bandwidth_histogram"] == {}
-    assert out["encode_sym_per_s"] is None
-
-
-def test_bench_histogram_point_mass(capsys):
-    rc, out = run(capsys, "bench", *DESK_ARGS, "--trials", "6", "--seed", "5")
-    assert rc == 0
-    assert out["repair_bandwidth_histogram"] == {"2": 6}
-
-
-def test_bench_same_seed_same_workload(capsys):
-    rc1, out1 = run(capsys, "bench", *DESK_ARGS, "--trials", "4", "--seed", "9")
-    rc2, out2 = run(capsys, "bench", *DESK_ARGS, "--trials", "4", "--seed", "9")
-    assert rc1 == rc2 == 0
-    assert out1["repair_bandwidth_histogram"] == out2["repair_bandwidth_histogram"]
-
-
 def test_missing_input_paths_exit3(tmp_path):
     assert main(["encode", *DESK_ARGS, "--in", str(tmp_path / "absent.bin"),
                  "--out-dir", str(tmp_path)]) == 3
@@ -748,6 +729,27 @@ def test_non_integer_claim_profile_exit2(capsys):
     assert "'2,x'" in record["detail"]
 
 
+@pytest.mark.parametrize("mode", ["dmin", "repair-all", "bounds-crosscheck"])
+def test_claim_profile_outside_ura_exit2(mode, capsys):
+    """A claimed profile is read only by the ura mode; every other mode
+    refuses it rather than drop it and report its own claim."""
+    rc = main(["verify", *DESK_ARGS, "--mode", mode, "--claim-profile", "9,9,9"])
+    assert rc == 2
+    record = error_record(capsys)
+    assert record == {
+        "error": "ParameterError",
+        "detail": f"--claim-profile applies only to --mode ura, not --mode {mode}",
+    }
+
+
+def test_bench_command_is_refused(capsys):
+    """The retired throughput timer is refused like any unknown command."""
+    assert main(["bench", *DESK_ARGS]) == 2
+    record = error_record(capsys)
+    assert record["error"] == "ParameterError"
+    assert "invalid choice: 'bench'" in record["detail"]
+
+
 def test_empty_claim_profile_exit2(capsys):
     rc = main(["verify", *DESK_ARGS, "--mode", "ura", "--claim-profile", ""])
     assert rc == 2
@@ -776,6 +778,53 @@ def test_help_still_exits_0(capsys):
         main(["make", "--help"])
     assert exc.value.code == 0
     assert "--construction" in capsys.readouterr().out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def doc_commands(text):
+    """The argv of each ``lmbr ...`` line in the text's ``sh`` blocks."""
+    commands, in_sh = [], False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            in_sh = not in_sh and line.strip() == "```sh"
+        elif in_sh and line.startswith("lmbr "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def unparsed_doc_commands(text):
+    """The documented commands the CLI's parser refuses, with its detail."""
+    parser = cli._build_parser()
+    refused = []
+    for argv in doc_commands(text):
+        try:
+            parser.parse_args(argv)
+        except ParameterError as exc:
+            refused.append((argv, str(exc)))
+    return refused
+
+
+def test_readme_commands_parse():
+    """Every command README shows parses; a retired command or flag left
+    in the docs fails here.  Nothing is run."""
+    text = README.read_text()
+    assert doc_commands(text)
+    assert unparsed_doc_commands(text) == []
+
+
+def test_retired_doc_command_is_reported():
+    text = ("```sh\nlmbr bounds --q 3 --K 5\n"
+            "lmbr bench --q 3 --K 5 --trials 100 --seed 1\n```\n"
+            "```\nlmbr bench --q 3\n```\n")
+    assert doc_commands(text) == [
+        ["bounds", "--q", "3", "--K", "5"],
+        ["bench", "--q", "3", "--K", "5", "--trials", "100", "--seed", "1"],
+    ]
+    [(argv, detail)] = unparsed_doc_commands(text)
+    assert argv[0] == "bench"
+    assert "invalid choice: 'bench'" in detail
 
 
 def test_huge_extension_degree_refused_quickly(tmp_path, capsys):
@@ -1436,11 +1485,11 @@ _SMALL_FLAGS = {
 
 
 @st.composite
-def verify_and_bench_argv(draw):
+def verify_and_bounds_argv(draw):
     argv = draw(st.sampled_from([
         ["verify", "--mode", mode]
         for mode in ("dmin", "ura", "repair-all", "bounds-crosscheck")
-    ] + [["bench", "--trials", str(n)] for n in range(3)]))
+    ] + [["bounds"]]))
     argv += ["--construction", draw(st.sampled_from(CONSTRUCTIONS))]
     for flag, values in _SMALL_FLAGS.items():
         value = draw(st.sampled_from(values))
@@ -1456,9 +1505,9 @@ def verify_and_bench_argv(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(case=verify_and_bench_argv())
-def test_cli_contract_holds_for_verify_and_bench_on_corrupt_inputs(case):
-    """verify and bench with arbitrary design-file contents, claimed
+@given(case=verify_and_bounds_argv())
+def test_cli_contract_holds_for_verify_and_bounds_on_corrupt_inputs(case):
+    """verify and bounds with arbitrary design-file contents, claimed
     profiles and small configurations: exit 0-3 and exactly one JSON
     object, on stdout for a result or on stderr for an error, never a
     traceback."""

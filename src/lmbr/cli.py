@@ -439,6 +439,9 @@ def _verify_bounds_crosscheck(ctx) -> dict:
 
 def cmd_verify(cfg: SimConfig, mode: str,
                claim_profile: list[int] | None = None) -> int:
+    if claim_profile is not None and mode != "ura":
+        raise ParameterError(
+            f"--claim-profile applies only to --mode ura, not --mode {mode}")
     if mode == "bounds-crosscheck":
         # Pure profile arithmetic; no extension field is needed.
         local = cfg.local_code()
@@ -567,11 +570,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             claim = None
             if args.claim_profile is not None:
-                if args.mode != "ura":
-                    raise ParameterError(
-                        "--claim-profile applies only to --mode ura, "
-                        f"not --mode {args.mode}"
-                    )
                 try:
                     claim = [int(tok) for tok in args.claim_profile.split(",")]
                 except ValueError:

@@ -17,8 +17,9 @@ x^n mod the modulus for n < 2m-1, whose windows of m rows are the matrices
 of multiplication by x^i, and by which a product's convolution is folded
 back; and the one Frobenius matrix F (column j is (x^q)^j), since a -> a^q
 is F_q-linear.  Every q-power comes from this F: each linearized
-polynomial's matrix (:mod:`lmbr.linpoly`) and :meth:`ExtField.moore`, the
-Moore map that is both the code's generator and interpolation's system.
+polynomial's matrix (:mod:`lmbr.linpoly`), and the points' q-powers of
+:meth:`ExtField.moore`, the Moore map that is the code's generator, and of
+:func:`solve_moore`, which solves the Moore system over F_{q^m}.
 
 Fields are interned: :func:`field` returns one shared, immutable instance
 per (q, m), so elements of equal fields always compare against the same
@@ -37,6 +38,12 @@ block is reduced after every 2^63 // (q-1)^2 steps (every step for
 q > 2^31 + 1; at q = 7 never before the end) and once at the end; Python
 ints are reduced at every step.  A field element is inverted as
 a^(q^m - 2).
+
+A K x K Moore system over F_{q^m}, which is every read's interpolation
+and every decode-path repair solver, is not expanded to its (K m)-square
+F_q form: :func:`solve_moore` eliminates it over F_{q^m} in K pivot steps,
+each a batch of products with m x m multiplication matrices
+(:meth:`ExtField.mul_matrices`), by the same int64 or Python-int rule.
 """
 
 from __future__ import annotations
@@ -339,25 +346,48 @@ class ExtField:
             return ((a[0] * b[0]) % q,)
         return tuple((np.convolve(a, b) % q @ self._table % q).tolist())
 
-    @property
+    @functools.cached_property
     def _basis_mul(self) -> np.ndarray:
         """Slice i is the F_q matrix of multiplication by x^i: the window
         T[i:i+m].T of the table, column k being x^(i+k) mod the modulus.
         Contracting coefficient vectors with it gives their multiplication
-        matrices, exactly in int64 (a sum of m products below (q-1)^2)."""
-        return np.lib.stride_tricks.sliding_window_view(self._table, self.m, axis=0)
+        matrices, exactly in int64 (a sum of m products below (q-1)^2).
+        Built once, contiguous and read-only."""
+        windows = np.lib.stride_tricks.sliding_window_view(self._table, self.m,
+                                                           axis=0).copy()
+        windows.flags.writeable = False
+        return windows
+
+    def _q_powers(self, columns: np.ndarray, k: int) -> np.ndarray:
+        """The elements with these m x N coefficient columns raised to q^i
+        for i < k, as a k x m x N int64 array: slice i is p^(q^i), column by
+        column, each from the one before by F."""
+        powers = [np.asarray(columns, dtype=np.int64)]
+        for _ in range(k - 1):
+            powers.append(_matmul_mod_q(self._frob, powers[-1], self.q))
+        return np.array(powers, dtype=np.int64).reshape(k, self.m, -1)
+
+    def mul_matrices(self, rows: np.ndarray) -> np.ndarray:
+        """The F_q matrices of multiplication by the elements with these
+        coefficient vectors (the last axis), one m x m int64 matrix each:
+        M(u) = sum_i u_i M(x^i), column k being the coefficients of u x^k."""
+        q, m = self.q, self.m
+        dtype = _exact_dtype(m, q)
+        rows = np.asarray(rows)
+        products = (rows.astype(dtype, copy=False)
+                    @ self._basis_mul.reshape(m, m * m).astype(dtype,
+                                                              copy=False))
+        return (products % q).astype(np.int64).reshape(*rows.shape[:-1], m, m)
 
     def moore(self, columns: np.ndarray, k: int) -> np.ndarray:
         """The Moore map (u_0..u_{k-1}) -> sum_i u_i p^(q^i) at the points
         with these m x N coefficient columns, as a (k m) x (N m) F_q matrix:
         row i*m + j, column c*m + r is coefficient r of x^j p_c^(q^i).  Exact
         for every q: q-powers by F, products by x^j by the table's windows."""
-        q, m = self.q, self.m
-        powers = [columns]                  # powers[i]: the points to the q^i
-        for _ in range(k - 1):
-            powers.append(_matmul_mod_q(self._frob, powers[-1], q))
+        m = self.m
+        powers = self._q_powers(columns, k).transpose(1, 0, 2)
         blocks = _matmul_mod_q(np.reshape(self._basis_mul, (m * m, m)),
-                               np.concatenate(powers, axis=1), q)
+                               powers.reshape(m, -1), self.q)
         return (blocks.reshape(m, m, k, -1).transpose(2, 0, 3, 1)
                 .reshape(k * m, -1).astype(np.int64))
 
@@ -442,7 +472,9 @@ def _exact_dtype(terms: int, q: int):
     below 2^63; Python ints (object) otherwise.
     Every F_q product and elimination of this module follows this rule, so
     each is exact for every q that :func:`field` accepts.  A product asks
-    for its inner dimension; eliminations ask for one product.  A step of
+    for its inner dimension; eliminations over F_q ask for one product, and
+    :func:`solve_moore` for m: an entry of its step is the difference of
+    two products with m x m multiplication matrices, reduced.  A step of
     :func:`subset_ranks` takes a difference of two such products, each in
     [0, (q-1)^2], and reduces; :func:`_row_reduce` subtracts them from
     entries that start in [0, q) and reduces once 2^63 // (q-1)^2 have
@@ -608,6 +640,62 @@ def solve_mod_q(matrix: np.ndarray, rhs: np.ndarray, q: int) -> np.ndarray:
 def inv_mod_q(matrix: np.ndarray, q: int) -> np.ndarray:
     """Inverse of a square integer matrix over F_q: A X = I."""
     return solve_mod_q(matrix, np.eye(np.shape(matrix)[0], dtype=np.int64), q)
+
+
+def solve_moore(fld: ExtField, points: np.ndarray,
+                rhs: np.ndarray) -> np.ndarray:
+    """The X with A X = B over F_{q^m}, for the K x K Moore matrix
+    A[c, i] = p_c^(q^i) at the points with these m x K coefficient columns.
+
+    B and X are K x r arrays of m-coefficient entries (K x r x m).  This
+    is the F_{q^m} form of :func:`solve_mod_q` on the transposed
+    :meth:`ExtField.moore` map at the points: K pivot steps instead of
+    K m.  Gauss-Jordan elimination runs fraction-free on the K x (K + r)
+    array [A | B]: step p takes every row to a_pp row - a_ip (row p), two
+    batched products of multiplication matrices, so no entry is inverted
+    on the way and no row is swapped.  That needs a nonzero pivot at every
+    step, that is, nonsingular leading minors, and the leading minor of
+    size s is the Moore matrix of the first s points: nonsingular exactly
+    when they are independent over F_q.  A zero pivot raises
+    :class:`ParameterError`.  The diagonal left at the end is inverted in
+    one batch, a^-1 = a^(q + ... + q^(m-1)) / N(a) with the norm
+    N(a) = a^(1 + q + ... + q^(m-1)) in F_q, and scales its rows' B part.
+    Products are exact by the rule of :func:`_exact_dtype`.
+    """
+    q, m = fld.q, fld.m
+    k = points.shape[1]
+    dtype = _exact_dtype(m, q)
+    a = np.concatenate([fld._q_powers(points, k).transpose(2, 0, 1),
+                        np.asarray(rhs, dtype=np.int64)], axis=1)
+    for p in range(k):
+        if not a[p, p].any():
+            raise ParameterError("matrix is singular over F_q")
+        mults = fld.mul_matrices(a[:, p]).astype(dtype, copy=False)
+        # a_ip a_pj for every i and j, then a_pp a_ij: M(a_ip) on row p and
+        # M(a_pp) on every entry.
+        cross = (mults.reshape(k * m, m) @ a[p].T.astype(dtype, copy=False)
+                 ).reshape(k, m, -1).transpose(0, 2, 1)
+        reduced = (a.astype(dtype, copy=False) @ mults[p].T - cross) % q
+        reduced[p] = a[p]
+        a = reduced
+    diagonal = a[np.arange(k), np.arange(k)]
+    inverse = np.eye(1, m, dtype=np.int64).repeat(k, axis=0)
+    for power in fld._q_powers(diagonal.T, m)[1:]:            # a^(q^i), i > 0
+        inverse = _times(fld, inverse, power.T)
+    norm = _times(fld, inverse, diagonal)[:, 0]              # N(a) in F_q
+    inverse = _times(fld, inverse, np.array(
+        [[pow(int(n), q - 2, q)] + [0] * (m - 1) for n in norm]))
+    return _times(fld, inverse, a[:, k:].transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def _times(fld: ExtField, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The products of F_{q^m} elements given as rows of coefficients,
+    entry by entry: left is (N, m), right (..., N, m)."""
+    dtype = _exact_dtype(fld.m, fld.q)
+    products = (right.astype(dtype, copy=False)[..., None, :]
+                @ np.swapaxes(fld.mul_matrices(left), -1, -2)
+                .astype(dtype, copy=False))[..., 0, :]
+    return (products % fld.q).astype(np.int64)
 
 
 def rank_over_base(elements: Sequence[FieldElement]) -> int:

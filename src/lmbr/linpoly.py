@@ -14,10 +14,9 @@ and F the field's Frobenius matrix, so each evaluation is one product mod q.
 
 :func:`interpolate` recovers the unique polynomial from such evaluations.
 It solves the Moore system on the first points, in the order given, that are
-F_q-independent of the points before them.  Over F_q each F_{q^m} unknown
-becomes its m coefficients, the system is the field's Moore map at those
-points (:meth:`~lmbr.galois.ExtField.moore`), transposed, and
-:func:`~lmbr.galois.solve_mod_q` solves it.  Surplus evaluations are never
+F_q-independent of the points before them.  The system is solved over
+F_{q^m} by :func:`~lmbr.galois.solve_moore`, K pivot steps for K unknowns,
+not as its (K m)-square F_q expansion.  Surplus evaluations are never
 ignored: they are checked against the recovered polynomial so that
 corrupted symbols surface as :class:`~lmbr.errors.InconsistentDataError`
 instead of silently decoding.
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import InconsistentDataError, InsufficientRankError, ParameterError
 from .galois import (ExtField, FieldElement, _matmul_mod_q, as_elements,
-                     coefficients, pivot_columns, solve_mod_q)
+                     coefficients, pivot_columns, solve_moore)
 
 
 class LinearizedPoly:
@@ -101,10 +100,11 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
 
     The points may be arbitrary field elements (of any rank profile); only
     ``max_q_degree + 1`` of them need to be independent over F_q.  The
-    Moore system is solved on the first ``max_q_degree + 1`` points that
-    are independent of the points before them (the pivot columns of the
-    points' coefficient matrix), and every remaining pair is verified
-    against the recovered polynomial.
+    Moore system is solved over F_{q^m}, by
+    :func:`~lmbr.galois.solve_moore`, on the first ``max_q_degree + 1``
+    points that are independent of the points before them (the pivot
+    columns of the points' coefficient matrix), and every remaining pair is
+    verified against the recovered polynomial.
 
     Raises :class:`InsufficientRankError` when the points do not span enough
     of F_q^m, and :class:`InconsistentDataError` when a surplus evaluation
@@ -129,11 +129,10 @@ def interpolate(points: Sequence[FieldElement], values: Sequence[FieldElement],
         )
     columns = coefficients(points, fld).T
     chosen = independent_points(columns, needed, fld.q)
-    # The unknowns are the coefficients of u_0..u_t, the equations those of
-    # the chosen values; independent points make the system nonsingular.
-    rhs = value_rows[chosen].reshape(-1, 1)
-    solution = solve_mod_q(fld.moore(columns[:, chosen], needed).T, rhs, fld.q)
-    poly = LinearizedPoly(fld, as_elements(fld, solution.reshape(needed, fld.m)))
+    # The unknowns are u_0..u_t, one equation per chosen value; independent
+    # points make the system nonsingular.
+    solution = solve_moore(fld, columns[:, chosen], value_rows[chosen, None])
+    poly = LinearizedPoly(fld, as_elements(fld, solution[:, 0]))
     for idx, (p, v) in enumerate(zip(points, values)):
         if idx not in chosen and poly.evaluate(p) != v:
             raise surplus_mismatch(idx)

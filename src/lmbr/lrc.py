@@ -24,13 +24,14 @@ Moore map at the expanded points: a (K m) x (n alpha m) F_q matrix.
 Encoding is one product with it, and each shard's payload is its node's
 alpha x m block of the product: one read-only integer array of
 coefficients, never a tuple of field elements.  A node rebuilt on the
-decode path is one solve: the K scalars the interpolating decoder would
-choose are inverted once per helper set (the inverse is cached), and one
-more product checks the surplus scalars and yields the lost node.  Reads
-still interpolate.  :class:`~lmbr.galois.FieldElement` is the type of the
-message in and out and of the (point, value) pairs a read hands to
-interpolation; a local code's ``repair_in_group`` receives the payload
-arrays and returns one.
+decode path is one solve: the generator's square block at the K scalars
+the interpolating decoder would choose is inverted once per helper set
+(the inverse is cached), over F_{q^m} as the Moore system at their points
+and expanded to F_q, and one more product checks the surplus scalars and
+yields the lost node.  Reads still interpolate.
+:class:`~lmbr.galois.FieldElement` is the type of the message in and out
+and of the (point, value) pairs a read hands to interpolation; a local
+code's ``repair_in_group`` receives the payload arrays and returns one.
 
 :func:`LrcCode.measure_dmin` and :func:`LrcCode.ura_report` certify the
 minimum distance and uniform rank accumulation against that same rank
@@ -68,7 +69,7 @@ import numpy as np
 from .bounds import BoundContext
 from .errors import InsufficientRankError, ParameterError, RepairError
 from .galois import (FieldElement, _matmul_mod_q, as_elements, coefficients,
-                     field, inv_mod_q, rank_mod_q, subset_ranks)
+                     field, rank_mod_q, solve_moore, subset_ranks)
 from .gabidulin import GabidulinCode
 from .linpoly import independent_points, no_evaluations, surplus_mismatch
 
@@ -443,15 +444,25 @@ class LrcCode:
         """For decoding from the shards ``indices``, in this order: the
         positions of the K scalars the decoder chooses among theirs, and
         the inverse of the generator's square block at those scalars'
-        columns.  Built on a miss; the n_nodes newest are kept."""
+        columns, from one :func:`~lmbr.galois.solve_moore`.  Built on a
+        miss; the n_nodes newest are kept."""
         solver = self._solvers.get(indices)
         if solver is None:
-            q = self.local.q
+            k, m = self.file_dim, self.field.m
             scalars = _blocks(indices, self.alpha)
-            chosen = independent_points(self.expanded[:, scalars],
-                                        self.file_dim, q)
-            block = self.generator[:, _blocks(scalars[chosen], self.field.m)]
-            solver = chosen, inv_mod_q(block, q)
+            chosen = independent_points(self.expanded[:, scalars], k,
+                                        self.local.q)
+            # The generator's block at the chosen scalars' columns is the
+            # F_q expansion of the Moore matrix A at their points,
+            # transposed: block (i, c) is M(A[c, i])^T.  Expansion is a ring
+            # homomorphism, so the block's inverse is that of A^-1: block
+            # (c, i) is M(A^-1[i, c])^T.
+            identity = np.zeros((k, k, m), dtype=np.int64)
+            identity[np.arange(k), np.arange(k), 0] = 1
+            inverse = solve_moore(self.field,
+                                  self.expanded[:, scalars[chosen]], identity)
+            solver = chosen, (self.field.mul_matrices(inverse)
+                              .transpose(1, 3, 0, 2).reshape(k * m, k * m))
             if len(self._solvers) >= self.n_nodes:
                 self._solvers.pop(next(iter(self._solvers)), None)
             self._solvers[indices] = solver

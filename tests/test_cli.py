@@ -742,6 +742,17 @@ def test_claim_profile_outside_ura_exit2(mode, capsys):
     }
 
 
+@pytest.mark.parametrize("mode", ["dmin", "repair-all", "bounds-crosscheck"])
+def test_cmd_verify_refuses_claim_profile_outside_ura(mode, capsys):
+    """The refusal lives in cmd_verify, so an API call that bypasses main
+    cannot drop the claim either: it raises before building or printing."""
+    with pytest.raises(ParameterError) as err:
+        cli.cmd_verify(SimConfig(), mode, [9, 9, 9])
+    assert str(err.value) == (
+        f"--claim-profile applies only to --mode ura, not --mode {mode}")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_bench_command_is_refused(capsys):
     """The retired throughput timer is refused like any unknown command."""
     assert main(["bench", *DESK_ARGS]) == 2

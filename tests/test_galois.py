@@ -558,6 +558,123 @@ def test_moore_matches_field_element_reference(q, m):
         assert fld.moore(columns[:, :0], k).shape == (k * m, 0)
 
 
+@pytest.mark.parametrize("q,m", [(2, 6), (7, 10), (65521, 2),
+                                 (1099511627689, 1)])
+def test_mul_matrices_multiply_like_field_elements(q, m):
+    """M(a) b is the coefficient vector of a b, for a 2 x 3 stack of
+    elements a at once; the matrices are int64 residues."""
+    fld = field(q, m)
+    rng = random.Random(q + m)
+    a = [[fld.random_element(rng) for _ in range(3)] for _ in range(2)]
+    b = fld.random_element(rng)
+    rows = np.array([[e.coeffs for e in row] for row in a], dtype=np.int64)
+    mults = fld.mul_matrices(rows)
+    assert mults.shape == (2, 3, m, m) and mults.dtype == np.int64
+    for i, j in product(range(2), range(3)):
+        got = mults[i, j].astype(object).dot(list(b.coeffs)) % q
+        assert tuple(got.tolist()) == (a[i][j] * b).coeffs
+
+
+def moore_solve_reference(fld, points, rhs):
+    """The F_q form of a Moore solve: solve_mod_q on the transposed Moore
+    map at the points, its unknowns the coefficients of X[i, t] in row
+    i*m + j, its equations coefficient r of B[c, t] in row c*m + r; the
+    outcome is the K x r x m solution or the refusal's text."""
+    k, width, m = rhs.shape
+    try:
+        solution = solve_mod_q(fld.moore(points, k).T,
+                               rhs.transpose(0, 2, 1).reshape(k * m, width),
+                               fld.q)
+    except ParameterError as exc:
+        return str(exc)
+    return np.array(solution, dtype=np.int64).reshape(
+        k, m, width).transpose(0, 2, 1).tolist()
+
+
+def moore_solve_outcome(fld, points, rhs):
+    try:
+        solution = galois.solve_moore(fld, points, rhs)
+    except ParameterError as exc:
+        return str(exc)
+    assert solution.shape == rhs.shape and solution.dtype == np.int64
+    return solution.tolist()
+
+
+#: (q, m) for the F_{q^m} elimination: small and word-sized q with m up to
+#: 6 inside the size budget, and at m = 1 the largest prime whose products
+#: fit int64 and a prime whose products do not.
+MOORE_FIELDS = [(2, m) for m in range(1, 7)] + [(3, m) for m in range(1, 7)] \
+    + [(7, m) for m in range(1, 7)] + [(65521, 1), (65521, 2),
+                                       (3037000493, 1), (1099511627689, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_moore_matches_the_fq_expansion(data):
+    """The K-pivot elimination over F_{q^m} gives the solution of the
+    (K m)-square F_q system, or refuses it with the same text, on random
+    points (dependent ones included) and 1 to 3 right-hand columns."""
+    q, m = data.draw(st.sampled_from(MOORE_FIELDS))
+    k = data.draw(st.integers(1, m))
+    width = data.draw(st.integers(1, 3))
+    residues = st.integers(0, q - 1)
+    points = np.array(data.draw(st.lists(residues, min_size=m * k,
+                                         max_size=m * k)),
+                      dtype=np.int64).reshape(m, k)
+    rhs = np.array(data.draw(st.lists(residues, min_size=k * width * m,
+                                      max_size=k * width * m)),
+                   dtype=np.int64).reshape(k, width, m)
+    fld = field(q, m)
+    assert (moore_solve_outcome(fld, points, rhs)
+            == moore_solve_reference(fld, points, rhs))
+
+
+@pytest.mark.parametrize("q,m", [(2, 6), (7, 10), (1099511627689, 1)])
+def test_solve_moore_solves_independent_points(q, m):
+    """On the power basis and on random independent points the solution
+    satisfies the Moore system, checked with FieldElement arithmetic."""
+    fld = field(q, m)
+    rng = random.Random(m)
+    cases = [np.eye(m, dtype=np.int64)]
+    while len(cases) < 4:
+        k = rng.randint(1, m)
+        points = np.array([[rng.randrange(q) for _ in range(k)]
+                           for _ in range(m)], dtype=np.int64)
+        if rank_mod_q(points, q) == k:
+            cases.append(points)
+    for points in cases:
+        k = points.shape[1]
+        rhs = np.array([rng.randrange(q) for _ in range(k * 2 * m)],
+                       dtype=np.int64).reshape(k, 2, m)
+        x = galois.solve_moore(fld, points, rhs)
+        for c, p in enumerate(galois.as_elements(fld, points.T)):
+            for t in range(2):
+                total = fld.zero()
+                for i in range(k):
+                    total = total + fld.element(x[i, t]) * p ** (q ** i)
+                assert total == fld.element(rhs[c, t])
+
+
+def test_solve_moore_refuses_dependent_points():
+    """A point in the span of the points before it (the zero point first
+    of all) leaves a zero pivot: ParameterError with solve_mod_q's text,
+    on both sides of the int64 limit, wherever the dependent point stands."""
+    for q, m in ((7, 4), (2, 6), (3037000493, 1), (1099511627689, 1)):
+        fld = field(q, m)
+        rng = random.Random(q)
+        units = np.eye(m, dtype=np.int64)
+        rhs = np.ones((m, 1, m), dtype=np.int64)
+        for at in range(m):
+            mix = np.array([rng.randrange(q) for _ in range(at)])
+            dependent = units[:, :at] @ mix.astype(np.int64) % q
+            points = np.column_stack([units[:, :at], dependent,
+                                      units[:, at:m - 1]])
+            with pytest.raises(ParameterError) as err:
+                galois.solve_moore(fld, points, rhs)
+            assert str(err.value) == "matrix is singular over F_q"
+            assert moore_solve_reference(fld, points, rhs) == str(err.value)
+
+
 def test_elimination_is_exact_where_products_overflow_int64():
     """Past (q-1)^2 >= 2^63 the residue products would wrap in int64 and a
     rank-1 matrix would read as rank 2.  Elimination then runs over Python

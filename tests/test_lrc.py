@@ -34,8 +34,10 @@ from lmbr import cli, galois, gabidulin, linpoly, lrc
 from lmbr.bounds import BoundContext
 from lmbr.cli import SimConfig, main
 from lmbr.galois import (SIZE_BUDGET, FieldElement, apply_int_matrix,
-                         pivot_columns, rank_mod_q, subset_ranks)
-from lmbr.linpoly import LinearizedPoly
+                         as_elements, coefficients, inv_mod_q, pivot_columns,
+                         rank_mod_q, solve_mod_q, subset_ranks)
+from lmbr.linpoly import (LinearizedPoly, independent_points, no_evaluations,
+                          surplus_mismatch)
 from lmbr.lrc import DminResult, Shard
 from shard_helpers import make_shard
 
@@ -1164,21 +1166,167 @@ def test_decode_path_repair_keeps_the_decode_errors():
 
 def test_repeated_decode_path_repair_reuses_its_solver(monkeypatch):
     """A second decode-path repair of the same node from the same helpers
-    makes no elimination and no interpolation."""
+    makes no elimination, over F_q or over F_{q^m}, and no interpolation;
+    the first one builds its solver with one F_{q^m} elimination."""
     code = mbr_stripes_code()
     shards = code.encode(random_message(code, 43))
     available = {s.index: s for s in shards[:-1]}
-    first = code.repair(6, available)
     calls = Counter()
-    for owner, name in ((galois, "_row_reduce"), (linpoly, "interpolate"),
-                        (gabidulin, "interpolate")):
+    for owner, name in ((galois, "_row_reduce"), (galois, "solve_moore"),
+                        (lrc, "solve_moore"), (linpoly, "solve_moore"),
+                        (linpoly, "interpolate"), (gabidulin, "interpolate")):
         def counted(*args, _name=name, _fn=getattr(owner, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
-    assert code.repair(6, available) == first
+    first = code.repair(6, available)
     assert first[0] == shards[-1]
+    assert calls["solve_moore"] == 1 and "interpolate" not in calls
+    calls.clear()
+    assert code.repair(6, available) == first
     assert calls == Counter()
+
+
+def fq_expansion_interpolate(points, values, max_q_degree):
+    """``linpoly.interpolate`` as it was before its Moore system was solved
+    over F_{q^m}: the (K m)-square F_q expansion through solve_mod_q, kept
+    verbatim as the reference for decode outcomes."""
+    points = list(points)
+    values = list(values)
+    if len(points) != len(values):
+        raise ParameterError(
+            f"got {len(points)} points but {len(values)} values"
+        )
+    if not points:
+        raise no_evaluations()
+    fld = points[0].field
+    value_rows = coefficients(values, fld)
+    needed = max_q_degree + 1
+    if needed < 1:
+        raise ParameterError("max_q_degree must be >= 0")
+    if needed > fld.m:
+        raise ParameterError(
+            f"q-degree bound {max_q_degree} must stay below m={fld.m}"
+        )
+    columns = coefficients(points, fld).T
+    chosen = independent_points(columns, needed, fld.q)
+    # The unknowns are the coefficients of u_0..u_t, the equations those of
+    # the chosen values; independent points make the system nonsingular.
+    rhs = value_rows[chosen].reshape(-1, 1)
+    solution = solve_mod_q(fld.moore(columns[:, chosen], needed).T, rhs, fld.q)
+    poly = LinearizedPoly(fld, as_elements(fld, solution.reshape(needed, fld.m)))
+    for idx, (p, v) in enumerate(zip(points, values)):
+        if idx not in chosen and poly.evaluate(p) != v:
+            raise surplus_mismatch(idx)
+    return poly
+
+
+def decode_outcomes(code, survivor_sets, seed):
+    """Each survivor set's decode outcome, as given and with one seeded
+    coefficient of one of its shards raised by one: the message, or the
+    class and text of the error."""
+    shards = code.encode(random_message(code, seed))
+    rng = random.Random(seed)
+    got = []
+    for survivors in survivor_sets:
+        given = [shards[i] for i in survivors]
+        got.append(outcome(lambda: code.decode(given)))
+        if given:
+            at = rng.randrange(len(given))
+            given[at] = flipped(code, given[at], rng.randrange(code.alpha),
+                                rng.randrange(code.field.m))
+            got.append(outcome(lambda: code.decode(given)))
+    return got
+
+
+def all_survivor_sets(code):
+    return [s for size in range(code.n_nodes + 1)
+            for s in combinations(range(code.n_nodes), size)]
+
+
+def fano_survivor_sets(count, seed):
+    """Seeded Fano survivor sets: all 14 nodes but 0 to 10 random ones, in
+    a random order.  d_min is 6, and about a quarter of the sets of 9
+    erasures and half of those of 10 are rank-short."""
+    rng = random.Random(seed)
+    return [rng.sample(range(14), 14 - rng.randrange(11))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("build,sets", [
+    (desk_c1, all_survivor_sets), (desk_c2, all_survivor_sets),
+    (fano_code, lambda code: fano_survivor_sets(600, 47)),
+], ids=["c1", "c2", "fano"])
+def test_decode_outcomes_equal_the_fq_expansion_solve(build, sets,
+                                                       monkeypatch):
+    """Decoding through the F_{q^m} elimination gives the outcome the F_q
+    expansion gave: the message, or the same error class and text (the
+    InconsistentDataError's surplus index included), on every survivor
+    set of C1 and C2 and on 600 seeded Fano sets, each as given and with
+    one corrupt coefficient."""
+    code = build()
+    survivor_sets = sets(code)
+    got = decode_outcomes(code, survivor_sets, 48)
+    monkeypatch.setattr(gabidulin, "interpolate", fq_expansion_interpolate)
+    want = decode_outcomes(code, survivor_sets, 48)
+    assert got == want
+    kinds = Counter(w[0] if isinstance(w, tuple) and isinstance(w[0], type)
+                    else "message" for w in want)
+    assert all(kinds[kind] for kind in ("message", InconsistentDataError,
+                                        InsufficientRankError)), kinds
+
+
+def reference_solver(code, indices):
+    """A decode-path solver as it was built over F_q: the chosen scalars'
+    positions, and inv_mod_q of the generator's block at their columns."""
+    scalars = lrc._blocks(indices, code.alpha)
+    chosen = independent_points(code.expanded[:, scalars], code.file_dim,
+                                code.local.q)
+    block = code.generator[:, lrc._blocks(scalars[chosen], code.field.m)]
+    return chosen, inv_mod_q(block, code.local.q)
+
+
+@pytest.mark.parametrize("build,per_node", [
+    (desk_c1, None), (desk_c2, None), (fano_code, 3)])
+def test_solver_is_the_fq_inverse_of_its_block(build, per_node):
+    """The expanded F_{q^m} inverse equals inv_mod_q of the generator's
+    square block, and the chosen scalars are the same, on every helper set
+    of the decode path (on Fano, three seeded sets of each size per failed
+    node); a rank-short set raises the same error."""
+    code = build()
+    solved = 0
+    for helper_set in sorted({h for _, h in repair_cases(code, per_node)}):
+        want = outcome(lambda: reference_solver(code, helper_set))
+        got = outcome(lambda: code._solver(helper_set))
+        if isinstance(want[0], type):
+            assert got == want
+            continue
+        assert got[0] == want[0], helper_set
+        assert got[1].dtype == np.int64
+        assert np.array_equal(got[1], np.array(want[1], dtype=np.int64))
+        solved += 1
+    assert solved
+
+
+def test_fano_decode_eliminates_no_moore_system_over_fq(monkeypatch):
+    """A Fano read and a decode-path solver build eliminate over F_q only
+    the m x N matrices of points whose pivot columns they choose; the
+    Moore system (K m = 100 rows) is solved over F_{q^m}."""
+    code = fano_code()
+    shards = code.encode(random_message(code, 49))
+    shapes = []
+    real = galois._row_reduce
+
+    def recorded(matrix, q):
+        shapes.append(np.shape(matrix))
+        return real(matrix, q)
+
+    monkeypatch.setattr(galois, "_row_reduce", recorded)
+    for survivors in fano_survivor_sets(20, 50):
+        outcome(lambda: code.decode([shards[i] for i in survivors]))
+    code._solver(tuple(range(code.decode_threshold)))
+    assert len(shapes) > 10
+    assert max(rows for rows, _ in shapes) == code.field.m
 
 
 def test_solver_cache_holds_at_most_n_nodes(monkeypatch, capsys):

@@ -230,6 +230,8 @@ def _load_shards(shard_dir: Path, code: LrcCode, digest: bytes,
     shards = {}
     sources = {}
     for path in sorted(shard_dir.glob("shard_*.lmbr")):
+        if skip is not None and path == _shard_path(shard_dir, skip):
+            continue        # the node being rebuilt: replaced, never read
         shard = parse_shard(path.read_bytes(), code, digest)
         if shard.index in sources:
             raise ShardFormatError(

@@ -12,14 +12,19 @@ x^(q^i) mod f come from repeated q-th powering, so a candidate costs
 O(m log q) polynomial products mod f rather than one division per monic
 polynomial of degree up to m/2.
 
-Each field derives its arithmetic from two int64 arrays: the table T of
-x^n mod the modulus for n < 2m-1, whose windows of m rows are the matrices
-of multiplication by x^i, and by which a product's convolution is folded
-back; and the one Frobenius matrix F (column j is (x^q)^j), since a -> a^q
-is F_q-linear.  Every q-power comes from this F: each linearized
-polynomial's matrix (:mod:`lmbr.linpoly`), and the points' q-powers of
-:meth:`ExtField.moore`, the Moore map that is the code's generator, and of
-:func:`solve_moore`, which solves the Moore system over F_{q^m}.
+Each field derives its arithmetic from two int64 arrays: the matrices
+M(x^i) of multiplication by x^i for i < m, and the one Frobenius matrix F
+(column j is (x^q)^j), since a -> a^q is F_q-linear.  A product is the
+multiplication matrix M(a) = sum_i a_i M(x^i) of one factor times the
+other (:meth:`ExtField.mul_matrices`, :func:`_times`), and every inverse,
+of one element or of :func:`solve_moore`'s diagonal, comes from one
+batched helper, :func:`_inverses`.  Every q-power comes from F: each
+linearized polynomial's matrix (:mod:`lmbr.linpoly`), the inverses' norms,
+and the points' q-powers of :meth:`ExtField.moore`, the Moore map that is
+the code's generator, and of :func:`solve_moore`, which solves the Moore
+system over F_{q^m}.  Every product goes through :func:`_matmul_mod_q`,
+which picks int64 or Python ints from q and its inner dimension, so the
+arithmetic is exact for every prime q, not only within the size budget.
 
 Fields are interned: :func:`field` returns one shared, immutable instance
 per (q, m), so elements of equal fields always compare against the same
@@ -36,8 +41,7 @@ stacked pass reduces mod q at every step.  The Gauss-Jordan elimination
 delays it: a step subtracts at most (q-1)^2 from an entry, so an int64
 block is reduced after every 2^63 // (q-1)^2 steps (every step for
 q > 2^31 + 1; at q = 7 never before the end) and once at the end; Python
-ints are reduced at every step.  A field element is inverted as
-a^(q^m - 2).
+ints are reduced at every step.
 
 A K x K Moore system over F_{q^m}, which is every read's interpolation
 and every decode-path repair solver, is not expanded to its (K m)-square
@@ -221,10 +225,9 @@ class FieldElement:
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            self.field._require_same(other.field)
-            return FieldElement(
-                self.field, self.field._mul(self.coeffs, other.coeffs)
-            )
+            rows = coefficients([self, other], self.field)
+            return as_elements(self.field,
+                               _times(self.field, rows[:1], rows[1:]))[0]
         if isinstance(other, int):
             c = other % self.field.q
             return FieldElement(
@@ -255,10 +258,11 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
-        """a^(q^m - 2): the nonzero elements form a group of order q^m - 1."""
+        """a^-1 by :func:`_inverses`, as every inverse in F_{q^m} is."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero field element")
-        return self ** (self.field.order - 2)
+        return as_elements(self.field, _inverses(
+            self.field, coefficients([self], self.field)))[0]
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -310,18 +314,24 @@ class ExtField:
         self.m = m
         self.order = q ** m
         self.modulus: tuple[int, ...] = _search_modulus(q, m)
-        # Row n is x^n mod the modulus.  Within the size budget, sums of 2m-1
-        # products of residues stay below 2^63 for m >= 2.
-        self._table = np.array([self._reduce([0] * n + [1])
-                                for n in range(2 * m - 1)], dtype=np.int64)
-        # Frobenius matrix: column j is (x^j)^q = (x^q)^j.
-        xq = self._reduce(_poly_powmod([0, 1], q, self.modulus, q))
-        columns = [self._reduce([1])]
+        # Row n of the table T is x^n mod the modulus, n < 2m-1.
+        table = np.array([self._reduce([0] * n + [1]) for n in range(2 * m - 1)],
+                         dtype=np.int64)
+        #: Slice i is the F_q matrix M(x^i) of multiplication by x^i: the
+        #: window T[i:i+m].T of the table, column k being x^(i+k) mod the
+        #: modulus.  :meth:`mul_matrices` contracts coefficient vectors with
+        #: it; :meth:`moore` multiplies the points' q-powers by each x^j.
+        self._basis_mul = np.lib.stride_tricks.sliding_window_view(
+            table, m, axis=0).copy()
+        # Frobenius matrix: column j is (x^j)^q = (x^q)^j, m - 1 products.
+        xq = self.mul_matrices(np.array(
+            self._reduce(_poly_powmod([0, 1], q, self.modulus, q))))
+        columns = [np.array(self._reduce([1]), dtype=np.int64)]
         for _ in range(m - 1):
-            columns.append(self._mul(columns[-1], xq))
+            columns.append(_matmul_mod_q(xq, columns[-1], q).astype(np.int64))
         self._frob = np.array(columns, dtype=np.int64).T
         # The field is shared by every caller: its arrays stay read-only.
-        self._table.flags.writeable = self._frob.flags.writeable = False
+        self._basis_mul.flags.writeable = self._frob.flags.writeable = False
 
     # -- construction helpers -----------------------------------------------
 
@@ -338,26 +348,6 @@ class ExtField:
                 f"field mismatch: GF({self.q}^{self.m}) vs GF({other.q}^{other.m})"
             )
 
-    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """Convolve, then fold x^n for n >= m back through the table; m = 1
-        multiplies in Python ints, as q may exceed the int64 bound."""
-        q = self.q
-        if self.m == 1:
-            return ((a[0] * b[0]) % q,)
-        return tuple((np.convolve(a, b) % q @ self._table % q).tolist())
-
-    @functools.cached_property
-    def _basis_mul(self) -> np.ndarray:
-        """Slice i is the F_q matrix of multiplication by x^i: the window
-        T[i:i+m].T of the table, column k being x^(i+k) mod the modulus.
-        Contracting coefficient vectors with it gives their multiplication
-        matrices, exactly in int64 (a sum of m products below (q-1)^2).
-        Built once, contiguous and read-only."""
-        windows = np.lib.stride_tricks.sliding_window_view(self._table, self.m,
-                                                           axis=0).copy()
-        windows.flags.writeable = False
-        return windows
-
     def _q_powers(self, columns: np.ndarray, k: int) -> np.ndarray:
         """The elements with these m x N coefficient columns raised to q^i
         for i < k, as a k x m x N int64 array: slice i is p^(q^i), column by
@@ -371,19 +361,16 @@ class ExtField:
         """The F_q matrices of multiplication by the elements with these
         coefficient vectors (the last axis), one m x m int64 matrix each:
         M(u) = sum_i u_i M(x^i), column k being the coefficients of u x^k."""
-        q, m = self.q, self.m
-        dtype = _exact_dtype(m, q)
+        m = self.m
         rows = np.asarray(rows)
-        products = (rows.astype(dtype, copy=False)
-                    @ self._basis_mul.reshape(m, m * m).astype(dtype,
-                                                              copy=False))
-        return (products % q).astype(np.int64).reshape(*rows.shape[:-1], m, m)
+        products = _matmul_mod_q(rows, self._basis_mul.reshape(m, m * m), self.q)
+        return products.astype(np.int64).reshape(*rows.shape[:-1], m, m)
 
     def moore(self, columns: np.ndarray, k: int) -> np.ndarray:
         """The Moore map (u_0..u_{k-1}) -> sum_i u_i p^(q^i) at the points
         with these m x N coefficient columns, as a (k m) x (N m) F_q matrix:
         row i*m + j, column c*m + r is coefficient r of x^j p_c^(q^i).  Exact
-        for every q: q-powers by F, products by x^j by the table's windows."""
+        for every q: q-powers by F, products by x^j by M(x^j)."""
         m = self.m
         powers = self._q_powers(columns, k).transpose(1, 0, 2)
         blocks = _matmul_mod_q(np.reshape(self._basis_mul, (m * m, m)),
@@ -658,9 +645,8 @@ def solve_moore(fld: ExtField, points: np.ndarray,
     size s is the Moore matrix of the first s points: nonsingular exactly
     when they are independent over F_q.  A zero pivot raises
     :class:`ParameterError`.  The diagonal left at the end is inverted in
-    one batch, a^-1 = a^(q + ... + q^(m-1)) / N(a) with the norm
-    N(a) = a^(1 + q + ... + q^(m-1)) in F_q, and scales its rows' B part.
-    Products are exact by the rule of :func:`_exact_dtype`.
+    one batch by :func:`_inverses` and scales its rows' B part.  Products
+    are exact by the rule of :func:`_exact_dtype`.
     """
     q, m = fld.q, fld.m
     k = points.shape[1]
@@ -678,24 +664,32 @@ def solve_moore(fld: ExtField, points: np.ndarray,
         reduced = (a.astype(dtype, copy=False) @ mults[p].T - cross) % q
         reduced[p] = a[p]
         a = reduced
-    diagonal = a[np.arange(k), np.arange(k)]
-    inverse = np.eye(1, m, dtype=np.int64).repeat(k, axis=0)
-    for power in fld._q_powers(diagonal.T, m)[1:]:            # a^(q^i), i > 0
-        inverse = _times(fld, inverse, power.T)
-    norm = _times(fld, inverse, diagonal)[:, 0]              # N(a) in F_q
-    inverse = _times(fld, inverse, np.array(
-        [[pow(int(n), q - 2, q)] + [0] * (m - 1) for n in norm]))
+    inverse = _inverses(fld, a[np.arange(k), np.arange(k)])
     return _times(fld, inverse, a[:, k:].transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def _inverses(fld: ExtField, rows: np.ndarray) -> np.ndarray:
+    """The inverses of nonzero F_{q^m} elements given as rows of
+    coefficients (N, m), in one batch: a^-1 = a^(q + ... + q^(m-1)) / N(a),
+    with the norm N(a) = a^(1 + q + ... + q^(m-1)) in F_q.  The q-powers
+    come from the Frobenius matrix; the batch takes m + 1 products by
+    multiplication matrices and one inversion in F_q per element."""
+    q, m = fld.q, fld.m
+    inverse = np.eye(1, m, dtype=np.int64).repeat(len(rows), axis=0)
+    for power in fld._q_powers(rows.T, m)[1:]:                # a^(q^i), i > 0
+        inverse = _times(fld, inverse, power.T)
+    norm = _times(fld, inverse, rows)[:, 0]                  # N(a) in F_q
+    return _times(fld, inverse, np.array(
+        [[pow(int(n), q - 2, q)] + [0] * (m - 1) for n in norm]))
 
 
 def _times(fld: ExtField, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The products of F_{q^m} elements given as rows of coefficients,
-    entry by entry: left is (N, m), right (..., N, m)."""
-    dtype = _exact_dtype(fld.m, fld.q)
-    products = (right.astype(dtype, copy=False)[..., None, :]
-                @ np.swapaxes(fld.mul_matrices(left), -1, -2)
-                .astype(dtype, copy=False))[..., 0, :]
-    return (products % fld.q).astype(np.int64)
+    entry by entry: left is (N, m), right (..., N, m).  Each is M(l) r, the
+    multiplication matrix of one factor times the other."""
+    products = _matmul_mod_q(np.asarray(right)[..., None, :],
+                             np.swapaxes(fld.mul_matrices(left), -1, -2), fld.q)
+    return products[..., 0, :].astype(np.int64)
 
 
 def rank_over_base(elements: Sequence[FieldElement]) -> int:
@@ -711,11 +705,12 @@ def rank_over_base(elements: Sequence[FieldElement]) -> int:
 
 
 def _matmul_mod_q(matrix: np.ndarray, residues: np.ndarray, q: int) -> np.ndarray:
-    """(matrix @ residues) % q for two matrices of residues in [0, q),
-    exactly: in int64 when no dot product can reach 2^63, over Python ints
-    otherwise.  The dtype is read off q and the inner dimension alone; no
-    entry is scanned."""
-    dtype = _exact_dtype(matrix.shape[1], q)
+    """(matrix @ residues) % q for two arrays of residues in [0, q), each a
+    matrix or a stack of them, exactly: in int64 when no dot product can
+    reach 2^63, over Python ints otherwise.  The dtype is read off q and
+    the inner dimension, the last axis of ``matrix``, alone; no entry is
+    scanned."""
+    dtype = _exact_dtype(matrix.shape[-1], q)
     return (matrix.astype(dtype, copy=False)
             @ residues.astype(dtype, copy=False)) % q
 

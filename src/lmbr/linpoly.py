@@ -55,12 +55,10 @@ class LinearizedPoly:
             )
         self.field = field
         self.coeffs = tuple(coeffs)
-        # Exact in int64: for m >= 2 the size budget keeps m (q-1)^2 below
-        # 2^63, and at m = 1 the one step multiplies zeros by F.
-        self.matrix = np.zeros((field.m, field.m), dtype=np.int64)
-        for mult in np.tensordot(rows[:len(coeffs)][::-1], field._basis_mul,
-                                 axes=1):
-            self.matrix = (self.matrix @ field._frob + mult) % field.q
+        matrix = np.zeros((field.m, field.m), dtype=np.int64)
+        for mult in field.mul_matrices(rows[:len(coeffs)][::-1]):
+            matrix = (_matmul_mod_q(matrix, field._frob, field.q) + mult) % field.q
+        self.matrix = matrix.astype(np.int64, copy=False)
 
     @property
     def q_degree(self) -> int:

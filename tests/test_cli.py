@@ -4,6 +4,7 @@ verification reports, and exit-code discipline."""
 import contextlib
 import functools
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -264,21 +265,63 @@ def test_decode_wrong_config_exit2(tmp_path, capsys):
     assert rc == 2
 
 
-def test_repair_replaces_shard_bit_exact(tmp_path, capsys):
+def foreign_shard(tmp_path, capsys) -> bytes:
+    """Node 0's file as another configuration (C2) writes it."""
+    msg_path = tmp_path / "foreign.bin"
+    write_message(msg_path, SimConfig(construction="info-local"), seed=3)
+    run(capsys, "encode", *C2_ARGS, "--in", str(msg_path),
+        "--out-dir", str(tmp_path / "foreign"))
+    return (tmp_path / "foreign" / "shard_0000.lmbr").read_bytes()
+
+
+@pytest.mark.parametrize("failed_file",
+                         ["missing", "truncated", "garbage", "foreign"])
+def test_repair_replaces_shard_bit_exact(tmp_path, capsys, failed_file):
+    """The failed node's own file is replaced without being read, whatever
+    it holds."""
     cfg = SimConfig()
     msg_path = tmp_path / "msg.bin"
     write_message(msg_path, cfg, seed=8)
     shard_dir = tmp_path / "shards"
     run(capsys, "encode", *DESK_ARGS, "--in", str(msg_path),
         "--out-dir", str(shard_dir))
-    original = (shard_dir / "shard_0000.lmbr").read_bytes()
-    (shard_dir / "shard_0000.lmbr").unlink()
+    target = shard_dir / "shard_0000.lmbr"
+    original = target.read_bytes()
+    if failed_file == "missing":
+        target.unlink()
+    elif failed_file == "truncated":
+        target.write_bytes(original[:20])
+    elif failed_file == "garbage":
+        target.write_bytes(bytes(range(256)) * 3)
+    else:
+        target.write_bytes(foreign_shard(tmp_path, capsys))
     rc, metrics = run(capsys, "repair", *DESK_ARGS,
                       "--shard-dir", str(shard_dir), "--failed", "0")
     assert rc == 0
     assert metrics["path"] == "local-regenerating"
     assert metrics["downloaded_symbols"] == 2
-    assert (shard_dir / "shard_0000.lmbr").read_bytes() == original
+    assert target.read_bytes() == original
+
+
+def test_repair_still_refuses_a_corrupt_helper_file(tmp_path, capsys):
+    """Only the failed node's file goes unread: a truncated file of any
+    other node still stops the repair with exit 3."""
+    msg_path = tmp_path / "msg.bin"
+    write_message(msg_path, SimConfig(), seed=8)
+    shard_dir = tmp_path / "shards"
+    run(capsys, "encode", *DESK_ARGS, "--in", str(msg_path),
+        "--out-dir", str(shard_dir))
+    for other in ("shard_0001.lmbr", "shard_0005.lmbr"):
+        path = shard_dir / other
+        original = path.read_bytes()
+        path.write_bytes(original[:20])
+        rc = main(["repair", *DESK_ARGS, "--shard-dir", str(shard_dir),
+                   "--failed", "0"])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ShardFormatError",
+            "detail": "shard file shorter than its header"}
+        path.write_bytes(original)
 
 
 def test_repair_global_node_metrics(tmp_path, capsys):
@@ -607,28 +650,47 @@ def test_console_script_installed():
     assert json.loads(out.stdout)["dmin_bound"] == 3
 
 
-def test_python_dash_m_lmbr_keeps_the_exit_code_contract():
-    """``python -m lmbr`` runs the CLI from a source tree, without an
-    installed script: a pass exits 0 with its JSON on stdout, a refusal
-    exits 2 with the JSON error record on stderr."""
+def assert_bounds_exit_codes(command):
+    """``bounds`` through this command line, from the source tree: a pass
+    exits 0 with its JSON on stdout, a refusal exits 2 with the JSON error
+    record on stderr."""
     src = Path(lmbr.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
 
-    def run_module(*argv):
-        return subprocess.run([sys.executable, "-m", "lmbr", *argv],
-                              capture_output=True, text=True, timeout=60,
-                              env=env)
+    def run_command(*argv):
+        return subprocess.run([*command, *argv], capture_output=True,
+                              text=True, timeout=60, env=env)
 
-    ok = run_module("bounds", *DESK_ARGS)
+    ok = run_command("bounds", *DESK_ARGS)
     assert ok.returncode == 0
     assert json.loads(ok.stdout)["dmin_bound"] == 3
-    refused = run_module("bounds", *DESK_ARGS, "--q", "4")
+    refused = run_command("bounds", *DESK_ARGS, "--q", "4")
     assert refused.returncode == 2
     assert refused.stdout == ""
     assert json.loads(refused.stderr) == {
         "error": "ParameterError",
         "detail": "base field order must be prime, got q=4",
     }
+
+
+def test_python_dash_m_lmbr_keeps_the_exit_code_contract():
+    """``python -m lmbr`` runs the CLI without an installed script."""
+    assert_bounds_exit_codes([sys.executable, "-m", "lmbr"])
+
+
+def test_console_script_entry_point_keeps_the_exit_code_contract():
+    """The ``lmbr`` script that pyproject.toml declares resolves to
+    ``lmbr.cli:entry``, and that entry point, called as an installed script
+    would call it, keeps the exit-code contract without an install."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(lmbr.__file__).resolve().parents[2] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["lmbr"]
+    assert target == "lmbr.cli:entry"
+    module, name = target.split(":")
+    assert getattr(importlib.import_module(module), name) is cli.entry
+    assert_bounds_exit_codes([
+        sys.executable, "-c",
+        f"import importlib; importlib.import_module({module!r}).{name}()"])
 
 
 def test_design_file_flag(tmp_path, capsys):

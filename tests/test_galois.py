@@ -267,9 +267,9 @@ def reference_mul(F, a, b):
 @pytest.mark.parametrize("q,m", [(2, 40), (3, 25), (7, 10), (65521, 2),
                                  (1048573, 2), (1099511627689, 1)])
 def test_products_match_schoolbook_reference(q, m):
-    """Convolve-and-fold products equal the schoolbook reference, up to the
-    largest q of each m in the size budget (the int64 edge for m = 2) and
-    past int64 for m = 1."""
+    """Products, each the multiplication matrix of one factor times the
+    other, equal the schoolbook reference, up to the largest q of each m in
+    the size budget and past int64 for m = 1."""
     F = field(q, m)
     rng = random.Random(q * m)
     top = F.element([q - 1] * m)     # every convolution entry at its maximum
@@ -279,6 +279,43 @@ def test_products_match_schoolbook_reference(q, m):
         for b in (top, rng.choice(samples), F.random_element(rng)):
             assert (a * b).coeffs == reference_mul(F, a.coeffs, b.coeffs)
             assert all(type(c) is int for c in (a * b).coeffs)
+
+
+def reference_pow(F, a, e):
+    """a^e by square-and-multiply on :func:`reference_mul`."""
+    result, base = (1,) + (0,) * (F.m - 1), a
+    while e:
+        if e & 1:
+            result = reference_mul(F, result, base)
+        base = reference_mul(F, base, base)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("q,m", [(4294967291, 2), (2147483647, 3)])
+def test_arithmetic_exact_past_the_size_budget(monkeypatch, q, m):
+    """With the size budget raised, fields whose sums of m residue products
+    leave int64 still multiply, invert and evaluate linearized polynomials
+    exactly, against Python-int references: no exactness argument rests on
+    the budget."""
+    monkeypatch.setattr(galois, "SIZE_BUDGET", 2 ** 128)
+    F = ExtField(q, m)               # not interned past the usual budget
+    rng = random.Random(q)
+    top = F.element([q - 1] * m)
+    samples = [F.one(), F.gen(), top] + [F.random_element(rng)
+                                         for _ in range(20)]
+    for a in samples:
+        for b in (top, F.random_element(rng)):
+            assert (a * b).coeffs == reference_mul(F, a.coeffs, b.coeffs)
+        assert a * a.inverse() == F.one()
+    coeffs = [top] + [F.random_element(rng) for _ in range(m - 1)]
+    poly = LinearizedPoly(F, coeffs)
+    for p in samples[:8]:
+        want = [0] * m
+        for i, u in enumerate(coeffs):
+            term = reference_mul(F, u.coeffs, reference_pow(F, p.coeffs, q ** i))
+            want = [(w + t) % q for w, t in zip(want, term)]
+        assert poly.evaluate(p).coeffs == tuple(want)
 
 
 #: field(q, m).modulus as found by trial division, for every q^m <= 10^6

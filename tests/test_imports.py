@@ -135,25 +135,37 @@ def test_unread_constant_is_reported():
     assert unread_constants([lib, user]) == ["CAP", "LIMIT"]
 
 
-#: The field's Frobenius matrix and its table windows: the Moore map's layout.
+#: The field's Frobenius matrix and its multiplication matrices of the
+#: power basis: the Moore map's layout.
 FIELD_INTERNALS = {"_frob", "_basis_mul"}
 
+#: Outside galois, the one reader of a field internal: a linearized
+#: polynomial's matrix takes F from the field and its M(u_i) from
+#: ``ExtField.mul_matrices``.
+ALLOWED_INTERNAL_READS = {"linpoly.py": {("LinearizedPoly", "_frob")}}
 
-def field_internal_readers(source: str) -> set[str]:
-    """Top-level definitions of a module that read the field's Frobenius
-    matrix or its table windows (``<module>`` for other statements)."""
-    return {getattr(stmt, "name", "<module>") for stmt in ast.parse(source).body
+
+def field_internal_reads(source: str) -> set[tuple[str, str]]:
+    """The field internals a module reads, each with the top-level
+    definition that reads it (``<module>`` for other statements)."""
+    return {(getattr(stmt, "name", "<module>"), node.attr)
+            for stmt in ast.parse(source).body
             for node in ast.walk(stmt)
             if isinstance(node, ast.Attribute) and node.attr in FIELD_INTERNALS}
+
+
+def unallowed_internal_reads(name: str, source: str) -> set[tuple[str, str]]:
+    return field_internal_reads(source) - ALLOWED_INTERNAL_READS.get(name, set())
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "galois.py"],
                          ids=lambda p: p.name)
 def test_moore_layout_stays_in_galois(path):
-    """Outside galois only a linearized polynomial's own matrix reads the
-    field's internals; every Moore matrix comes from ExtField.moore."""
-    allowed = {"linpoly.py": {"LinearizedPoly"}}.get(path.name, set())
-    assert field_internal_readers(path.read_text()) <= allowed
+    """Outside galois only a linearized polynomial's own matrix reads a
+    field internal, and only the Frobenius matrix; every Moore matrix comes
+    from ExtField.moore and every multiplication matrix from
+    ExtField.mul_matrices."""
+    assert unallowed_internal_reads(path.name, path.read_text()) == set()
 
 
 def test_field_internal_reader_is_reported():
@@ -165,7 +177,16 @@ def test_field_internal_reader_is_reported():
               "def order(f):\n"
               "    return f.q\n"
               "TABLE = field._basis_mul\n")
-    assert field_internal_readers(source) == {"Poly", "solve", "<module>"}
+    assert field_internal_reads(source) == {
+        ("Poly", "_frob"), ("solve", "_basis_mul"), ("<module>", "_basis_mul")}
+    linpoly = ("class LinearizedPoly:\n"
+               "    def __init__(self, f):\n"
+               "        self.frob = f._frob\n"
+               "        self.table = f._basis_mul\n")
+    assert unallowed_internal_reads("linpoly.py", linpoly) == {
+        ("LinearizedPoly", "_basis_mul")}
+    assert unallowed_internal_reads("lrc.py", linpoly) == {
+        ("LinearizedPoly", "_frob"), ("LinearizedPoly", "_basis_mul")}
 
 
 #: What only galois does: build a field element, or check two fields.

@@ -12,18 +12,20 @@ x^(q^i) mod f come from repeated q-th powering, so a candidate costs
 O(m log q) polynomial products mod f rather than one division per monic
 polynomial of degree up to m/2.
 
-Each field derives its arithmetic from two int64 arrays: the matrices
-M(x^i) of multiplication by x^i for i < m, and the one Frobenius matrix F
-(column j is (x^q)^j), since a -> a^q is F_q-linear.  A product is the
-multiplication matrix M(a) = sum_i a_i M(x^i) of one factor times the
-other (:meth:`ExtField.mul_matrices`, :func:`_times`), and every inverse,
-of one element or of :func:`solve_moore`'s diagonal, comes from one
-batched helper, :func:`_inverses`.  Every q-power comes from F: each
-linearized polynomial's matrix (:mod:`lmbr.linpoly`), the inverses' norms,
-and the points' q-powers of :meth:`ExtField.moore`, the Moore map that is
-the code's generator, and of :func:`solve_moore`, which solves the Moore
-system over F_{q^m}.  Every product goes through :func:`_matmul_mod_q`,
-which picks int64 or Python ints from q and its inner dimension, so the
+Each field derives its arithmetic from two (m, m, m) int64 arrays: the
+matrices M(x^i) of multiplication by x^i, and the powers F^i of the
+Frobenius matrix F (column j is (x^q)^j), for i < m; a -> a^(q^i) is the
+F_q-linear map F^i.  A product is the multiplication matrix
+M(a) = sum_i a_i M(x^i) of one factor times the other
+(:meth:`ExtField.mul_matrices`, :func:`_times`), and every inverse, of one
+element or of :func:`solve_moore`'s diagonal, comes from one batched
+helper, :func:`_inverses`, by Itoh and Tsujii's addition chain.  Every
+q-power is one product with the table: all k q-powers of the points of
+:meth:`ExtField.moore`, the Moore map that is the code's generator, and of
+:func:`solve_moore`, which solves the Moore system over F_{q^m}; each
+linearized polynomial's matrix (:mod:`lmbr.linpoly`); and each step of the
+inverses' chain.  Every product goes through :func:`_matmul_mod_q`, which
+picks int64 or Python ints from q and its inner dimension, so the
 arithmetic is exact for every prime q, not only within the size budget.
 
 Fields are interned: :func:`field` returns one shared, immutable instance
@@ -323,13 +325,19 @@ class ExtField:
         #: it; :meth:`moore` multiplies the points' q-powers by each x^j.
         self._basis_mul = np.lib.stride_tricks.sliding_window_view(
             table, m, axis=0).copy()
-        # Frobenius matrix: column j is (x^j)^q = (x^q)^j, m - 1 products.
+        # Frobenius matrix F: column j is (x^j)^q = (x^q)^j, m - 1 products.
         xq = self.mul_matrices(np.array(
             self._reduce(_poly_powmod([0, 1], q, self.modulus, q))))
         columns = [np.array(self._reduce([1]), dtype=np.int64)]
         for _ in range(m - 1):
             columns.append(_matmul_mod_q(xq, columns[-1], q).astype(np.int64))
-        self._frob = np.array(columns, dtype=np.int64).T
+        frob = np.array(columns, dtype=np.int64).T
+        powers = [np.eye(m, dtype=np.int64), frob][:m]
+        while len(powers) < m:                       # m - 2 more products
+            powers.append(_matmul_mod_q(powers[-1], frob, q).astype(np.int64))
+        #: Slice i is F^i, the F_q matrix of a -> a^(q^i), for i < m: every
+        #: q-power of this module is one product with a slice or a stack.
+        self._frob = np.array(powers, dtype=np.int64)
         # The field is shared by every caller: its arrays stay read-only.
         self._basis_mul.flags.writeable = self._frob.flags.writeable = False
 
@@ -351,11 +359,10 @@ class ExtField:
     def _q_powers(self, columns: np.ndarray, k: int) -> np.ndarray:
         """The elements with these m x N coefficient columns raised to q^i
         for i < k, as a k x m x N int64 array: slice i is p^(q^i), column by
-        column, each from the one before by F."""
-        powers = [np.asarray(columns, dtype=np.int64)]
-        for _ in range(k - 1):
-            powers.append(_matmul_mod_q(self._frob, powers[-1], self.q))
-        return np.array(powers, dtype=np.int64).reshape(k, self.m, -1)
+        column, all k in one product with F^0 .. F^(k-1)."""
+        columns = np.asarray(columns, dtype=np.int64)
+        return _matmul_mod_q(self._frob[:k], columns, self.q).astype(
+            np.int64, copy=False)
 
     def mul_matrices(self, rows: np.ndarray) -> np.ndarray:
         """The F_q matrices of multiplication by the elements with these
@@ -370,7 +377,7 @@ class ExtField:
         """The Moore map (u_0..u_{k-1}) -> sum_i u_i p^(q^i) at the points
         with these m x N coefficient columns, as a (k m) x (N m) F_q matrix:
         row i*m + j, column c*m + r is coefficient r of x^j p_c^(q^i).  Exact
-        for every q: q-powers by F, products by x^j by M(x^j)."""
+        for every q: q-powers by F^i, products by x^j by M(x^j)."""
         m = self.m
         powers = self._q_powers(columns, k).transpose(1, 0, 2)
         blocks = _matmul_mod_q(np.reshape(self._basis_mul, (m * m, m)),
@@ -459,7 +466,8 @@ def _exact_dtype(terms: int, q: int):
     below 2^63; Python ints (object) otherwise.
     Every F_q product and elimination of this module follows this rule, so
     each is exact for every q that :func:`field` accepts.  A product asks
-    for its inner dimension; eliminations over F_q ask for one product, and
+    for its inner dimension; eliminations over F_q and the scaling by
+    N(a)^-1 in :func:`_inverses` ask for one product, and
     :func:`solve_moore` for m: an entry of its step is the difference of
     two products with m x m multiplication matrices, reduced.  A step of
     :func:`subset_ranks` takes a difference of two such products, each in
@@ -645,8 +653,10 @@ def solve_moore(fld: ExtField, points: np.ndarray,
     size s is the Moore matrix of the first s points: nonsingular exactly
     when they are independent over F_q.  A zero pivot raises
     :class:`ParameterError`.  The diagonal left at the end is inverted in
-    one batch by :func:`_inverses` and scales its rows' B part.  Products
-    are exact by the rule of :func:`_exact_dtype`.
+    one batch by :func:`_inverses` and scales its rows' B part.  The K
+    q-powers of the points are one product with the field's table of
+    Frobenius powers.  Products are exact by the rule of
+    :func:`_exact_dtype`.
     """
     q, m = fld.q, fld.m
     k = points.shape[1]
@@ -671,16 +681,35 @@ def solve_moore(fld: ExtField, points: np.ndarray,
 def _inverses(fld: ExtField, rows: np.ndarray) -> np.ndarray:
     """The inverses of nonzero F_{q^m} elements given as rows of
     coefficients (N, m), in one batch: a^-1 = a^(q + ... + q^(m-1)) / N(a),
-    with the norm N(a) = a^(1 + q + ... + q^(m-1)) in F_q.  The q-powers
-    come from the Frobenius matrix; the batch takes m + 1 products by
-    multiplication matrices and one inversion in F_q per element."""
+    with the norm N(a) = a^(1 + q + ... + q^(m-1)) in F_q.
+
+    Itoh and Tsujii's addition chain (Inf. Comput. 1988) builds
+    b_j = a^(1 + q + ... + q^(j-1)) from b_1 = a along the bits of m - 1:
+    b_2j = b_j b_j^(q^j) and b_(j+1) = b_j^q a.  Then b_(m-1)^q is
+    a^(q + ... + q^(m-1)), and its product with a is N(a).  Each q^j power
+    is one product with F^j; the batch takes floor(log2(m-1)) +
+    popcount(m-1) - 1 chain products and one norm product by
+    multiplication matrices, then scales by N(a)^-1, an inversion in F_q
+    and one elementwise product mod q per element."""
     q, m = fld.q, fld.m
-    inverse = np.eye(1, m, dtype=np.int64).repeat(len(rows), axis=0)
-    for power in fld._q_powers(rows.T, m)[1:]:                # a^(q^i), i > 0
-        inverse = _times(fld, inverse, power.T)
-    norm = _times(fld, inverse, rows)[:, 0]                  # N(a) in F_q
-    return _times(fld, inverse, np.array(
-        [[pow(int(n), q - 2, q)] + [0] * (m - 1) for n in norm]))
+    rows = np.asarray(rows, dtype=np.int64)
+
+    def power(b, j):                                         # b^(q^j)
+        return _matmul_mod_q(b, fld._frob[j].T, q).astype(np.int64)
+
+    # a^(q + ... + q^(m-1)): the empty product 1 at m = 1, else b_(m-1)^q.
+    conjugates = np.eye(1, m, dtype=np.int64).repeat(len(rows), axis=0)
+    if m > 1:
+        b, j = rows, 1                                       # b_1 = a
+        for bit in bin(m - 1)[3:]:                # the bits after the lead
+            b, j = _times(fld, b, power(b, j)), 2 * j
+            if bit == "1":
+                b, j = _times(fld, rows, power(b, 1)), j + 1
+        conjugates = power(b, 1)
+    norm = _times(fld, conjugates, rows)[:, 0]              # N(a) in F_q
+    dtype = _exact_dtype(1, q)
+    scale = np.array([pow(int(n), q - 2, q) for n in norm], dtype=dtype)
+    return (conjugates.astype(dtype) * scale[:, None] % q).astype(np.int64)
 
 
 def _times(fld: ExtField, left: np.ndarray, right: np.ndarray) -> np.ndarray:

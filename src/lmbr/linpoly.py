@@ -10,7 +10,9 @@ points.
 
 Evaluation uses that linearity: on coefficient vectors f is the m x m F_q
 matrix L_f = sum_i M(u_i) F^i, with M(u) the matrix of multiplication by u
-and F the field's Frobenius matrix, so each evaluation is one product mod q.
+and F^i from the field's table of Frobenius powers, so each evaluation is
+one product mod q.  L_f itself is one batched product of the M(u_i) with
+the F^i, summed and reduced.
 
 :func:`interpolate` recovers the unique polynomial from such evaluations.
 It solves the Moore system on the first points, in the order given, that are
@@ -37,8 +39,8 @@ class LinearizedPoly:
     """Canonical-form linearized polynomial (trailing coefficient nonzero).
 
     ``coeffs`` is the tuple (u_0, ..., u_t); the zero polynomial stores an
-    empty tuple and has q-degree -1.  ``matrix`` is L_f, built once by
-    Horner's rule: L <- L F + M(u_i) for i = t, ..., 0.
+    empty tuple and has q-degree -1.  ``matrix`` is L_f, built once as
+    sum_i M(u_i) F^i: the t + 1 products in one batch, then summed mod q.
     """
 
     __slots__ = ("field", "coeffs", "matrix")
@@ -55,10 +57,11 @@ class LinearizedPoly:
             )
         self.field = field
         self.coeffs = tuple(coeffs)
-        matrix = np.zeros((field.m, field.m), dtype=np.int64)
-        for mult in field.mul_matrices(rows[:len(coeffs)][::-1]):
-            matrix = (_matmul_mod_q(matrix, field._frob, field.q) + mult) % field.q
-        self.matrix = matrix.astype(np.int64, copy=False)
+        n = len(coeffs)
+        terms = _matmul_mod_q(field.mul_matrices(rows[:n]), field._frob[:n],
+                              field.q)                     # M(u_i) F^i
+        self.matrix = (terms.sum(axis=0) % field.q).astype(np.int64,
+                                                           copy=False)
 
     @property
     def q_degree(self) -> int:

@@ -1,6 +1,7 @@
 """Field construction, arithmetic, Frobenius structure, and base-field
 elimination (rank, inverse, pivot columns)."""
 
+import functools
 import random
 import struct
 import time
@@ -236,6 +237,66 @@ def test_frobenius_is_multiplicative():
             assert frobenius(F, a * b, 1) == frobenius(F, a, 1) * frobenius(F, b, 1)
 
 
+def reference_frobenius(F):
+    """The Frobenius matrix from FieldElement powers alone: column j is
+    (x^q)^j."""
+    xq = F.gen() ** F.q if F.m > 1 else F.one()
+    return np.array([(xq ** j).coeffs for j in range(F.m)], dtype=object).T
+
+
+@pytest.mark.parametrize("q,m", [(5, 1), (3, 4), (7, 10), (65521, 2)])
+def test_field_holds_the_frobenius_table_and_the_basis_matrices(q, m):
+    """A field's state is the basis multiplication matrices and the table
+    of Frobenius powers, two read-only (m, m, m) int64 arrays, and no
+    property caches a third."""
+    F = field(q, m)
+    arrays = {name: value for name, value in vars(F).items()
+              if isinstance(value, np.ndarray)}
+    assert set(arrays) == {"_basis_mul", "_frob"}
+    for array in arrays.values():
+        assert array.shape == (m, m, m) and array.dtype == np.int64
+        assert not array.flags.writeable
+    assert not [name for name, value in vars(ExtField).items()
+                if isinstance(value, functools.cached_property)]
+
+
+@pytest.mark.parametrize("q,m", [(65521, 2), (2, 40)])
+def test_frobenius_table_holds_the_powers_of_F(q, m):
+    """Slice i of the table is F multiplied by itself i times, and it maps
+    a to a^(q^i)."""
+    F = field(q, m)
+    frob = reference_frobenius(F)
+    power = np.eye(m, dtype=object)
+    rng = random.Random(q + m)
+    samples = [F.gen(), F.element([q - 1] * m)]
+    samples += [F.random_element(rng) for _ in range(2)]
+    for i in range(m):
+        assert F._frob[i].tolist() == power.tolist(), i
+        for a in samples:
+            got = F._frob[i].astype(object).dot(list(a.coeffs)) % q
+            assert tuple(got.tolist()) == (a ** (q ** i)).coeffs, i
+        power = power.dot(frob) % q
+
+
+@pytest.mark.parametrize("q,m", [(2, 6), (7, 10), (65521, 2),
+                                 (1099511627689, 1)])
+def test_q_powers_match_sequential_frobenius(q, m):
+    """The q-powers of a batch of points, all k at once, equal the
+    sequential reference: each from the one before by F."""
+    F = field(q, m)
+    frob = reference_frobenius(F)
+    rng = random.Random(m)
+    columns = np.array([[rng.randrange(q) for _ in range(5)]
+                        for _ in range(m)], dtype=np.int64)
+    want = [columns.astype(object)]
+    for _ in range(m - 1):
+        want.append(frob.dot(want[-1]) % q)
+    for k in range(1, m + 1):
+        got = F._q_powers(columns, k)
+        assert got.shape == (k, m, 5) and got.dtype == np.int64
+        assert got.tolist() == [w.tolist() for w in want[:k]]
+
+
 def reference_mul(F, a, b):
     """Reference: schoolbook product of two coefficient vectors in Python
     ints, folded from the top by the rows x^(m+i) mod the modulus."""
@@ -292,13 +353,26 @@ def reference_pow(F, a, e):
     return result
 
 
-@pytest.mark.parametrize("q,m", [(4294967291, 2), (2147483647, 3)])
+#: Irreducible moduli for fields past the budget whose deterministic search
+#: would walk about q candidates: q = 2^31 - 1 is 3 mod 4 and 2 mod 5, so
+#: every x^4 + c and every x^5 + c is reducible over F_q.
+MODULI_PAST_THE_BUDGET = {(2147483647, 4): (1, 1, 0, 0, 1),
+                          (2147483647, 5): (1, 2, 0, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("q,m", [(4294967291, 2), (2147483647, 3),
+                                 (2147483647, 4), (2147483647, 5)])
 def test_arithmetic_exact_past_the_size_budget(monkeypatch, q, m):
     """With the size budget raised, fields whose sums of m residue products
     leave int64 still multiply, invert and evaluate linearized polynomials
     exactly, against Python-int references: no exactness argument rests on
-    the budget."""
-    monkeypatch.setattr(galois, "SIZE_BUDGET", 2 ** 128)
+    the budget.  At m = 4 the inversion chain takes one doubling and one
+    increment, at m = 5 two doublings."""
+    monkeypatch.setattr(galois, "SIZE_BUDGET", 2 ** 256)
+    if (q, m) in MODULI_PAST_THE_BUDGET:
+        modulus = MODULI_PAST_THE_BUDGET[q, m]
+        assert galois._is_irreducible(modulus, q)
+        monkeypatch.setattr(galois, "_search_modulus", lambda q, m: modulus)
     F = ExtField(q, m)               # not interned past the usual budget
     rng = random.Random(q)
     top = F.element([q - 1] * m)
@@ -710,6 +784,75 @@ def test_solve_moore_refuses_dependent_points():
                 galois.solve_moore(fld, points, rhs)
             assert str(err.value) == "matrix is singular over F_q"
             assert moore_solve_reference(fld, points, rhs) == str(err.value)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that counts its calls; the
+    returned list gets one entry per call."""
+    calls, inner = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def assert_inverses(F, elements):
+    """_inverses of a batch of nonzero elements, checked by FieldElement
+    products, which multiply by multiplication matrices and never call
+    _inverses."""
+    inverses = galois._inverses(F, galois.coefficients(elements, F))
+    assert inverses.dtype == np.int64 and inverses.shape == (len(elements), F.m)
+    for a, inverse in zip(elements, galois.as_elements(F, inverses)):
+        assert a * inverse == F.one(), a
+
+
+@pytest.mark.parametrize("q,m", [(2, 5), (3, 4), (7, 2), (5, 1), (2, 1)])
+def test_inverses_of_every_nonzero_element(q, m):
+    F = field(q, m)
+    assert_inverses(F, list(F.elements())[1:])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("m", range(1, 18))
+def test_inverses_of_a_seeded_batch(q, m):
+    """Every branch of the addition chain: m - 1 runs through 0, 1, powers
+    of two and their predecessors."""
+    F = field(q, m)
+    rng = random.Random(100 * q + m)
+    batch = [F.one(), F.element([q - 1] * m)]
+    while len(batch) < 12:
+        a = F.random_element(rng)
+        if not a.is_zero():
+            batch.append(a)
+    assert_inverses(F, batch)
+
+
+@pytest.mark.parametrize("m", range(2, 18))
+def test_inversion_takes_the_addition_chain_products(monkeypatch, m):
+    """Itoh-Tsujii: floor(log2(m-1)) + popcount(m-1) - 1 chain products
+    and one norm product, each one multiplication-matrix build; N(a)^-1
+    scales without one."""
+    F = field(2, m)
+    times = count_calls(monkeypatch, galois, "_times")
+    builds = count_calls(monkeypatch, ExtField, "mul_matrices")
+    galois._inverses(F, np.ones((3, m), dtype=np.int64))
+    chain = (m - 1).bit_length() - 1 + bin(m - 1).count("1") - 1
+    assert len(times) == len(builds) == chain + 1
+
+
+@pytest.mark.parametrize("q,m,k,builds", [(7, 10, 10, 16), (3, 8, 5, 11)])
+def test_solve_moore_multiplication_matrix_builds(monkeypatch, q, m, k,
+                                                  builds):
+    """A Fano-sized solve (K = m = 10 over F_{7^10}) and an mbr-stripes-
+    sized one (K = 5 over F_{3^8}): K pivot steps, the inversion chain,
+    the norm and the scaling of the right-hand side."""
+    fld = field(q, m)
+    calls = count_calls(monkeypatch, ExtField, "mul_matrices")
+    rhs = np.ones((k, 1, m), dtype=np.int64)
+    galois.solve_moore(fld, np.eye(m, k, dtype=np.int64), rhs)
+    assert len(calls) == builds
 
 
 def test_elimination_is_exact_where_products_overflow_int64():

@@ -135,13 +135,13 @@ def test_unread_constant_is_reported():
     assert unread_constants([lib, user]) == ["CAP", "LIMIT"]
 
 
-#: The field's Frobenius matrix and its multiplication matrices of the
-#: power basis: the Moore map's layout.
+#: The field's table of Frobenius powers F^0 .. F^(m-1) and its
+#: multiplication matrices of the power basis: the Moore map's layout.
 FIELD_INTERNALS = {"_frob", "_basis_mul"}
 
 #: Outside galois, the one reader of a field internal: a linearized
-#: polynomial's matrix takes F from the field and its M(u_i) from
-#: ``ExtField.mul_matrices``.
+#: polynomial's matrix takes the powers F^i from the field's table and its
+#: M(u_i) from ``ExtField.mul_matrices``.
 ALLOWED_INTERNAL_READS = {"linpoly.py": {("LinearizedPoly", "_frob")}}
 
 
@@ -162,7 +162,7 @@ def unallowed_internal_reads(name: str, source: str) -> set[tuple[str, str]]:
                          ids=lambda p: p.name)
 def test_moore_layout_stays_in_galois(path):
     """Outside galois only a linearized polynomial's own matrix reads a
-    field internal, and only the Frobenius matrix; every Moore matrix comes
+    field internal, and only the Frobenius powers; every Moore matrix comes
     from ExtField.moore and every multiplication matrix from
     ExtField.mul_matrices."""
     assert unallowed_internal_reads(path.name, path.read_text()) == set()

@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from lmbr import (
@@ -13,9 +14,10 @@ from lmbr import (
     ParameterError,
     field,
     interpolate,
+    linpoly,
     rank_over_base,
 )
-from lmbr.galois import coefficients, pivot_columns
+from lmbr.galois import ExtField, coefficients, pivot_columns
 
 
 def greedy_independent(points, needed):
@@ -131,6 +133,56 @@ def test_q_degree_must_stay_below_m():
     F9 = field(3, 2)
     with pytest.raises(ParameterError):
         LinearizedPoly(F9, [F9.one(), F9.one(), F9.one()])
+
+
+def horner_matrix(F, coeffs):
+    """Reference L_f by Horner's rule, L <- L F + M(u_i) for i = t, ..., 0,
+    with F and each M(u) from FieldElement products alone: column j of F
+    is (x^q)^j, column k of M(u) is u x^k."""
+    q, m = F.q, F.m
+    basis = F.polynomial_basis(m)
+    xq = F.gen() ** q if m > 1 else F.one()
+    frob = np.array([(xq ** j).coeffs for j in range(m)], dtype=object).T
+    matrix = np.zeros((m, m), dtype=object)
+    for u in reversed(coeffs):
+        mult = np.array([(u * x).coeffs for x in basis], dtype=object).T
+        matrix = (matrix.dot(frob) + mult) % q
+    return matrix.tolist()
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (2, 6), (7, 10), (65521, 2),
+                                 (1099511627689, 1)])
+def test_matrix_matches_the_horner_reference(q, m):
+    """L_f, one batched product of the M(u_i) with F^i, equals Horner's
+    rule for the zero polynomial and every q-degree below m."""
+    F = field(q, m)
+    rng = random.Random(q + m)
+    top = F.element([q - 1] * m)          # nonzero: the q-degree is t - 1
+    for t in range(m + 1):
+        coeffs = [F.random_element(rng) for _ in range(t - 1)] + [top] * (t > 0)
+        poly = LinearizedPoly(F, coeffs)
+        assert poly.q_degree == t - 1
+        assert poly.matrix.dtype == np.int64
+        assert poly.matrix.tolist() == horner_matrix(F, coeffs)
+
+
+@pytest.mark.parametrize("degree", range(1, 10))
+def test_matrix_takes_one_batched_product(monkeypatch, degree):
+    """A polynomial of q-degree 1 or more over F_{7^10} builds its matrix
+    with one mul_matrices call and one product, not one per coefficient."""
+    F = field(7, 10)
+    rng = random.Random(degree)
+    coeffs = [F.random_element(rng) for _ in range(degree)] + [F.one()]
+    calls = []
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args: calls.append(name) or inner(*args))
+    count(ExtField, "mul_matrices")
+    count(linpoly, "_matmul_mod_q")
+    LinearizedPoly(F, coeffs)
+    assert sorted(calls) == ["_matmul_mod_q", "mul_matrices"]
 
 
 def test_identity_interpolation_frozen():
